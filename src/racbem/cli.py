@@ -545,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser, args, argv):
-    """Fill unset flags from the --config JSON file.
+    """Apply the --config JSON file over the flag defaults.
 
     Values for keys the user passed explicitly on the command line are
     left alone; unknown keys are schema errors."""
@@ -561,11 +561,10 @@ def _apply_config_file(parser, args, argv):
     explicit = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        # func and command are parser bookkeeping, not flags
+        if dest in ("func", "command") or not hasattr(args, dest):
             raise SchemaError(f"unknown config key {key!r}")
-        if dest in explicit:
-            continue
-        if getattr(args, dest) is None:
+        if dest not in explicit:
             setattr(args, dest, value)
     return args
 

@@ -3,9 +3,9 @@
 A length d+1 real sequence Phi parameterizes the SU(2) product
 U_Phi(x) = e^{i phi_0 Z} prod_{j=1..d} [e^{i arccos(x) X} e^{i phi_j Z}],
 whose upper-left real part is a degree-d polynomial in x with the parity
-of d.  Given a target polynomial, the phases are found by minimizing the
-mean squared residual on Chebyshev nodes with an analytic gradient and a
-quasi-Newton solver.  Two phase conventions exist: the optimization one
+of d.  Given a target polynomial, symmetric phases are found by damped
+Newton iteration on the square system of residuals at Chebyshev nodes,
+starting from the flat sequence.  Two phase conventions exist: the optimization one
 ("phi") and the circuit one ("varphi"); they differ by fixed shifts of
 pi/4 at the ends and pi/2 inside.
 """
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .chebpoly import ChebPoly
 
@@ -129,26 +128,23 @@ def _stacks(values: np.ndarray, xs: np.ndarray):
     return prefix, suffix
 
 
-def _residuals_and_grad(values: np.ndarray, xs: np.ndarray, targets: np.ndarray):
+def _residuals_and_derivs(values: np.ndarray, xs: np.ndarray, targets: np.ndarray):
+    """Residuals Re U00 - target on the nodes, and d(Re U00)/d phi_k.
+
+    The derivatives have shape (d+1, n_nodes): d(Re U00)/d phi_k =
+    Re[i (L_k Z R_k)_00] with L_k = prefix[k], R_k = suffix[k], and
+    (L Z R)_00 = L00 R00 - L01 R10."""
     prefix, suffix = _stacks(values, xs)
-    U = prefix[-1]
-    res = U[:, 0, 0].real - targets
-    # d(Re U00)/d phi_k = Re[i (L_k Z R_k)_00]
-    L = prefix  # includes e^{i phi_k Z}
-    R = suffix
-    # (L Z R)_00 = L00 R00 - L01 R10
-    zr = L[:, :, 0, 0] * R[:, :, 0, 0] - L[:, :, 0, 1] * R[:, :, 1, 0]
-    dre = (1j * zr).real  # shape (d+1, n_nodes)
-    n = len(xs)
-    grad = (2.0 / n) * dre @ res
-    return res, grad
+    res = prefix[-1][:, 0, 0].real - targets
+    zr = prefix[:, :, 0, 0] * suffix[:, :, 0, 0] - prefix[:, :, 0, 1] * suffix[:, :, 1, 0]
+    return res, -zr.imag
 
 
 def objective(phases: PhaseFactors, f: ChebPoly) -> float:
     """Mean squared residual of Re<0|U_Phi|0> against f on the node set."""
     _check_pair(phases, f)
     xs = _nodes(phases.degree)
-    res = qsp_value(xs, phases) - f(xs)
+    res, _ = _residuals_and_derivs(np.asarray(phases.values), xs, f(xs))
     return float(np.mean(res**2))
 
 
@@ -156,8 +152,8 @@ def gradient(phases: PhaseFactors, f: ChebPoly) -> np.ndarray:
     """Analytic gradient of the objective with respect to each phase."""
     _check_pair(phases, f)
     xs = _nodes(phases.degree)
-    _, grad = _residuals_and_grad(np.asarray(phases.values), xs, f(xs))
-    return grad
+    res, derivs = _residuals_and_derivs(np.asarray(phases.values), xs, f(xs))
+    return (2.0 / len(xs)) * derivs @ res
 
 
 def _check_pair(phases: PhaseFactors, f: ChebPoly):
@@ -171,121 +167,59 @@ def _check_pair(phases: PhaseFactors, f: ChebPoly):
         raise ValueError(f"degree-{d} phases need {want} target parity")
 
 
-MAX_ITER = 10_000
-
-L_TOL = 1e-24
-
-GRAD_TOL = 1e-12
-
-
-def _solve_targets(
-    d: int, xs: np.ndarray, targets: np.ndarray, v0: np.ndarray, max_iter: int
-) -> tuple[np.ndarray, float]:
-    """Fit the free symmetric phases to target values on the nodes.
-
-    L-BFGS with the analytic gradient, then Gauss-Newton polish: the
-    folded system is square (one node per free symmetric phase), so
-    Newton steps reach machine-precision residuals where the quasi-Newton
-    loop stalls near sqrt(eps).  Returns (free phases, residual L)."""
-    half = (d + 1 + 1) // 2  # free symmetric coordinates
-
-    def expand(v):
-        full = np.empty(d + 1)
-        full[:half] = v
-        full[-half:] = v[::-1]
-        return full
-
-    def fold(g):
-        out = g[:half].copy()
-        # mirrored coordinates share a variable; the middle one of an
-        # odd-length sequence is its own mirror
-        for i in range(half):
-            j = d - i
-            if j != i:
-                out[i] += g[j]
-        return out
-
-    def fun(v):
-        res, grad = _residuals_and_grad(expand(v), xs, targets)
-        return float(np.mean(res**2)), fold(grad)
-
-    result = minimize(
-        fun,
-        v0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "ftol": 1e-30, "gtol": GRAD_TOL, "maxcor": 10},
-    )
-    v = result.x
-
-    def res_jac(v):
-        prefix, suffix = _stacks(expand(v), xs)
-        res = prefix[-1][:, 0, 0].real - targets
-        zr = prefix[:, :, 0, 0] * suffix[:, :, 0, 0] - prefix[:, :, 0, 1] * suffix[:, :, 1, 0]
-        dre = (1j * zr).real  # (d+1, n_nodes)
-        J = dre[:half].T.copy()
-        for i in range(half):
-            j = d - i
-            if j != i:
-                J[:, i] += dre[j]
-        return res, J
-
-    best_v, best_L = v, float(result.fun)
-    for _ in range(50):
-        res, J = res_jac(v)
-        L = float(np.mean(res**2))
-        if L < best_L:
-            best_v, best_L = v.copy(), L
-        if L < 1e-31:
-            break
-        try:
-            step = np.linalg.lstsq(J, res, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        v = v - step
-    return best_v, best_L
-
-
 CONVERGED_L = 1e-24
 
-HOMOTOPY_TAUS = (0.5, 0.7, 0.85, 0.95, 0.99, 1.0)
+# Newton stops below NEWTON_L (machine precision), when no step length
+# down to MIN_STEP lowers L, or after NEWTON_ITERS iterations
+NEWTON_L = 1e-31
+
+MIN_STEP = 1e-4
+
+NEWTON_ITERS = 100
 
 
-def optimize(f: ChebPoly, max_iter: int = MAX_ITER) -> tuple[PhaseFactors, float]:
+def optimize(f: ChebPoly) -> tuple[PhaseFactors, float]:
     """Symmetric phase factors reproducing the polynomial f.
 
-    Optimizes only the first half of the sequence (mirroring the rest)
-    from the flat start (pi/4, 0, ..., 0, pi/4).  When the direct solve
-    stalls in a poor local minimum (targets with sup norm near 1 at
-    higher degree), an amplitude continuation refits against tau * f for
-    an increasing ramp of tau with warm starts.  Returns (phases,
-    residual L); raises only on malformed input, a poor local minimum is
-    reported via L."""
+    Damped Newton on the symmetric system: the free phases are the first
+    half of the sequence (the rest mirrors them), one Chebyshev node per
+    free phase, so the folded Jacobian is square.  From the flat start
+    (pi/4, 0, ..., 0, pi/4) each iteration takes the least-squares step
+    and halves it until the mean squared residual L drops.  Returns
+    (phases, L); raises only on malformed input.  A target with no
+    phases (|f| > 1 somewhere on [-1, 1]) or a stall is reported via L,
+    which then exceeds CONVERGED_L."""
     d = f.degree
     if d < 1:
         raise ValueError("need degree >= 1")
     xs = _nodes(d)
     targets = f(xs)
-    half = (d + 1 + 1) // 2
+    half = len(xs)
+    # mirror[k, i] = 1 when full phase k is free phase i
+    mirror = np.eye(half)[np.minimum(np.arange(d + 1), d - np.arange(d + 1))]
+
+    def state(v):
+        res, derivs = _residuals_and_derivs(mirror @ v, xs, targets)
+        return v, res, derivs.T @ mirror, float(np.mean(res**2))
 
     v0 = np.zeros(half)
     v0[0] = np.pi / 4
-    best_v, best_L = _solve_targets(d, xs, targets, v0, max_iter)
-
-    if best_L > CONVERGED_L:
-        v = v0
-        for tau in HOMOTOPY_TAUS:
-            v, L = _solve_targets(d, xs, tau * targets, v, max_iter)
-        if L < best_L:
-            best_v, best_L = v, L
-
-    full = np.empty(d + 1)
-    full[:half] = best_v
-    full[-half:] = best_v[::-1]
-    phases = PhaseFactors(tuple(full), "phi", symmetric=True)
-    return phases, best_L
+    v, res, J, L = state(v0)
+    for _ in range(NEWTON_ITERS):
+        if L < NEWTON_L:
+            break
+        step = np.linalg.lstsq(J, res, rcond=None)[0]
+        t = 1.0
+        while t >= MIN_STEP:
+            trial = state(v - t * step)
+            if trial[3] < L:
+                break
+            t /= 2
+        else:
+            break
+        v, res, J, L = trial
+    phases = PhaseFactors(tuple(mirror @ v), "phi", symmetric=True)
+    return phases, L
 
 
 def to_varphi(phases: PhaseFactors) -> PhaseFactors:

@@ -314,15 +314,16 @@ def _series_part(
     rng,
     noise_model,
     sigma: float,
-) -> tuple[float, float, float, QsvtCircuit]:
+) -> tuple[float, float, float, float, QsvtCircuit]:
     """One quadrature part: fit, build, measure.
 
-    Returns (p_measured, scale, fit error in target units, circuit)."""
+    Returns (p_measured, scale, fit error in target units, phase residual,
+    circuit)."""
     g = fit_on_interval(target, degree // 2, (q.a0, q.a0 + q.a2))
     f = compose_fit(g, q)
-    qc, _ = _qsvt_for(ua, f)
+    qc, residual = _qsvt_for(ua, f)
     p = measure_success(qc.circuit, 2, shots, rng, noise_model, sigma)
-    return p, f.scale, g.err, qc
+    return p, f.scale, g.err, residual, qc
 
 
 def time_series_run(
@@ -360,10 +361,10 @@ def time_series_run(
     values, exact, reports = [], [], []
     for t, dr, di, er, ei in zip(ts, lengths_real, lengths_imag, etas_real, etas_imag):
         t0 = time.perf_counter()
-        pc, sc, ec, qc_c = _series_part(
+        pc, sc, ec, rc, qc_c = _series_part(
             ua, q, cos_sqrt(t, er), dr - 1, shots, rng, noise_model, sigma
         )
-        ps, ss, es, qc_s = _series_part(
+        ps, ss, es, rs, qc_s = _series_part(
             ua, q, sin_sqrt(t, ei), di - 1, shots, rng, noise_model, sigma
         )
         s = complex(2 * sc**2 * pc - er, 2 * ss**2 * ps - ei)
@@ -371,9 +372,9 @@ def time_series_run(
         values.append(s)
         exact.append(s_ref)
         wall = time.perf_counter() - t0
-        for part, p, scale_, err, eta, dd, ref in (
-            ("real", pc, sc, ec, er, dr, (s_ref.real + er) / 2),
-            ("imag", ps, ss, es, ei, di, (s_ref.imag + ei) / 2),
+        for part, p, scale_, err, res, eta, dd, ref in (
+            ("real", pc, sc, ec, rc, er, dr, (s_ref.real + er) / 2),
+            ("imag", ps, ss, es, rs, ei, di, (s_ref.imag + ei) / 2),
         ):
             reports.append(
                 BenchmarkReport(
@@ -381,7 +382,7 @@ def time_series_run(
                     seed=seed,
                     params={"n": n, "t": t, "eta": eta, "length": dd,
                             "scale": scale_, "fit_error": err,
-                            "shots": shots, "sigma": sigma},
+                            "residual": res, "shots": shots, "sigma": sigma},
                     p_measured=p,
                     p_exact=ref / scale_**2,
                     gate_counts=G.gate_count((qc_c if part == "real" else qc_s).circuit),
@@ -430,7 +431,7 @@ def spectral_run(
     values, exact, reports = [], [], []
     for E, length in zip(energies, lengths):
         t0 = time.perf_counter()
-        p, scale_, err, qc = _series_part(
+        p, scale_, err, residual, qc = _series_part(
             ua, q, lorentzian_sqrt(eta, E), length - 1, shots, rng, noise_model, sigma
         )
         s = scale_**2 * p / (eta * math.pi)
@@ -443,7 +444,7 @@ def spectral_run(
                 seed=seed,
                 params={"n": n, "E": E, "eta": eta, "length": length,
                         "scale": scale_, "fit_error": err,
-                        "shots": shots, "sigma": sigma},
+                        "residual": residual, "shots": shots, "sigma": sigma},
                 p_measured=p,
                 p_exact=s_ref * eta * math.pi / scale_**2,
                 gate_counts=G.gate_count(qc.circuit),
@@ -540,10 +541,10 @@ def metts_run(
     hmat = _hermitian_matrix(ua, q)
 
     f_num, err_num = fit_scaled(odd_gibbs(beta), d_num, "odd", (0.0, 1.0))
-    qc_num, _ = _qsvt_for(ua, f_num, allow_odd=True)
+    qc_num, res_num = _qsvt_for(ua, f_num, allow_odd=True)
     g_den = fit_on_interval(gibbs(beta), d_den // 2, (q.a0, q.a0 + q.a2))
     f_den = compose_fit(g_den, q)
-    qc_den, _ = _qsvt_for(ua, f_den)
+    qc_den, res_den = _qsvt_for(ua, f_den)
 
     rng = np.random.default_rng(seed)
     dim = 2**n
@@ -642,6 +643,7 @@ def metts_run(
                 "d_den": d_den, "shots": shots, "sigma": sigma,
                 "scale_num": f_num.scale, "scale_den": f_den.scale,
                 "fit_error_num": err_num, "fit_error_den": g_den.err,
+                "residual_num": res_num, "residual_den": res_den,
                 "resamples": resamples, "flagged": flagged},
         p_measured=float(estimate),
         p_exact=float(exact),

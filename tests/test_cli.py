@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -60,6 +63,27 @@ def test_config_file_with_flag_override(tmp_path, monkeypatch):
     text = out.read_text()
     assert "NAME racbem-4" in text  # flag wins over config seed
     assert text.count("LAYER") == 4  # depth from config
+
+
+def test_config_file_overrides_flag_defaults(tmp_path, monkeypatch):
+    # keys whose flag has a non-None default must still take effect
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"eta": 0.5, "points": 2, "length": 3}))
+    out = tmp_path / "s.json"
+    code = run(
+        ["spectral", "--n", "1", "--seed", "1", "--exact", "--config", str(cfg),
+         "--out", str(out)],
+        monkeypatch, tmp_path,
+    )
+    assert code == 0
+    body = json.loads(out.read_text())
+    assert body["config"]["eta"] == 0.5
+    assert body["config"]["points"] == 2
+    assert body["config"]["length"] == 3
+    assert body["E"] == [0.0, 1.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"func": 1}')
+    assert run(["spectral", "--config", str(bad), "--n", "1", "--seed", "1"], monkeypatch, tmp_path) == 2
 
 
 def test_exit_codes(tmp_path, monkeypatch):
@@ -158,3 +182,14 @@ def test_timeseries_artifact(tmp_path, monkeypatch):
     assert code == 0
     body = json.loads(out.read_text())
     assert len(body["s"]) == 1 == len(body["s_exact"])
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; the runtime is numpy alone
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import racbem.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,9 +1,18 @@
 import numpy as np
+import numpy.polynomial.chebyshev as C
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from racbem.chebpoly import ChebPoly
+from racbem.chebpoly import (
+    ChebPoly,
+    compose_fit,
+    fit_on_interval,
+    fit_scaled,
+    lorentzian_sqrt,
+    odd_gibbs,
+)
 from racbem.phasefactors import (
+    CONVERGED_L,
     PhaseFactors,
     gradient,
     objective,
@@ -13,6 +22,7 @@ from racbem.phasefactors import (
     to_varphi,
     u_phi,
 )
+from racbem.tasks import canonical_quadratic
 
 
 def cheb_target(d, amp=1.0):
@@ -68,6 +78,30 @@ def test_optimize_scaled_target():
     f = ChebPoly((0.3, 0.0, 0.4, 0.0, 0.1), "even")
     phases, L = optimize(f)
     assert L < 1e-20
+    assert phases.symmetric
+
+
+def test_optimize_spectral_target_that_stalled_lbfgs():
+    # E=0.7, length 39 on the deep spectral grid: a quasi-Newton solve
+    # stalled here at L ~ 2e-9
+    q = canonical_quadratic()
+    f = compose_fit(fit_on_interval(lorentzian_sqrt(0.2, 0.7), 19, (q.a0, q.a0 + q.a2)), q)
+    assert f.degree == 38
+    phases, L = optimize(f)
+    assert L <= CONVERGED_L
+    xs = np.linspace(-1, 1, 201)
+    assert np.abs(qsp_value(xs, phases) - f(xs)).max() < 1e-9
+
+
+def test_optimize_reports_infeasible_target():
+    # the degree-7 Gibbs numerator fit peaks 1.4e-6 above 1 between the
+    # points ChebPoly checks, so no phases reproduce it; the solve must
+    # return and say so through L
+    f, _ = fit_scaled(odd_gibbs(8.0), 7, "odd", (0.0, 1.0))
+    xs = np.cos(np.linspace(0, np.pi, 200_001))
+    assert np.abs(C.chebval(xs, f.coeffs)).max() > 1 + 1e-7
+    phases, L = optimize(f)
+    assert L > CONVERGED_L
     assert phases.symmetric
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from racbem import gates as G
 from racbem.blockenc import BlockEncoding, extract_block
+from racbem.phasefactors import CONVERGED_L
 from racbem.tasks import (
     BenchmarkReport,
     MettsTrace,
@@ -109,6 +110,7 @@ def test_time_series_identity_instance():
     for r in res.reports:
         # p_measured carries the polynomial fit error, p_exact does not
         assert r.p_measured == pytest.approx(r.p_exact, abs=5e-3)
+        assert r.params["residual"] <= CONVERGED_L
 
 
 def test_time_series_parameter_validation():
@@ -128,6 +130,8 @@ def test_spectral_run_basics():
         assert s_ref.real > 0.0
     assert len(res.reports) == 3
     assert res.reports[0].params["length"] == 7
+    for r in res.reports:
+        assert r.params["residual"] <= CONVERGED_L
 
 
 def test_metts_trace_validates_cma():
@@ -150,7 +154,9 @@ def test_metts_beta_zero_uniform_limit():
 
 
 def test_metts_exact_mode_deterministic():
-    a, _ = metts_run(1.0, 50, 2, seed=15, shots=0)
+    a, report = metts_run(1.0, 50, 2, seed=15, shots=0)
+    assert report.params["residual_num"] <= CONVERGED_L
+    assert report.params["residual_den"] <= CONVERGED_L
     b, _ = metts_run(1.0, 50, 2, seed=15, shots=0)
     assert a.states == b.states
     assert a.energies == b.energies

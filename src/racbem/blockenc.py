@@ -5,13 +5,15 @@ A = (<0^m| x I) U (|0^m> x I), the top-left 2^n_sys x 2^n_sys block of
 the circuit unitary under the qubit-0-is-MSB ordering.  From a 1-ancilla
 block-encoding of A this module builds 2-ancilla block-encodings of the
 Hermitian matrix h(A) = a2 * A^dag A + a0 * I, where the quadratic
-h(x) = a2 x^2 + a0 is selected by two rotation phases.
+h(x) = a2 x^2 + a0 is selected by two rotation phases.  That circuit is
+the degree-2 case of the alternating-phase circuit, and `alternate` is
+the one assembler for both it and `qsvt.build`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +25,11 @@ from .statevector import circuit_unitary
 class BlockEncoding:
     """A circuit whose top-left block (ancillas read |0^m>) is the matrix.
 
-    Ancillas are the m lowest-indexed qubits.  alpha is the encoding scale
-    (always 1 for circuits built here; kept for bookkeeping)."""
+    Ancillas are the m lowest-indexed qubits."""
 
     circuit: G.QuantumCircuit
     n_sys: int
     m: int = 1
-    alpha: float = 1.0
 
     def __post_init__(self):
         if self.n_sys < 1 or self.m < 0:
@@ -74,44 +74,57 @@ def extract_block(be: BlockEncoding) -> np.ndarray:
     return U[:k, :k]
 
 
-def _rotation_group(varphi: float, ctrl: int, targ: int) -> list[G.Gate]:
-    """Open-controlled-NOT sandwich around exp(-i varphi Z) on `targ`.
+def _under_signal(ua: BlockEncoding, who: str):
+    """(register size, U_A, U_A^dag) with U_A moved up one qubit so that
+    the signal qubit is q0 and its ancilla q1."""
+    if ua.m != 1:
+        raise ValueError(f"{who} needs a 1-ancilla block-encoding")
+    n = ua.circuit.n_qubits + 1
+    return n, G.shift_qubits(ua.circuit, 1, n), G.shift_qubits(G.adjoint(ua.circuit), 1, n)
 
-    The sandwich applies the rotation on the signal qubit unconditionally
-    (the X/CNOT pairs cancel); it is kept verbatim from the reference
-    construction so gate counts match the 7-gate budget."""
+
+def _rotation_group(varphi: float) -> list[G.Gate]:
+    """Open-controlled-NOT sandwich around exp(-i varphi Z) on signal q0.
+
+    Ancilla q1 controls.  The sandwich applies the rotation on the signal
+    qubit unconditionally (the X/CNOT pairs cancel); it is kept verbatim
+    from the reference construction so gate counts match the 7-gate
+    budget."""
     return [
-        G.x(ctrl),
-        G.cnot(ctrl, targ),
-        G.x(ctrl),
-        G.rz(targ, 2.0 * varphi),
-        G.x(ctrl),
-        G.cnot(ctrl, targ),
-        G.x(ctrl),
+        G.x(1),
+        G.cnot(1, 0),
+        G.x(1),
+        G.rz(0, 2.0 * varphi),
+        G.x(1),
+        G.cnot(1, 0),
+        G.x(1),
     ]
+
+
+def alternate(ua: BlockEncoding, varphi, name: str) -> G.QuantumCircuit:
+    """The alternating-phase circuit for circuit-convention phases varphi.
+
+    Layout: signal qubit q0, block-encoding ancilla q1, system q2..  With
+    d = len(varphi) - 1 the circuit is H(q0), then for j = d .. 1 the
+    rotation group of varphi_j followed by U_A and U_A^dag in turn
+    (starting with U_A), then the rotation group of varphi_0 and H(q0)."""
+    n, ua_s, uad_s = _under_signal(ua, "the alternating circuit")
+    d = len(varphi) - 1
+    parts = [G.from_gates(n, [G.h(0)])]
+    for j in range(d, 0, -1):
+        parts.append(G.from_gates(n, _rotation_group(varphi[j])))
+        parts.append(ua_s if (d - j) % 2 == 0 else uad_s)
+    parts.append(G.from_gates(n, _rotation_group(varphi[0]) + [G.h(0)]))
+    return G.concat(n, *parts, name=name)
 
 
 def build_hracbem(ua: BlockEncoding, phi0: float, phi1: float) -> BlockEncoding:
     """2-ancilla block-encoding of a2 * A^dag A + a0 * I from a 1-ancilla one.
 
-    Layout: signal qubit q0, block-encoding ancilla q1, system q2..  The
-    circuit is H(q0), rotation group (phi0), U_A, rotation group (phi1),
-    U_A^dag, rotation group (phi0), H(q0)."""
-    if ua.m != 1:
-        raise ValueError("build_hracbem needs a 1-ancilla block-encoding")
-    n = ua.circuit.n_qubits + 1
-    ua_s = G.shift_qubits(ua.circuit, 1, n)
-    uad_s = G.shift_qubits(G.adjoint(ua.circuit), 1, n)
-    c = G.concat(
-        n,
-        G.from_gates(n, [G.h(0)] + _rotation_group(phi0, 1, 0)),
-        ua_s,
-        G.from_gates(n, _rotation_group(phi1, 1, 0)),
-        uad_s,
-        G.from_gates(n, _rotation_group(phi0, 1, 0) + [G.h(0)]),
-        name="hracbem",
-    )
-    return BlockEncoding(c, ua.n_sys, m=2)
+    The degree-2 alternating circuit with phases (phi0, phi1, phi0): H(q0),
+    rotation group (phi0), U_A, rotation group (phi1), U_A^dag, rotation
+    group (phi0), H(q0)."""
+    return BlockEncoding(alternate(ua, (phi0, phi1, phi0), "hracbem"), ua.n_sys, m=2)
 
 
 def build_canonical_hracbem(ua: BlockEncoding) -> BlockEncoding:
@@ -119,11 +132,7 @@ def build_canonical_hracbem(ua: BlockEncoding) -> BlockEncoding:
 
     Extra gates beyond U_A and U_A^dag are exactly 2 H, 2 CNOT, 1 Sdg, 2 T.
     """
-    if ua.m != 1:
-        raise ValueError("build_canonical_hracbem needs a 1-ancilla block-encoding")
-    n = ua.circuit.n_qubits + 1
-    ua_s = G.shift_qubits(ua.circuit, 1, n)
-    uad_s = G.shift_qubits(G.adjoint(ua.circuit), 1, n)
+    n, ua_s, uad_s = _under_signal(ua, "build_canonical_hracbem")
     c = G.concat(
         n,
         G.from_gates(n, [G.h(0), G.t(0)]),

@@ -36,6 +36,14 @@ def _grid_max(coeffs: np.ndarray) -> float:
     return float(np.abs(C.chebval(xs, coeffs)).max())
 
 
+def _fold_overshoot(coeffs: np.ndarray, parity: str, scale: float) -> "ChebPoly":
+    """ChebPoly of the coefficients with any excess of |p| over 1 folded
+    into the scale, so the stored polynomial stays realizable."""
+    m = _grid_max(coeffs)
+    bump = m * (1.0 + 10 * BOUND_TOL) if m > 1.0 else 1.0
+    return ChebPoly(tuple(coeffs / bump), parity, scale * bump)
+
+
 @dataclass(frozen=True)
 class ChebPoly:
     """Chebyshev-basis polynomial on [-1, 1] with |p| <= 1 there.
@@ -159,18 +167,6 @@ def gibbs(beta: float) -> TargetFunction:
     )
 
 
-def gibbs_sqrt_x(beta: float, floor: float = 0.0) -> TargetFunction:
-    """exp(-beta x / 2) sqrt(x) on [floor, 1]; floor keeps clear of x=0."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    return TargetFunction(
-        "gibbs_sqrt_x",
-        (("beta", beta), ("floor", floor)),
-        (floor, 1.0),
-        lambda x: np.exp(-beta * x / 2.0) * np.sqrt(x),
-    )
-
-
 def odd_gibbs(beta: float) -> TargetFunction:
     """x exp(-beta x^2 / 2), odd on [-1, 1]."""
     if beta < 0:
@@ -225,18 +221,6 @@ def cheb_interp_coeffs(
     return full[: degree + 1]
 
 
-def cheb_project(t: Callable, degree: int, parity: str = "none") -> ChebPoly:
-    """Truncated Chebyshev expansion of t on [-1, 1].
-
-    Off-parity coefficients are zeroed when a parity is declared."""
-    coeffs = cheb_interp_coeffs(t, degree, (-1.0, 1.0))
-    if parity == "even":
-        coeffs[1::2] = 0.0
-    elif parity == "odd":
-        coeffs[0::2] = 0.0
-    return ChebPoly(tuple(coeffs), parity)
-
-
 # -- Remez minimax fitting ----------------------------------------------
 
 REMEZ_MAX_ITER = 100
@@ -246,6 +230,10 @@ REMEZ_GRID = 4000
 
 class RemezError(RuntimeError):
     pass
+
+
+def _unit_weight(x):
+    return np.ones_like(np.asarray(x, dtype=float))
 
 
 def _remez_core(
@@ -382,43 +370,26 @@ def remez(
         interval = getattr(t, "domain", (-1.0, 1.0))
     a, b = interval
     if parity == "none":
-        local, err = _remez_core(t, lambda x: np.ones_like(np.asarray(x, float)), degree, (a, b), max_iter)
+        local, err = _remez_core(t, _unit_weight, degree, (a, b), max_iter)
         coeffs = _global_coeffs_from_local(local, (a, b), degree, "none")
-    elif parity == "even":
-        if degree % 2 or a < 0:
-            raise ValueError("even fit needs even degree and interval in [0, 1]")
-        k = degree // 2
+    elif parity in ("even", "odd"):
+        odd = parity == "odd"
+        if degree % 2 != odd or a < 0:
+            raise ValueError(f"{parity} fit needs {parity} degree and interval in [0, 1]")
         ua, ub = a * a, b * b
         local, err = _remez_core(
             lambda u: t(np.sqrt(np.asarray(u, float))),
-            lambda u: np.ones_like(np.asarray(u, float)),
-            k,
+            (lambda u: np.sqrt(np.asarray(u, float))) if odd else _unit_weight,
+            degree // 2,
             (ua, ub),
             max_iter,
         )
-        coeffs = _global_coeffs_from_local(local, (ua, ub), degree, "even")
-        coeffs[1::2] = 0.0
-    elif parity == "odd":
-        if degree % 2 == 0 or a < 0:
-            raise ValueError("odd fit needs odd degree and interval in [0, 1]")
-        k = (degree - 1) // 2
-        ua, ub = a * a, b * b
-        local, err = _remez_core(
-            lambda u: t(np.sqrt(np.asarray(u, float))),
-            lambda u: np.sqrt(np.asarray(u, float)),
-            k,
-            (ua, ub),
-            max_iter,
-        )
-        coeffs = _global_coeffs_from_local(local, (ua, ub), degree, "odd")
-        coeffs[0::2] = 0.0
+        coeffs = _global_coeffs_from_local(local, (ua, ub), degree, parity)
+        coeffs[(0 if odd else 1)::2] = 0.0  # off-parity coefficients
     else:
         raise ValueError(f"parity must be one of {PARITIES}")
-    # the fit can poke above 1 outside the fit interval; fold the excess
-    # into the scale so the stored polynomial stays realizable
-    m = _grid_max(coeffs)
-    bump = m * (1.0 + 10 * BOUND_TOL) if m > 1.0 else 1.0
-    return ChebPoly(tuple(coeffs / bump), parity, scale=bump), float(err)
+    # the fit can poke above 1 outside the fit interval
+    return _fold_overshoot(coeffs, parity, 1.0), float(err)
 
 
 def fit_scaled(
@@ -480,7 +451,7 @@ def fit_on_interval(
     scaled, alpha = apply_scaling(t, interval, margin)
     local, err = _remez_core(
         scaled,
-        lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        _unit_weight,
         degree,
         interval,
     )
@@ -520,18 +491,4 @@ def compose_fit(g: IntervalFit, q: QuadraticH) -> ChebPoly:
     deg = 2 * g.degree
     coeffs = C.chebinterpolate(lambda x: g(q(x)), deg)
     coeffs[1::2] = 0.0
-    m = _grid_max(coeffs)
-    bump = m * (1.0 + 10 * BOUND_TOL) if m > 1.0 else 1.0
-    return ChebPoly(tuple(coeffs / bump), "even", g.scale * bump)
-
-
-def compose_quadratic(g: ChebPoly, q: QuadraticH) -> ChebPoly:
-    """f(x) = g(a2 x^2 + a0) as an even polynomial of degree 2 deg(g)."""
-    lo = min(q.a0, q.a0 + q.a2)
-    hi = max(q.a0, q.a0 + q.a2)
-    if lo < -1 - 1e-12 or hi > 1 + 1e-12:
-        raise ValueError("quadratic range leaves [-1, 1]")
-    deg = 2 * g.degree
-    coeffs = C.chebinterpolate(lambda x: C.chebval(np.clip(q(x), -1, 1), g.coeffs), deg)
-    coeffs[1::2] = 0.0
-    return ChebPoly(tuple(coeffs), "even", g.scale)
+    return _fold_overshoot(coeffs, "even", g.scale)

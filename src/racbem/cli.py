@@ -1,17 +1,22 @@
 """Command-line front end: generate instances, fit polynomials, find
 phases, run the benchmark tasks, and emit JSON/CSV artifacts.
 
-Every subcommand accepts --config (a JSON file of flag defaults); explicit
-flags override the file.  The effective configuration is echoed into every
-artifact for provenance.  Exit codes: 0 success, 2 usage or schema error
-(also used by argparse itself), 3 file I/O error, 4 module error.  Errors
-print one machine-parsable JSON line on stderr.
+The subcommands are declared once, in the COMMANDS table of (handler,
+help, flags); the flags come from shared instance, sampling and report
+groups.  --config (a JSON file of flag defaults) goes before or after the
+subcommand; explicit flags override the file.  The five task commands
+share one preamble (`_task_kwargs`) and one writer (`_write_task`), and
+the effective configuration is echoed into every artifact for
+provenance.  Exit codes: 0 success, 2 usage or schema error (also used
+by argparse itself), 3 file I/O error, 4 module error.  Errors print one
+machine-parsable JSON line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -115,11 +120,7 @@ def _sampling(args) -> tuple[int, float]:
 
 
 def _effective_config(args, keys: tuple[str, ...]) -> dict:
-    cfg = {"command": args.command}
-    for k in keys:
-        v = getattr(args, k, None)
-        cfg[k] = v
-    return cfg
+    return {"command": args.command, **{k: getattr(args, k, None) for k in keys}}
 
 
 def _echo(cfg: dict, payload: dict) -> str:
@@ -132,30 +133,6 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
-
-
-# -- subcommand handlers ------------------------------------------------
-
-
-def _common_instance_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", default=None,
-                   help="JSON file of flag defaults; explicit flags win")
-    p.add_argument("--n", type=int, default=None, help="system qubit count")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--p-cnot", dest="p_cnot", type=float, default=None)
-    p.add_argument("--depth", default=None,
-                   help="layer count, or 'auto' for the depth rule")
-    p.add_argument("--coupling", default=None,
-                   help="bundled map name (t5, ladder15) or a JSON file path")
-
-
-def _common_sampling_flags(p: argparse.ArgumentParser):
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--noise-model", dest="noise_model", default=None,
-                   help="noise model JSON file")
-    p.add_argument("--exact", action="store_true",
-                   help="exact mode: shots=0, sigma=0")
 
 
 def _resolve_depth(args, n: int) -> int:
@@ -172,32 +149,57 @@ def _require(args, *names):
         raise SchemaError(f"missing required option(s): {flags}")
 
 
-def cmd_generate(args) -> int:
+def _p_cnot(args) -> float:
+    return args.p_cnot if args.p_cnot is not None else DEFAULT_P_CNOT
+
+
+def _generator_config(args) -> GeneratorConfig:
     _require(args, "n", "seed")
-    seed = args.seed
-    n = args.n
-    depth = _resolve_depth(args, n)
-    p_cnot = args.p_cnot if args.p_cnot is not None else DEFAULT_P_CNOT
-    coupling = _coupling_for(args, n + 1)
-    cfg = GeneratorConfig(coupling, DEFAULT_GATE_SET, p_cnot, depth, seed)
-    circuit = generate(cfg)
-    out = _resolve_out(args, f"racbem-n{n}-s{seed}.txt")
+    depth = _resolve_depth(args, args.n)
+    coupling = _coupling_for(args, args.n + 1)
+    return GeneratorConfig(coupling, DEFAULT_GATE_SET, _p_cnot(args), depth, args.seed)
+
+
+def _task_kwargs(args, *required) -> dict:
+    """The preamble every task shares: check the required options, then
+    resolve sampling mode, noise model, p_cnot and depth into the task
+    keyword arguments."""
+    _require(args, "n", "seed", *required)
+    shots, sigma = _sampling(args)
+    return {
+        "shots": shots, "sigma": sigma, "noise_model": _noise_for(args),
+        "p_cnot": _p_cnot(args), "depth": _resolve_depth(args, args.n),
+    }
+
+
+def _write_task(args, kw: dict, base: str, keys: tuple[str, ...], body: dict, reports):
+    """Write the artifact (config echo plus body), the JSONL report
+    stream, and the CSV when --csv is given; file names derive from base."""
+    echo = _effective_config(args, keys)
+    echo.update({"shots": kw["shots"], "sigma": kw["sigma"], "depth": kw["depth"]})
+    _atomic_write(_resolve_out(args, base + ".json"), _echo(echo, body))
+    stream = args.reports or os.path.join(_out_dir(), base + ".reports.jsonl")
+    _atomic_write(stream, "".join(json.dumps(r.to_record()) + "\n" for r in reports))
+    if args.csv:
+        tasks.write_csv(list(reports), args.csv)
+
+
+# -- subcommand handlers ------------------------------------------------
+
+
+def cmd_generate(args) -> int:
+    circuit = generate(_generator_config(args))
+    out = _resolve_out(args, f"racbem-n{args.n}-s{args.seed}.txt")
     _atomic_write(out, G.circuit_to_text(circuit))
     return EXIT_OK
 
 
 def cmd_sv_stats(args) -> int:
-    _require(args, "n", "seed")
-    seed = args.seed
-    n = args.n
-    depth = _resolve_depth(args, n)
-    p_cnot = args.p_cnot if args.p_cnot is not None else DEFAULT_P_CNOT
-    coupling = _coupling_for(args, n + 1)
-    cfg = GeneratorConfig(coupling, DEFAULT_GATE_SET, p_cnot, depth, seed)
-    stats = sv_spread_stats(args.samples, n, cfg)
+    cfg = _generator_config(args)
+    stats = sv_spread_stats(args.samples, args.n, cfg)
     echo = _effective_config(args, ("n", "seed", "p_cnot", "samples"))
-    echo["depth"] = depth
-    out = _resolve_out(args, f"sv-stats-n{n}-s{seed}.json")
+    echo["depth"] = cfg.depth
+    out = _resolve_out(args, f"sv-stats-n{args.n}-s{args.seed}.json")
     _atomic_write(out, _echo(echo, {
         "samples": stats.samples, "mean": stats.mean, "std": stats.std,
         "min": stats.min, "max": stats.max,
@@ -205,42 +207,27 @@ def cmd_sv_stats(args) -> int:
     return EXIT_OK
 
 
-TARGETS = ("inverse", "cos-sqrt", "sin-sqrt", "lorentzian-sqrt", "gibbs", "odd-gibbs")
-
-
-def _build_target(args):
-    kind = args.target
-    if kind == "inverse":
-        if args.kappa is None:
-            raise SchemaError("inverse target needs --kappa")
-        return inverse(args.kappa)
-    if kind == "cos-sqrt":
-        if args.t is None or args.eta is None:
-            raise SchemaError("cos-sqrt target needs --t and --eta")
-        return cos_sqrt(args.t, args.eta)
-    if kind == "sin-sqrt":
-        if args.t is None or args.eta is None:
-            raise SchemaError("sin-sqrt target needs --t and --eta")
-        return sin_sqrt(args.t, args.eta)
-    if kind == "lorentzian-sqrt":
-        if args.eta is None or args.energy is None:
-            raise SchemaError("lorentzian-sqrt target needs --eta and --energy")
-        return lorentzian_sqrt(args.eta, args.energy)
-    if kind == "gibbs":
-        if args.beta is None:
-            raise SchemaError("gibbs target needs --beta")
-        return gibbs(args.beta)
-    if kind == "odd-gibbs":
-        if args.beta is None:
-            raise SchemaError("odd-gibbs target needs --beta")
-        return odd_gibbs(args.beta)
-    raise SchemaError(f"unknown target {kind!r}")
+# remez target name -> (constructor, the flags it takes in order)
+TARGETS = {
+    "inverse": (inverse, ("kappa",)),
+    "cos-sqrt": (cos_sqrt, ("t", "eta")),
+    "sin-sqrt": (sin_sqrt, ("t", "eta")),
+    "lorentzian-sqrt": (lorentzian_sqrt, ("eta", "energy")),
+    "gibbs": (gibbs, ("beta",)),
+    "odd-gibbs": (odd_gibbs, ("beta",)),
+}
 
 
 def cmd_remez(args) -> int:
     _require(args, "target", "degree")
-    t = _build_target(args)
-    poly, err = fit_scaled(t, args.degree, args.parity)
+    if args.target not in TARGETS:
+        raise SchemaError(f"unknown target {args.target!r}")
+    make, needs = TARGETS[args.target]
+    if any(getattr(args, k) is None for k in needs):
+        flags = " and ".join("--" + k for k in needs)
+        raise SchemaError(f"{args.target} target needs {flags}")
+    target = make(*(getattr(args, k) for k in needs))
+    poly, err = fit_scaled(target, args.degree, args.parity)
     echo = _effective_config(
         args, ("target", "degree", "parity", "kappa", "t", "eta", "energy", "beta")
     )
@@ -268,178 +255,169 @@ def cmd_phase_factors(args) -> int:
     return EXIT_OK
 
 
-def _emit_reports(args, reports, default_base: str):
-    stream = getattr(args, "reports", None) or os.path.join(
-        _out_dir(), default_base + ".reports.jsonl"
-    )
-    lines = "".join(json.dumps(r.to_record()) + "\n" for r in reports)
-    _atomic_write(stream, lines)
-    if getattr(args, "csv", None):
-        tasks.write_csv(list(reports), args.csv)
-
-
-def _bench_one(payload):
-    n, seed, shots, sigma, noise, p_cnot, depth = payload
-    return tasks.racbem_benchmark(
-        n, seed, shots=shots, noise_model=noise, sigma=sigma,
-        p_cnot=p_cnot, depth=depth,
-    )
-
-
 def cmd_racbem_bench(args) -> int:
-    _require(args, "n", "seed")
-    seed = args.seed
-    n = args.n
-    shots, sigma = _sampling(args)
-    noise = _noise_for(args)
-    p_cnot = args.p_cnot if args.p_cnot is not None else DEFAULT_P_CNOT
-    depth = _resolve_depth(args, n)
+    kw = _task_kwargs(args)
+    run = functools.partial(tasks.racbem_benchmark, args.n, **kw)
+    seeds = [args.seed + k for k in range(args.instances)]
     jobs = args.jobs or os.cpu_count() or 1
-    payloads = [
-        (n, seed + k, shots, sigma, noise, p_cnot, depth)
-        for k in range(args.instances)
-    ]
-    if jobs > 1 and len(payloads) > 1:
+    if jobs > 1 and len(seeds) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            reports = list(ex.map(_bench_one, payloads))
+            reports = list(ex.map(run, seeds))
     else:
-        reports = [_bench_one(p) for p in payloads]
-    echo = _effective_config(
-        args, ("n", "seed", "instances", "p_cnot", "noise_model")
-    )
-    echo.update({"shots": shots, "sigma": sigma, "depth": depth})
-    out = _resolve_out(args, f"racbem-bench-n{n}-s{seed}.json")
-    _atomic_write(out, _echo(echo, {
-        "reports": [r.to_record() for r in reports],
-    }))
-    _emit_reports(args, reports, f"racbem-bench-n{n}-s{seed}")
+        reports = [run(s) for s in seeds]
+    _write_task(args, kw, f"racbem-bench-n{args.n}-s{args.seed}",
+                ("n", "seed", "instances", "p_cnot", "noise_model"),
+                {"reports": [r.to_record() for r in reports]}, reports)
     return EXIT_OK
 
 
 def cmd_linpack(args) -> int:
-    _require(args, "n", "seed", "kappa", "d")
-    seed = args.seed
-    shots, sigma = _sampling(args)
-    noise = _noise_for(args)
-    p_cnot = args.p_cnot if args.p_cnot is not None else DEFAULT_P_CNOT
-    depth = _resolve_depth(args, args.n)
-    report = tasks.linpack_run(
-        args.kappa, args.n, args.d, seed, shots=shots,
-        noise_model=noise, sigma=sigma, p_cnot=p_cnot, depth=depth,
-    )
-    echo = _effective_config(args, ("kappa", "n", "d", "seed", "p_cnot", "noise_model"))
-    echo.update({"shots": shots, "sigma": sigma, "depth": depth})
-    out = _resolve_out(args, f"linpack-k{args.kappa}-n{args.n}-s{seed}.json")
-    _atomic_write(out, _echo(echo, {"report": report.to_record()}))
-    _emit_reports(args, [report], f"linpack-k{args.kappa}-n{args.n}-s{seed}")
+    kw = _task_kwargs(args, "kappa", "d")
+    report = tasks.linpack_run(args.kappa, args.n, args.d, args.seed, **kw)
+    _write_task(args, kw, f"linpack-k{args.kappa}-n{args.n}-s{args.seed}",
+                ("kappa", "n", "d", "seed", "p_cnot", "noise_model"),
+                {"report": report.to_record()}, [report])
     return EXIT_OK
 
 
+SERIES_GRIDS = ("lengths_real", "lengths_imag", "etas_real", "etas_imag")
+
+
 def cmd_timeseries(args) -> int:
-    _require(args, "n", "seed")
-    seed = args.seed
-    shots, sigma = _sampling(args)
-    noise = _noise_for(args)
-    p_cnot = args.p_cnot if args.p_cnot is not None else DEFAULT_P_CNOT
-    depth = _resolve_depth(args, args.n)
-    ts = args.t_grid or tuple(range(1, 11))
-    kw = {}
-    if args.lengths_real:
-        kw["lengths_real"] = args.lengths_real
-    if args.lengths_imag:
-        kw["lengths_imag"] = args.lengths_imag
-    if args.etas_real:
-        kw["etas_real"] = args.etas_real
-    if args.etas_imag:
-        kw["etas_imag"] = args.etas_imag
+    kw = _task_kwargs(args)
+    grids = {k: getattr(args, k) for k in SERIES_GRIDS if getattr(args, k)}
     res = tasks.time_series_run(
-        args.n, seed, ts=ts, shots=shots, noise_model=noise, sigma=sigma,
-        p_cnot=p_cnot, depth=depth, **kw,
+        args.n, args.seed, ts=args.t_grid or tuple(range(1, 11)), **kw, **grids
     )
-    echo = _effective_config(
-        args, ("n", "seed", "p_cnot", "noise_model",
-               "lengths_real", "lengths_imag", "etas_real", "etas_imag")
-    )
-    echo.update({"shots": shots, "sigma": sigma, "depth": depth})
-    out = _resolve_out(args, f"timeseries-n{args.n}-s{seed}.json")
-    _atomic_write(out, _echo(echo, {
-        "t": list(res.grid),
-        "s": [[v.real, v.imag] for v in res.values],
-        "s_exact": [[v.real, v.imag] for v in res.exact],
-    }))
-    _emit_reports(args, res.reports, f"timeseries-n{args.n}-s{seed}")
+    _write_task(args, kw, f"timeseries-n{args.n}-s{args.seed}",
+                ("n", "seed", "p_cnot", "noise_model") + SERIES_GRIDS, {
+                    "t": list(res.grid),
+                    "s": [[v.real, v.imag] for v in res.values],
+                    "s_exact": [[v.real, v.imag] for v in res.exact],
+                }, res.reports)
     return EXIT_OK
 
 
 def cmd_spectral(args) -> int:
-    _require(args, "n", "seed")
-    seed = args.seed
-    shots, sigma = _sampling(args)
-    noise = _noise_for(args)
-    p_cnot = args.p_cnot if args.p_cnot is not None else DEFAULT_P_CNOT
-    depth = _resolve_depth(args, args.n)
+    kw = _task_kwargs(args)
     if args.points < 2:
         raise SchemaError("need at least 2 grid points")
     energies = tuple(
         args.e_min + (args.e_max - args.e_min) * k / (args.points - 1)
         for k in range(args.points)
     )
-    lengths = args.lengths if args.lengths else args.length
     res = tasks.spectral_run(
-        args.n, seed, energies=energies, eta=args.eta, lengths=lengths,
-        shots=shots, noise_model=noise, sigma=sigma, p_cnot=p_cnot, depth=depth,
+        args.n, args.seed, energies=energies, eta=args.eta,
+        lengths=args.lengths or args.length, **kw,
     )
-    echo = _effective_config(
-        args, ("n", "seed", "eta", "e_min", "e_max", "points",
-               "length", "lengths", "p_cnot", "noise_model")
-    )
-    echo.update({"shots": shots, "sigma": sigma, "depth": depth})
-    out = _resolve_out(args, f"spectral-n{args.n}-s{seed}.json")
-    _atomic_write(out, _echo(echo, {
-        "E": list(res.grid),
-        "s": [v.real for v in res.values],
-        "s_exact": [v.real for v in res.exact],
-    }))
-    _emit_reports(args, res.reports, f"spectral-n{args.n}-s{seed}")
+    _write_task(args, kw, f"spectral-n{args.n}-s{args.seed}",
+                ("n", "seed", "eta", "e_min", "e_max", "points",
+                 "length", "lengths", "p_cnot", "noise_model"), {
+                    "E": list(res.grid),
+                    "s": [v.real for v in res.values],
+                    "s_exact": [v.real for v in res.exact],
+                }, res.reports)
     return EXIT_OK
 
 
 def cmd_metts(args) -> int:
-    _require(args, "n", "seed", "beta", "steps")
-    seed = args.seed
-    shots, sigma = _sampling(args)
-    noise = _noise_for(args)
-    p_cnot = args.p_cnot if args.p_cnot is not None else DEFAULT_P_CNOT
-    depth = _resolve_depth(args, args.n)
+    kw = _task_kwargs(args, "beta", "steps")
     trace, report = tasks.metts_run(
-        args.beta, args.steps, args.n, seed, shots=shots,
-        noise_model=noise, sigma=sigma, d_num=args.d_num, d_den=args.d_den,
-        p_cnot=p_cnot, depth=depth,
+        args.beta, args.steps, args.n, args.seed,
+        d_num=args.d_num, d_den=args.d_den, **kw,
     )
-    echo = _effective_config(
-        args, ("beta", "steps", "n", "seed", "d_num", "d_den",
-               "p_cnot", "noise_model")
-    )
-    echo.update({"shots": shots, "sigma": sigma, "depth": depth})
-    out = _resolve_out(args, f"metts-b{args.beta}-n{args.n}-s{seed}.json")
-    _atomic_write(out, _echo(echo, {
-        "estimate": trace.estimate,
-        "exact": trace.exact,
-        "resamples": trace.resamples,
-        "flagged": trace.flagged,
-        "states": list(trace.states),
-        "energies": list(trace.energies),
-        "cma": list(trace.cma),
-    }))
-    cma_path = args.cma or os.path.join(
-        _out_dir(), f"metts-b{args.beta}-n{args.n}-s{seed}.cma.csv"
-    )
-    tasks.write_cma_csv(trace, cma_path)
-    _emit_reports(args, [report], f"metts-b{args.beta}-n{args.n}-s{seed}")
+    base = f"metts-b{args.beta}-n{args.n}-s{args.seed}"
+    _write_task(args, kw, base,
+                ("beta", "steps", "n", "seed", "d_num", "d_den", "p_cnot", "noise_model"), {
+                    "estimate": trace.estimate,
+                    "exact": trace.exact,
+                    "resamples": trace.resamples,
+                    "flagged": trace.flagged,
+                    "states": list(trace.states),
+                    "energies": list(trace.energies),
+                    "cma": list(trace.cma),
+                }, [report])
+    tasks.write_cma_csv(trace, args.cma or os.path.join(_out_dir(), base + ".cma.csv"))
     return EXIT_OK
 
 
 # -- parser -------------------------------------------------------------
+
+CONFIG_HELP = "JSON file of flag defaults; explicit flags win"
+
+INT = {"type": int}
+FLOAT = {"type": float}
+
+INSTANCE_FLAGS = (
+    ("--n", {"type": int, "help": "system qubit count"}),
+    ("--seed", INT),
+    ("--p-cnot", FLOAT),
+    ("--depth", {"help": "layer count, or 'auto' for the depth rule"}),
+    ("--coupling", {"help": "bundled map name (t5, ladder15) or a JSON file path"}),
+)
+
+SAMPLING_FLAGS = (
+    ("--shots", INT),
+    ("--sigma", FLOAT),
+    ("--noise-model", {"help": "noise model JSON file"}),
+    ("--exact", {"action": "store_true", "help": "exact mode: shots=0, sigma=0"}),
+)
+
+OUT, REPORTS, CSV = ("--out", {}), ("--reports", {}), ("--csv", {})
+
+REPORT_FLAGS = (OUT, REPORTS, CSV)
+
+# subcommand -> (handler, help, flags after --config in --help order)
+COMMANDS = {
+    "generate": (cmd_generate, "write a random circuit file", INSTANCE_FLAGS + (OUT,)),
+    "sv-stats": (cmd_sv_stats, "singular-value spread statistics",
+                 INSTANCE_FLAGS + (("--samples", {"type": int, "default": 100}), OUT)),
+    "remez": (cmd_remez, "minimax polynomial fit of a target", (
+        ("--target", {"choices": tuple(TARGETS)}),
+        ("--degree", INT),
+        ("--parity", {"choices": ("even", "odd", "none"), "default": "none"}),
+        ("--kappa", FLOAT),
+        ("--t", FLOAT),
+        ("--eta", FLOAT),
+        ("--energy", FLOAT),
+        ("--beta", FLOAT),
+        OUT,
+    )),
+    "phase-factors": (cmd_phase_factors, "phases for a stored polynomial",
+                      (("--poly", {"help": "polynomial JSON file"}), OUT)),
+    "racbem-bench": (cmd_racbem_bench, "success probability of A|0^n>",
+                     INSTANCE_FLAGS + SAMPLING_FLAGS + (
+                         ("--instances", {"type": int, "default": 1}),
+                         ("--jobs", INT),
+                     ) + REPORT_FLAGS),
+    "linpack": (cmd_linpack, "matrix-inversion success benchmark",
+                INSTANCE_FLAGS + SAMPLING_FLAGS + (("--kappa", FLOAT), ("--d", INT)) + REPORT_FLAGS),
+    "timeseries": (cmd_timeseries, "Hamiltonian time series",
+                   INSTANCE_FLAGS + SAMPLING_FLAGS + (
+                       ("--t-grid", {"type": _float_list}),
+                       ("--lengths-real", {"type": _int_list}),
+                       ("--lengths-imag", {"type": _int_list}),
+                       ("--etas-real", {"type": _float_list}),
+                       ("--etas-imag", {"type": _float_list}),
+                   ) + REPORT_FLAGS),
+    "spectral": (cmd_spectral, "broadened spectral measure",
+                 INSTANCE_FLAGS + SAMPLING_FLAGS + (
+                     ("--eta", {"type": float, "default": tasks.DEFAULT_BROADENING}),
+                     ("--e-min", {"type": float, "default": 0.0}),
+                     ("--e-max", {"type": float, "default": 1.0}),
+                     ("--points", {"type": int, "default": 11}),
+                     ("--length", {"type": int, "default": 11}),
+                     ("--lengths", {"type": _int_list}),
+                 ) + REPORT_FLAGS),
+    "metts": (cmd_metts, "thermal energy via a typical-state chain",
+              INSTANCE_FLAGS + SAMPLING_FLAGS + (
+                  ("--beta", FLOAT),
+                  ("--steps", INT),
+                  ("--d-num", INT),
+                  ("--d-den", INT),
+                  OUT, REPORTS, ("--cma", {}), CSV,
+              )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,104 +425,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="racbem",
         description="random-circuit block-encoding benchmarks",
     )
-    p.add_argument("--config", default=None,
-                   help="JSON file of flag defaults; explicit flags win")
+    p.add_argument("--config", default=None, help=CONFIG_HELP)
     sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("generate", help="write a random circuit file")
-    _common_instance_flags(g)
-    g.add_argument("--out", default=None)
-    g.set_defaults(func=cmd_generate)
-
-    s = sub.add_parser("sv-stats", help="singular-value spread statistics")
-    _common_instance_flags(s)
-    s.add_argument("--samples", type=int, default=100)
-    s.add_argument("--out", default=None)
-    s.set_defaults(func=cmd_sv_stats)
-
-    r = sub.add_parser("remez", help="minimax polynomial fit of a target")
-    r.add_argument("--config", default=None)
-    r.add_argument("--target", choices=TARGETS, default=None)
-    r.add_argument("--degree", type=int, default=None)
-    r.add_argument("--parity", choices=("even", "odd", "none"), default="none")
-    r.add_argument("--kappa", type=float, default=None)
-    r.add_argument("--t", type=float, default=None)
-    r.add_argument("--eta", type=float, default=None)
-    r.add_argument("--energy", type=float, default=None)
-    r.add_argument("--beta", type=float, default=None)
-    r.add_argument("--out", default=None)
-    r.set_defaults(func=cmd_remez)
-
-    f = sub.add_parser("phase-factors", help="phases for a stored polynomial")
-    f.add_argument("--config", default=None)
-    f.add_argument("--poly", default=None, help="polynomial JSON file")
-    f.add_argument("--out", default=None)
-    f.set_defaults(func=cmd_phase_factors)
-
-    b = sub.add_parser("racbem-bench", help="success probability of A|0^n>")
-    _common_instance_flags(b)
-    _common_sampling_flags(b)
-    b.add_argument("--instances", type=int, default=1)
-    b.add_argument("--jobs", type=int, default=None)
-    b.add_argument("--out", default=None)
-    b.add_argument("--reports", default=None)
-    b.add_argument("--csv", default=None)
-    b.set_defaults(func=cmd_racbem_bench)
-
-    l = sub.add_parser("linpack", help="matrix-inversion success benchmark")
-    _common_instance_flags(l)
-    _common_sampling_flags(l)
-    l.add_argument("--kappa", type=float, default=None)
-    l.add_argument("--d", type=int, default=None)
-    l.add_argument("--out", default=None)
-    l.add_argument("--reports", default=None)
-    l.add_argument("--csv", default=None)
-    l.set_defaults(func=cmd_linpack)
-
-    t = sub.add_parser("timeseries", help="Hamiltonian time series")
-    _common_instance_flags(t)
-    _common_sampling_flags(t)
-    t.add_argument("--t-grid", dest="t_grid", type=_float_list, default=None)
-    t.add_argument("--lengths-real", dest="lengths_real", type=_int_list, default=None)
-    t.add_argument("--lengths-imag", dest="lengths_imag", type=_int_list, default=None)
-    t.add_argument("--etas-real", dest="etas_real", type=_float_list, default=None)
-    t.add_argument("--etas-imag", dest="etas_imag", type=_float_list, default=None)
-    t.add_argument("--out", default=None)
-    t.add_argument("--reports", default=None)
-    t.add_argument("--csv", default=None)
-    t.set_defaults(func=cmd_timeseries)
-
-    e = sub.add_parser("spectral", help="broadened spectral measure")
-    _common_instance_flags(e)
-    _common_sampling_flags(e)
-    e.add_argument("--eta", type=float, default=tasks.DEFAULT_BROADENING)
-    e.add_argument("--e-min", dest="e_min", type=float, default=0.0)
-    e.add_argument("--e-max", dest="e_max", type=float, default=1.0)
-    e.add_argument("--points", type=int, default=11)
-    e.add_argument("--length", type=int, default=11)
-    e.add_argument("--lengths", type=_int_list, default=None)
-    e.add_argument("--out", default=None)
-    e.add_argument("--reports", default=None)
-    e.add_argument("--csv", default=None)
-    e.set_defaults(func=cmd_spectral)
-
-    m = sub.add_parser("metts", help="thermal energy via a typical-state chain")
-    _common_instance_flags(m)
-    _common_sampling_flags(m)
-    m.add_argument("--beta", type=float, default=None)
-    m.add_argument("--steps", type=int, default=None)
-    m.add_argument("--d-num", dest="d_num", type=int, default=None)
-    m.add_argument("--d-den", dest="d_den", type=int, default=None)
-    m.add_argument("--out", default=None)
-    m.add_argument("--reports", default=None)
-    m.add_argument("--cma", default=None)
-    m.add_argument("--csv", default=None)
-    m.set_defaults(func=cmd_metts)
-
+    for name, (handler, help_text, flags) in COMMANDS.items():
+        s = sub.add_parser(name, help=help_text)
+        # SUPPRESS keeps a top-level --config when the subcommand has none
+        s.add_argument("--config", default=argparse.SUPPRESS, help=CONFIG_HELP)
+        for flag, kw in flags:
+            s.add_argument(flag, **kw)
+        s.set_defaults(func=handler)
     return p
 
 
-def _apply_config_file(parser, args, argv):
+def _apply_config_file(args, argv):
     """Apply the --config JSON file over the flag defaults.
 
     Values for keys the user passed explicitly on the command line are
@@ -574,7 +467,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(parser, args, argv)
+        args = _apply_config_file(args, argv)
         return args.func(args)
     except SchemaError as e:
         print(json.dumps({"error": "schema", "message": str(e)}), file=sys.stderr)

@@ -377,32 +377,3 @@ def circuit_from_text(text: str) -> QuantumCircuit:
     if n_qubits is None:
         raise ValueError("missing QUBITS header")
     return QuantumCircuit(n_qubits, tuple(tuple(l) for l in layers), name)
-
-
-def circuit_to_json(c: QuantumCircuit) -> str:
-    return json.dumps(
-        {
-            "bit_order": "qubit 0 most significant",
-            "n_qubits": c.n_qubits,
-            "name": c.name,
-            "layers": [
-                [
-                    {"kind": g.kind, "qubits": list(g.qubits), "params": list(g.params)}
-                    for g in layer
-                ]
-                for layer in c.layers
-            ],
-        }
-    )
-
-
-def circuit_from_json(text: str) -> QuantumCircuit:
-    d = json.loads(text)
-    layers = tuple(
-        tuple(
-            Gate(g["kind"], tuple(g["qubits"]), tuple(g.get("params", ())))
-            for g in layer
-        )
-        for layer in d["layers"]
-    )
-    return QuantumCircuit(d["n_qubits"], layers, d.get("name", ""))

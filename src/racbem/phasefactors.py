@@ -12,7 +12,6 @@ pi/4 at the ends and pi/2 inside.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -46,19 +45,6 @@ class PhaseFactors:
     @property
     def degree(self) -> int:
         return len(self.values) - 1
-
-    def to_json(self, residual: float | None = None) -> str:
-        d = {"convention": self.convention, "values": list(self.values)}
-        if residual is not None:
-            d["residual"] = residual
-        return json.dumps(d)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PhaseFactors":
-        d = json.loads(text)
-        vals = tuple(d["values"])
-        sym = all(abs(a - b) <= SYM_TOL for a, b in zip(vals, vals[::-1]))
-        return cls(vals, d["convention"], sym)
 
 
 def u_phi(x: float, phases: PhaseFactors) -> np.ndarray:

@@ -4,7 +4,8 @@ Given a 1-ancilla block-encoding U_A and circuit-convention phases
 (varphi_0 .. varphi_d), the assembled circuit on signal + ancilla +
 system qubits block-encodes f|>(A) = V f(Sigma) V^dag, where f is the
 real polynomial the phases encode.  Each phased rotation costs 7 logical
-gates (4 X, 2 CNOT, 1 Z-rotation).
+gates (4 X, 2 CNOT, 1 Z-rotation).  The circuit itself comes from
+`blockenc.alternate`; this module adds the phase checks and gate budget.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates as G
-from .blockenc import BlockEncoding, extract_block
+from .blockenc import BlockEncoding, alternate, extract_block
 from .phasefactors import PhaseFactors
 
 
@@ -43,19 +44,6 @@ class QsvtCircuit:
         return BlockEncoding(self.circuit, self.n_sys, m=2)
 
 
-def _rotation_group(varphi: float) -> list[G.Gate]:
-    # X/CNOT sandwich around exp(-i varphi Z) on the signal qubit; 7 gates
-    return [
-        G.x(1),
-        G.cnot(1, 0),
-        G.x(1),
-        G.rz(0, 2.0 * varphi),
-        G.x(1),
-        G.cnot(1, 0),
-        G.x(1),
-    ]
-
-
 def build(
     ua: BlockEncoding, varphi: PhaseFactors, allow_odd: bool = False
 ) -> QsvtCircuit:
@@ -64,25 +52,13 @@ def build(
     The degree d = len(varphi) - 1 must be even unless allow_odd is set
     (odd circuits end with an unpaired U_A, so their block is
     W f(Sigma) V^dag rather than a Hermitian V f(Sigma) V^dag)."""
-    if ua.m != 1:
-        raise ValueError("build needs a 1-ancilla block-encoding")
     if varphi.convention != "varphi":
         raise ValueError("build takes circuit-convention (varphi) phases")
     d = varphi.degree
     if d % 2 and not allow_odd:
         raise ValueError("odd degree requires allow_odd=True")
-    n = ua.circuit.n_qubits + 1
-    ua_s = G.shift_qubits(ua.circuit, 1, n)
-    uad_s = G.shift_qubits(G.adjoint(ua.circuit), 1, n)
-    v = varphi.values
-    parts = [G.from_gates(n, [G.h(0)])]
-    for j in range(d, 0, -1):
-        parts.append(G.from_gates(n, _rotation_group(v[j])))
-        parts.append(ua_s if (d - j) % 2 == 0 else uad_s)
-    parts.append(G.from_gates(n, _rotation_group(v[0]) + [G.h(0)]))
-    circuit = G.concat(n, *parts, name=f"qsvt-d{d}")
-    ell = ua.circuit.depth
-    budget = gate_count_bound(d, ell, ua.circuit.n_qubits)
+    circuit = alternate(ua, varphi.values, f"qsvt-d{d}")
+    budget = gate_count_bound(d, ua.circuit.depth, ua.circuit.n_qubits)
     return QsvtCircuit(circuit, ua.n_sys, d, varphi, budget)
 
 

@@ -8,7 +8,6 @@ target axes, so no full-matrix product is ever formed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +36,7 @@ class StateVector:
 
     @classmethod
     def zero(cls, n_qubits: int) -> "StateVector":
-        amps = np.zeros(2**n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
+        return cls.basis(n_qubits, 0)
 
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "StateVector":
@@ -59,12 +56,6 @@ def _apply_gate_tensor(g: Gate, arr: np.ndarray, n_qubits: int) -> np.ndarray:
     u4 = u.reshape(2, 2, 2, 2)
     out = np.tensordot(u4, arr, axes=([2, 3], list(axes)))
     return np.moveaxis(out, [0, 1], list(axes))
-
-
-def apply_gate(g: Gate, s: StateVector) -> StateVector:
-    arr = s.amplitudes.reshape((2,) * s.n_qubits)
-    arr = _apply_gate_tensor(g, arr, s.n_qubits)
-    return StateVector(s.n_qubits, arr.reshape(-1), s.unnormalized)
 
 
 def apply(c: QuantumCircuit, s: StateVector) -> StateVector:
@@ -98,22 +89,6 @@ def success_probability_exact(
     return float(np.sum(np.abs(out.amplitudes[:keep]) ** 2))
 
 
-def postselect_collapse(
-    s: StateVector, ancillas: list[int]
-) -> tuple[StateVector, float]:
-    """Project onto ancillas = |0...0>, renormalize, drop the ancilla qubits.
-
-    Raises on degenerate post-selection (probability < 1e-14)."""
-    arr = s.amplitudes.reshape((2,) * s.n_qubits)
-    idx = tuple(0 if q in ancillas else slice(None) for q in range(s.n_qubits))
-    sub = arr[idx].reshape(-1)
-    prob = float(np.sum(np.abs(sub) ** 2))
-    if prob < 1e-14:
-        raise ValueError("degenerate post-selection: probability below 1e-14")
-    rest = s.n_qubits - len(ancillas)
-    return StateVector(rest, sub / np.sqrt(prob)), prob
-
-
 @dataclass
 class CountsHistogram:
     """Measurement counts keyed by bitstring (qubit 0 written first)."""
@@ -124,14 +99,6 @@ class CountsHistogram:
     def __post_init__(self):
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts do not sum to shots")
-
-    def to_json(self) -> str:
-        return json.dumps(dict(sorted(self.counts.items())))
-
-    @classmethod
-    def from_json(cls, text: str) -> "CountsHistogram":
-        counts = {k: int(v) for k, v in json.loads(text).items()}
-        return cls(counts, sum(counts.values()))
 
 
 def marginal_probabilities(s: StateVector, measured: list[int]) -> np.ndarray:

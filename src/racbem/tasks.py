@@ -11,7 +11,6 @@ model scaled by sigma.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -103,12 +102,6 @@ class BenchmarkReport:
         }
 
 
-def write_jsonl(reports: list[BenchmarkReport], path: str):
-    with open(path, "w") as fh:
-        for r in reports:
-            fh.write(json.dumps(r.to_record()) + "\n")
-
-
 def write_csv(reports: list[BenchmarkReport], path: str):
     """Flat CSV for plotting; params and gate counts become dotted columns."""
     rows = []
@@ -150,6 +143,28 @@ def generate_instance(
     return generate_block_encoding(cfg, n)
 
 
+def _noisy(noise_model: NoiseModel | None, sigma: float) -> NoiseModel | None:
+    """The model scaled by sigma, or None when sampling is ideal."""
+    if noise_model is not None and sigma > 0.0:
+        return scale_noise(noise_model, sigma)
+    return None
+
+
+def _sample(
+    circuit: G.QuantumCircuit,
+    shots: int,
+    measured: list[int],
+    rng: np.random.Generator,
+    noise: NoiseModel | None,
+    input_state: StateVector,
+):
+    """Counts on the measured qubits: noisy trajectories through the
+    already-scaled model, or ideal Born sampling when noise is None."""
+    if noise is not None:
+        return sample_noisy_counts(circuit, noise, shots, measured, rng, input_state)
+    return sample_counts(circuit, shots, measured, rng, input_state)
+
+
 def measure_success(
     circuit: G.QuantumCircuit,
     m_ancilla: int,
@@ -166,13 +181,8 @@ def measure_success(
         return success_probability_exact(circuit, m_ancilla, input_state)
     if rng is None:
         raise ValueError("sampled mode needs an rng")
-    measured = list(range(m_ancilla))
-    if noise_model is not None and sigma > 0.0:
-        counts = sample_noisy_counts(
-            circuit, scale_noise(noise_model, sigma), shots, measured, rng, input_state
-        )
-    else:
-        counts = sample_counts(circuit, shots, measured, rng, input_state)
+    counts = _sample(circuit, shots, list(range(m_ancilla)), rng,
+                     _noisy(noise_model, sigma), input_state)
     return counts.counts.get("0" * m_ancilla, 0) / shots
 
 
@@ -459,18 +469,8 @@ def spectral_run(
 
 def _default_metts_lengths(beta: float) -> tuple[int, int]:
     """(odd numerator degree, even denominator degree) by temperature."""
-    if beta <= 2:
-        d_num = 3
-    elif beta <= 5:
-        d_num = 5
-    else:
-        d_num = 7
-    if beta <= 2:
-        d_den = 2
-    elif beta <= 6:
-        d_den = 4
-    else:
-        d_den = 6
+    d_num = 3 if beta <= 2 else 5 if beta <= 5 else 7
+    d_den = 2 if beta <= 2 else 4 if beta <= 6 else 6
     return d_num, d_den
 
 
@@ -528,10 +528,9 @@ def metts_run(
         raise ValueError("beta must be >= 0")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if d_num is None or d_den is None:
-        auto_num, auto_den = _default_metts_lengths(beta)
-        d_num = d_num if d_num is not None else auto_num
-        d_den = d_den if d_den is not None else auto_den
+    auto_num, auto_den = _default_metts_lengths(beta)
+    d_num = auto_num if d_num is None else d_num
+    d_den = auto_den if d_den is None else d_den
     if d_num % 2 == 0 or d_den % 2:
         raise ValueError("numerator degree must be odd, denominator even")
     t0 = time.perf_counter()
@@ -560,6 +559,7 @@ def metts_run(
         pd_by_state = np.sum(np.abs(U_den[:dim, :dim]) ** 2, axis=0)
         collapse_blocks = np.abs(U_den[:dim, :dim]) ** 2
 
+    noise = None if exact_mode else _noisy(noise_model, sigma)
     states, energies, nexts = [], [], []
     resamples = 0
     flagged = 0
@@ -570,12 +570,10 @@ def metts_run(
             pd = float(pd_by_state[i])
         else:
             inp = StateVector.basis(n_tot, i)
-            pn = measure_success(
-                qc_num.circuit, 2, shots, rng, noise_model, sigma, inp
-            )
-            pd = measure_success(
-                qc_den.circuit, 2, shots, rng, noise_model, sigma, inp
-            )
+            counts = _sample(qc_num.circuit, shots, [0, 1], rng, noise, inp)
+            pn = counts.counts.get("00", 0) / shots
+            counts = _sample(qc_den.circuit, shots, [0, 1], rng, noise, inp)
+            pd = counts.counts.get("00", 0) / shots
         denom = f_den.scale**2 * pd
         if denom < PD_FLOOR:
             flagged += 1
@@ -598,21 +596,7 @@ def metts_run(
         else:
             i_next = -1
             for _attempt in range(100):
-                counts = (
-                    sample_noisy_counts(
-                        qc_den.circuit,
-                        scale_noise(noise_model, sigma),
-                        1,
-                        list(range(n_tot)),
-                        rng,
-                        StateVector.basis(n_tot, i),
-                    )
-                    if noise_model is not None and sigma > 0.0
-                    else sample_counts(
-                        qc_den.circuit, 1, list(range(n_tot)), rng,
-                        StateVector.basis(n_tot, i),
-                    )
-                )
+                counts = _sample(qc_den.circuit, 1, list(range(n_tot)), rng, noise, inp)
                 bits = next(iter(counts.counts))
                 if bits[:2] == "00":
                     i_next = int(bits[2:], 2)

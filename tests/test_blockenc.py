@@ -13,6 +13,8 @@ from racbem.blockenc import (
     phases_for_quadratic,
     quadratic_for_condition,
 )
+from racbem.phasefactors import PhaseFactors
+from racbem.qsvt import build
 from conftest import random_ua
 
 
@@ -32,6 +34,9 @@ def test_hracbem_block_matches_formula():
     want = a2 * (A.conj().T @ A) + a0 * np.eye(4)
     assert np.abs(h - want).max() < 1e-10
     assert np.abs(h - h.conj().T).max() < 1e-10
+    # the Hermitian construction is the degree-2 alternating circuit
+    qsvt = build(ua, PhaseFactors((phi0, phi1, phi0), "varphi"))
+    assert list(be.circuit.gates()) == list(qsvt.circuit.gates())
 
 
 def test_canonical_hracbem_is_a_dag_a():

@@ -7,9 +7,7 @@ from racbem.blockenc import quadratic_for_condition
 from racbem.chebpoly import (
     ChebPoly,
     apply_scaling,
-    cheb_project,
     compose_fit,
-    compose_quadratic,
     cos_sqrt,
     fit_on_interval,
     fit_scaled,
@@ -62,12 +60,6 @@ def test_apply_scaling():
     assert f(1.0) == pytest.approx(1.0)
     with np.errstate(divide="ignore"), pytest.raises(ValueError):
         apply_scaling(lambda x: 1.0 / np.asarray(x), (0.0, 1.0))
-
-
-def test_projection_exact_for_polynomials():
-    # projecting a polynomial of matching degree is exact
-    p = cheb_project(lambda x: 2 * np.asarray(x) ** 2 - 1, 2, parity="even")
-    assert np.allclose(p.coeffs, (0, 0, 1), atol=1e-12)
 
 
 def test_remez_at_most_projection_error():
@@ -144,14 +136,6 @@ def test_compose_fit_matches_direct_evaluation():
     assert f.degree == 2 * g.degree
     xs = np.linspace(-1, 1, 201)
     assert np.allclose(f.scale * f(xs), g.scale * g(q(xs)), atol=1e-10)
-
-
-def test_compose_quadratic_matches_direct_evaluation():
-    q = quadratic_for_condition(2.0)
-    g = ChebPoly((0.2, 0.3, 0.1))
-    f = compose_quadratic(g, q)
-    xs = np.linspace(-1, 1, 201)
-    assert np.allclose(f(xs), g(np.asarray(q(xs))), atol=1e-10)
 
 
 def test_compose_fit_rejects_range_mismatch():

@@ -86,6 +86,20 @@ def test_config_file_overrides_flag_defaults(tmp_path, monkeypatch):
     assert run(["spectral", "--config", str(bad), "--n", "1", "--seed", "1"], monkeypatch, tmp_path) == 2
 
 
+def test_top_level_config_flag(tmp_path, monkeypatch):
+    # --config before the subcommand is not reset by the subcommand's own
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n": 2, "seed": 11, "kappa": 2.0, "d": 6}))
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert run(["--config", str(cfg), "linpack", "--exact", "--out", str(before)],
+               monkeypatch, tmp_path) == 0
+    assert run(["linpack", "--config", str(cfg), "--exact", "--out", str(after)],
+               monkeypatch, tmp_path) == 0
+    a, b = json.loads(before.read_text()), json.loads(after.read_text())
+    assert a["config"]["kappa"] == 2.0 and a["config"]["d"] == 6
+    assert a["report"]["p_exact"] == b["report"]["p_exact"]
+
+
 def test_exit_codes(tmp_path, monkeypatch):
     # missing required option -> schema (2)
     assert run(["generate", "--n", "2"], monkeypatch, tmp_path) == 2

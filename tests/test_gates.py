@@ -104,13 +104,6 @@ def test_text_round_trip(seed):
     assert G.circuit_to_text(c2) == t
 
 
-@given(st.integers(0, 10**6))
-@settings(max_examples=20, deadline=None)
-def test_json_round_trip(seed):
-    c = random_circuit(seed)
-    assert G.circuit_from_json(G.circuit_to_json(c)) == c
-
-
 def test_shift_and_concat():
     c = G.from_gates(2, [G.h(0), G.cnot(0, 1)])
     s = G.shift_qubits(c, 1, 3)

@@ -42,13 +42,6 @@ def test_phasefactors_validation():
     assert p.degree == 2
 
 
-def test_json_round_trip():
-    p = PhaseFactors((0.3, -0.2, 0.3), "phi", symmetric=True)
-    q = PhaseFactors.from_json(p.to_json(residual=1e-25))
-    assert q.values == p.values
-    assert q.symmetric
-
-
 def test_u_phi_unitary():
     p = PhaseFactors((0.2, 0.5, -0.1))
     u = u_phi(0.3, p)

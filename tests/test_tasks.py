@@ -1,12 +1,14 @@
 import csv
-import json
 import math
 
 import numpy as np
 import pytest
 
 from racbem import gates as G
+from racbem import tasks
 from racbem.blockenc import BlockEncoding, extract_block
+from racbem.generator import linear_coupling_map
+from racbem.noise import synth_model
 from racbem.phasefactors import CONVERGED_L
 from racbem.tasks import (
     BenchmarkReport,
@@ -21,7 +23,6 @@ from racbem.tasks import (
     time_series_run,
     write_cma_csv,
     write_csv,
-    write_jsonl,
 )
 
 
@@ -46,11 +47,7 @@ def test_report_relative_error():
 
 def test_writers(tmp_path):
     r = BenchmarkReport("t", 3, {"n": 2}, 0.5, 0.5, {"total": 4}, 0.01)
-    jl = tmp_path / "r.jsonl"
     cv = tmp_path / "r.csv"
-    write_jsonl([r], str(jl))
-    rec = json.loads(jl.read_text())
-    assert rec["params"]["n"] == 2 and rec["relative_error"] == 0.0
     write_csv([r], str(cv))
     rows = list(csv.DictReader(cv.open()))
     assert rows[0]["params.n"] == "2"
@@ -160,6 +157,53 @@ def test_metts_exact_mode_deterministic():
     b, _ = metts_run(1.0, 50, 2, seed=15, shots=0)
     assert a.states == b.states
     assert a.energies == b.energies
+
+
+def _metts_noise_model():
+    # n = 2 system qubits plus signal and ancilla
+    return synth_model(linear_coupling_map(4), 0.01, 0.05, 0.02, np.random.default_rng(2))
+
+
+def _chain(trace):
+    return trace.states, trace.energies, trace.next_states, trace.resamples
+
+
+def test_metts_noisy_sampled_reproducible_from_seed():
+    nm = _metts_noise_model()
+    a, _ = metts_run(1.0, 20, 2, seed=6, shots=64, noise_model=nm, sigma=1.0)
+    b, _ = metts_run(1.0, 20, 2, seed=6, shots=64, noise_model=nm, sigma=1.0)
+    assert _chain(a) == _chain(b)
+
+
+def test_metts_sigma_zero_matches_ideal_sampled():
+    ideal, _ = metts_run(1.0, 20, 2, seed=6, shots=64)
+    quiet, _ = metts_run(1.0, 20, 2, seed=6, shots=64,
+                         noise_model=_metts_noise_model(), sigma=0.0)
+    assert _chain(quiet) == _chain(ideal)
+
+
+def test_metts_noisy_collapse_uses_noisy_sampler(monkeypatch):
+    real = tasks.sample_noisy_counts
+    noisy_calls = []  # (shots, first outcome) per call
+
+    def counting(c, model, shots, *rest):
+        counts = real(c, model, shots, *rest)
+        noisy_calls.append((shots, next(iter(counts.counts))))
+        return counts
+
+    def ideal(*args):
+        raise AssertionError("ideal sampler called in a noisy run")
+
+    monkeypatch.setattr(tasks, "sample_noisy_counts", counting)
+    monkeypatch.setattr(tasks, "sample_counts", ideal)
+    steps = 20
+    trace, _ = metts_run(1.0, steps, 2, seed=6, shots=64,
+                         noise_model=_metts_noise_model(), sigma=0.5)
+    assert sum(1 for shots, _ in noisy_calls if shots == 64) == 2 * steps
+    collapses = [bits for shots, bits in noisy_calls if shots == 1]
+    # every step draws until both ancillas read 0 (or gives up and resamples)
+    assert len(collapses) >= steps
+    assert sum(bits[:2] == "00" for bits in collapses) == steps - trace.resamples
 
 
 def test_metts_validation():

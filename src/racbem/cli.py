@@ -458,7 +458,8 @@ def _apply_config_file(args, argv):
         if dest in ("func", "command") or not hasattr(args, dest):
             raise SchemaError(f"unknown config key {key!r}")
         if dest not in explicit:
-            setattr(args, dest, value)
+            # JSON arrays become tuples, as the list flags parse to
+            setattr(args, dest, tuple(value) if isinstance(value, list) else value)
     return args
 
 

@@ -4,21 +4,32 @@ Each gate kind/operand pair carries a discrete distribution over error
 operations (identity or Pauli insertions after the ideal gate); each
 measured qubit carries a 2x2 readout confusion matrix.  A parameter
 sigma in [0, 1] interpolates between noiseless (0) and the full model
-(1) by scaling every non-correct probability.  Sampling runs batched
-trajectories: exact for Pauli channels, no density matrices.
+(1) by scaling every non-correct probability.  Shots are independent,
+so the counts are one multinomial draw from the exact outcome law: the
+density matrix passes through the circuit once, each gate fused with its
+Pauli channel, and the readout rows then mix the measured marginal.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import Gate, QuantumCircuit, ONE_QUBIT_KINDS
-from .statevector import CountsHistogram, StateVector, _apply_gate_tensor
+from .gates import QuantumCircuit, ONE_QUBIT_KINDS, gate_unitary
+from .statevector import (
+    UNITARY_QUBIT_CAP,
+    CountsHistogram,
+    StateVector,
+    _apply_local,
+    _marginal,
+    sample_from_probs,
+)
 
 PAULI_1Q = ("i", "x", "y", "z")
+PAULI_2Q = tuple(a + b for a in PAULI_1Q for b in PAULI_1Q)
 
 DIST_TOL = 1e-12
 
@@ -26,9 +37,7 @@ SCHEMA = 1
 
 
 def _check_dist(dist: dict[str, float], n_ops: int) -> dict[str, float]:
-    labels = PAULI_1Q if n_ops == 1 else tuple(
-        a + b for a in PAULI_1Q for b in PAULI_1Q
-    )
+    labels = PAULI_1Q if n_ops == 1 else PAULI_2Q
     out = {}
     for k, v in dist.items():
         if k not in labels:
@@ -154,7 +163,7 @@ def synth_model(
         dist = {"i": 1.0 - e, "x": e / 3, "y": e / 3, "z": e / 3}
         for kind in sorted(ONE_QUBIT_KINDS):
             ge[(kind, (q,))] = dict(dist)
-    labels2 = [a + b for a in PAULI_1Q for b in PAULI_1Q if a + b != "ii"]
+    labels2 = PAULI_2Q[1:]
     for c, t in sorted(coupling.edges):
         e = base_2q_rate * (1.0 + 0.2 * rng.uniform(-1, 1))
         dist = {"ii": 1.0 - e}
@@ -167,22 +176,62 @@ def synth_model(
     return NoiseModel(ge, ro)
 
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-_PAULI_MATS = {"x": _X, "y": _Y, "z": _Z}
+_PAULI = dict(zip(PAULI_1Q, (np.eye(2), np.array([[0, 1], [1, 0]]),
+                            np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))))
 
 
-def _apply_pauli_subset(arr: np.ndarray, mask: np.ndarray, pauli: str, qubit: int):
-    """Apply a 1-qubit Pauli to the masked trajectories in place.
+def _pauli_superop(label: str) -> np.ndarray:
+    """rho -> P rho P^dagger for the Pauli string P, as kron(P, conj P)."""
+    p = functools.reduce(np.kron, (_PAULI[ch] for ch in label))
+    return np.kron(p, p.conj())
 
-    arr has shape (n_shots,) + (2,)*n_qubits."""
-    sub = arr[mask]
-    u = _PAULI_MATS[pauli]
-    moved = np.moveaxis(sub, qubit + 1, 1)
-    out = np.einsum("ab,sb...->sa...", u, moved)
-    arr[mask] = np.moveaxis(out, 1, qubit + 1)
+
+# built once, so that a gate's channel is a weighted sum of table entries
+PAULI_SUPEROPS = {lab: _pauli_superop(lab) for lab in PAULI_1Q + PAULI_2Q}
+
+
+def coverage(model: NoiseModel, circuits) -> float:
+    """Share of the circuits' gates that have a gate_errors entry."""
+    keys = [(g.kind, g.qubits) for c in circuits for g in c.gates()]
+    return sum(k in model.gate_errors for k in keys) / len(keys) if keys else 0.0
+
+
+def outcome_distribution(
+    c: QuantumCircuit,
+    model: NoiseModel,
+    measured: list[int],
+    input_state: StateVector,
+) -> np.ndarray:
+    """Exact distribution of the read bitstrings (measured[0] first).
+
+    The density matrix passes through the circuit once; each ideal gate
+    and its Pauli channel act as one fused superoperator.  The readout
+    rows then mix the measured marginal."""
+    n = c.n_qubits
+    if n > UNITARY_QUBIT_CAP:
+        raise ValueError(f"{n} qubits exceeds the density-matrix cap {UNITARY_QUBIT_CAP}")
+    psi = input_state.amplitudes.reshape((2,) * n)
+    rho = np.multiply.outer(psi, psi.conj())
+    channels, fused = {}, {}
+    for g in c.gates():
+        if g not in fused:
+            u = gate_unitary(g)
+            sup = np.kron(u, u.conj())
+            key = (g.kind, g.qubits)
+            if key in model.gate_errors:
+                if key not in channels:
+                    channels[key] = sum(p * PAULI_SUPEROPS[lab]
+                                        for lab, p in model.gate_errors[key].items())
+                sup = channels[key] @ sup
+            fused[g] = sup
+        rho = _apply_local(fused[g], rho, g.qubits + tuple(q + n for q in g.qubits))
+    probs = np.clip(np.diagonal(rho.reshape(2**n, 2**n)).real, 0.0, None)
+    marg = _marginal(probs.reshape((2,) * n), measured).reshape((2,) * len(measured))
+    for pos, q in enumerate(measured):
+        rows = model.readout.get(q)
+        if rows is not None:
+            marg = np.moveaxis(np.tensordot(marg, np.array(rows), axes=([pos], [0])), -1, pos)
+    return marg.reshape(-1)
 
 
 def sample_noisy_counts(
@@ -193,70 +242,13 @@ def sample_noisy_counts(
     rng: np.random.Generator,
     input_state: StateVector | None = None,
 ) -> CountsHistogram:
-    """Counts from batched noisy trajectories of the circuit.
-
-    After each ideal gate an error op is drawn per trajectory from the
-    gate's distribution and applied; measured bits are then flipped per
-    their readout confusion rows."""
+    """Counts of the noisy circuit: one multinomial draw of all shots from
+    the exact outcome distribution, which is the law of independent
+    trajectories that draw a Pauli error after each gate and flip each
+    read bit per its confusion row."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    n = c.n_qubits
     if input_state is None:
-        input_state = StateVector.zero(n)
-    arr = np.broadcast_to(
-        input_state.amplitudes.reshape((2,) * n), (shots,) + (2,) * n
-    ).copy()
-    for g in c.gates():
-        arr = _apply_batched_gate(g, arr, n)
-        dist = model.gate_errors.get((g.kind, g.qubits))
-        if dist is None:
-            continue
-        labels = sorted(dist)
-        probs = np.array([dist[k] for k in labels])
-        draws = rng.choice(len(labels), size=shots, p=probs / probs.sum())
-        for idx, lab in enumerate(labels):
-            if lab == "i" * len(g.qubits):
-                continue
-            mask = draws == idx
-            if not mask.any():
-                continue
-            for p, q in zip(lab, g.qubits):
-                if p != "i":
-                    _apply_pauli_subset(arr, mask, p, q)
-
-    # per-trajectory measurement of the requested qubits
-    probs = np.abs(arr) ** 2
-    drop = tuple(q + 1 for q in range(n) if q not in measured)
-    marg = probs.sum(axis=drop) if drop else probs
-    k = len(measured)
-    order = np.argsort(np.argsort(measured))
-    if not np.array_equal(order, np.arange(k)):
-        marg = np.moveaxis(marg, range(1, k + 1), [1 + o for o in order])
-    flat = marg.reshape(shots, -1)
-    flat = flat / flat.sum(axis=1, keepdims=True)
-    cdf = np.cumsum(flat, axis=1)
-    u = rng.random(shots)
-    outcomes = (u[:, None] > cdf).sum(axis=1)
-
-    # readout confusion: flip each measured bit per its row
-    bits = ((outcomes[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.int8)
-    for pos, q in enumerate(measured):
-        rows = model.readout.get(q)
-        if rows is None:
-            continue
-        flip_prob = np.where(bits[:, pos] == 0, rows[0][1], rows[1][0])
-        flips = rng.random(shots) < flip_prob
-        bits[flips, pos] ^= 1
-    strings = ["".join(str(b) for b in row) for row in bits]
-    counts: dict[str, int] = {}
-    for s in strings:
-        counts[s] = counts.get(s, 0) + 1
-    return CountsHistogram(counts, shots)
-
-
-def _apply_batched_gate(g: Gate, arr: np.ndarray, n: int) -> np.ndarray:
-    """Ideal gate on a batch: reuse the single-state tensor contraction
-    with the shot axis folded into the trailing dimensions."""
-    moved = np.moveaxis(arr, 0, -1)  # (2,)*n + (shots,)
-    out = _apply_gate_tensor(g, moved, n)
-    return np.moveaxis(out, -1, 0)
+        input_state = StateVector.zero(c.n_qubits)
+    probs = outcome_distribution(c, model, measured, input_state)
+    return sample_from_probs(probs, len(measured), shots, rng)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Gate, QuantumCircuit, gate_unitary
+from .gates import QuantumCircuit, gate_unitary
 
 UNITARY_QUBIT_CAP = 12
 
@@ -45,17 +45,17 @@ class StateVector:
         return cls(n_qubits, amps)
 
 
-def _apply_gate_tensor(g: Gate, arr: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Apply a gate to an array of shape (2,)*n_qubits + rest."""
-    u = gate_unitary(g)
-    axes = g.qubits
-    if len(axes) == 1:
-        out = np.tensordot(u, arr, axes=([1], [axes[0]]))
-        return np.moveaxis(out, 0, axes[0])
-    # two-qubit gate: 4x4 -> (2,2,2,2) with (c_out, t_out, c_in, t_in)
-    u4 = u.reshape(2, 2, 2, 2)
-    out = np.tensordot(u4, arr, axes=([2, 3], list(axes)))
-    return np.moveaxis(out, [0, 1], list(axes))
+def _apply_local(u: np.ndarray, arr: np.ndarray, axes) -> np.ndarray:
+    """Contract a 2^k x 2^k operator against k axes of arr.
+
+    arr has shape (2,)*N + rest; u's row and column indices are the k
+    axes' bits with axes[0] the most significant (for a gate, its
+    qubits; for a superoperator, row then column qubits of rho)."""
+    k = len(axes)
+    if k == 1:  # the common case, without the list bookkeeping
+        return np.moveaxis(np.tensordot(u, arr, axes=(1, axes[0])), 0, axes[0])
+    out = np.tensordot(u.reshape((2,) * (2 * k)), arr, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(out, list(range(k)), list(axes))
 
 
 def apply(c: QuantumCircuit, s: StateVector) -> StateVector:
@@ -64,7 +64,7 @@ def apply(c: QuantumCircuit, s: StateVector) -> StateVector:
         raise ValueError("circuit/state qubit-count mismatch")
     arr = s.amplitudes.reshape((2,) * s.n_qubits)
     for g in c.gates():
-        arr = _apply_gate_tensor(g, arr, s.n_qubits)
+        arr = _apply_local(gate_unitary(g), arr, g.qubits)
     return StateVector(s.n_qubits, arr.reshape(-1), s.unnormalized)
 
 
@@ -76,7 +76,7 @@ def circuit_unitary(c: QuantumCircuit, cap: int = UNITARY_QUBIT_CAP) -> np.ndarr
     dim = 2**q
     arr = np.eye(dim, dtype=complex).reshape((2,) * q + (dim,))
     for g in c.gates():
-        arr = _apply_gate_tensor(g, arr, q)
+        arr = _apply_local(gate_unitary(g), arr, g.qubits)
     return arr.reshape(dim, dim)
 
 
@@ -103,16 +103,18 @@ class CountsHistogram:
 
 def marginal_probabilities(s: StateVector, measured: list[int]) -> np.ndarray:
     """Exact outcome distribution on the measured qubits, in bitstring order."""
+    return _marginal(np.abs(s.amplitudes.reshape((2,) * s.n_qubits)) ** 2, measured)
+
+
+def _marginal(probs: np.ndarray, measured: list[int]) -> np.ndarray:
+    """Sum a (2,)*n outcome distribution over the unmeasured qubits; the
+    result is flat, with measured[0] as the most significant bit."""
     if not measured:
         raise ValueError("empty measured qubit list")
-    probs = np.abs(s.amplitudes.reshape((2,) * s.n_qubits)) ** 2
-    drop = tuple(q for q in range(s.n_qubits) if q not in measured)
+    drop = tuple(q for q in range(probs.ndim) if q not in measured)
     marg = probs.sum(axis=drop) if drop else probs
-    # reorder axes to the order the qubits are listed in `measured`
-    order = np.argsort(np.argsort(measured)) if measured != sorted(measured) else None
-    if order is not None:
-        marg = np.moveaxis(marg, range(len(measured)), order)
-    return marg.reshape(-1)
+    # marg's axes follow ascending qubit order; put them in measured order
+    return np.transpose(marg, np.argsort(np.argsort(measured))).reshape(-1)
 
 
 def sample_from_probs(

@@ -45,13 +45,13 @@ from .generator import (
     generate_block_encoding,
     linear_coupling_map,
 )
-from .noise import NoiseModel, sample_noisy_counts, scale as scale_noise
+from .noise import NoiseModel, coverage, sample_noisy_counts, scale as scale_noise
 from .oracle import (
     exact_spectral_measure,
     exact_thermal_energy,
     exact_time_series,
 )
-from .phasefactors import optimize, to_varphi
+from .phasefactors import CONVERGED_L, optimize, to_varphi
 from .qsvt import QsvtCircuit, build
 from .statevector import (
     StateVector,
@@ -150,6 +150,21 @@ def _noisy(noise_model: NoiseModel | None, sigma: float) -> NoiseModel | None:
     return None
 
 
+def _noise_params(
+    noise_model: NoiseModel | None, sigma: float, shots: int, circuits
+) -> dict:
+    """The `noise_coverage` report entry of a noisy sampled run (empty
+    otherwise): the share of the sampled gates that have an error entry.
+    At sigma > 0 a model that covers no gate, say one built for another
+    register size, would pass an ideal run off as noisy, so it raises."""
+    if shots == 0 or noise_model is None or sigma == 0.0:
+        return {}
+    share = coverage(noise_model, circuits)
+    if share == 0.0:
+        raise ValueError("the noise model has no error entry for any gate of the circuit")
+    return {"noise_coverage": share}
+
+
 def _sample(
     circuit: G.QuantumCircuit,
     shots: int,
@@ -158,8 +173,8 @@ def _sample(
     noise: NoiseModel | None,
     input_state: StateVector,
 ):
-    """Counts on the measured qubits: noisy trajectories through the
-    already-scaled model, or ideal Born sampling when noise is None."""
+    """Counts on the measured qubits: drawn through the already-scaled
+    noise model, or ideal Born sampling when noise is None."""
     if noise is not None:
         return sample_noisy_counts(circuit, noise, shots, measured, rng, input_state)
     return sample_counts(circuit, shots, measured, rng, input_state)
@@ -217,12 +232,13 @@ def racbem_benchmark(
     A = extract_block(ua)
     p_exact = float(np.linalg.norm(A[:, 0]) ** 2)
     rng = np.random.default_rng(seed) if shots else None
+    noise_params = _noise_params(noise_model, sigma, shots, [ua.circuit])
     p_measured = measure_success(ua.circuit, 1, shots, rng, noise_model, sigma)
     return BenchmarkReport(
         task="racbem-bench",
         seed=seed,
         params={"n": n, "shots": shots, "sigma": sigma, "p_cnot": p_cnot,
-                "depth": ua.circuit.depth},
+                "depth": ua.circuit.depth, **noise_params},
         p_measured=p_measured,
         p_exact=p_exact,
         gate_counts=G.gate_count(ua.circuit),
@@ -269,6 +285,7 @@ def linpack_run(
     eps = g.err / alpha
     qc, residual = _qsvt_for(ua, f)
     rng = np.random.default_rng(seed) if shots else None
+    noise_params = _noise_params(noise_model, sigma, shots, [qc.circuit])
     p_measured = measure_success(qc.circuit, 2, shots, rng, noise_model, sigma)
     hmat = _hermitian_matrix(ua, q)
     x = np.linalg.solve(hmat, StateVector.basis(n, 0).amplitudes)
@@ -283,10 +300,11 @@ def linpack_run(
             "kappa": kappa, "n": n, "d": d, "shots": shots, "sigma": sigma,
             "p_cnot": p_cnot, "depth": ua.circuit.depth, "alpha": alpha,
             "epsilon": eps, "residual": residual,
+            "converged": bool(residual <= CONVERGED_L),
             "relative_error_bound": bound_rel,
             "p_exact_floor": bound_floor,
             "p_exact_above_floor": bool(p_exact >= bound_floor),
-            "gate_budget": qc.gate_budget,
+            "gate_budget": qc.gate_budget, **noise_params,
         },
         p_measured=p_measured,
         p_exact=p_exact,
@@ -324,16 +342,20 @@ def _series_part(
     rng,
     noise_model,
     sigma: float,
-) -> tuple[float, float, float, float, QsvtCircuit]:
+) -> tuple[float, QsvtCircuit, dict]:
     """One quadrature part: fit, build, measure.
 
-    Returns (p_measured, scale, fit error in target units, phase residual,
-    circuit)."""
+    Returns (p_measured, circuit, report params: scale, fit error in
+    target units, phase residual, its convergence flag and, when noisy,
+    the noise coverage)."""
     g = fit_on_interval(target, degree // 2, (q.a0, q.a0 + q.a2))
     f = compose_fit(g, q)
     qc, residual = _qsvt_for(ua, f)
+    params = {"scale": f.scale, "fit_error": g.err, "residual": residual,
+              "converged": bool(residual <= CONVERGED_L),
+              **_noise_params(noise_model, sigma, shots, [qc.circuit])}
     p = measure_success(qc.circuit, 2, shots, rng, noise_model, sigma)
-    return p, f.scale, g.err, residual, qc
+    return p, qc, params
 
 
 def time_series_run(
@@ -371,31 +393,30 @@ def time_series_run(
     values, exact, reports = [], [], []
     for t, dr, di, er, ei in zip(ts, lengths_real, lengths_imag, etas_real, etas_imag):
         t0 = time.perf_counter()
-        pc, sc, ec, rc, qc_c = _series_part(
+        pc, qc_c, par_c = _series_part(
             ua, q, cos_sqrt(t, er), dr - 1, shots, rng, noise_model, sigma
         )
-        ps, ss, es, rs, qc_s = _series_part(
+        ps, qc_s, par_s = _series_part(
             ua, q, sin_sqrt(t, ei), di - 1, shots, rng, noise_model, sigma
         )
-        s = complex(2 * sc**2 * pc - er, 2 * ss**2 * ps - ei)
+        s = complex(2 * par_c["scale"]**2 * pc - er, 2 * par_s["scale"]**2 * ps - ei)
         s_ref = exact_time_series(hmat, psi, t)
         values.append(s)
         exact.append(s_ref)
         wall = time.perf_counter() - t0
-        for part, p, scale_, err, res, eta, dd, ref in (
-            ("real", pc, sc, ec, rc, er, dr, (s_ref.real + er) / 2),
-            ("imag", ps, ss, es, rs, ei, di, (s_ref.imag + ei) / 2),
+        for part, p, qc, par, eta, dd, ref in (
+            ("real", pc, qc_c, par_c, er, dr, (s_ref.real + er) / 2),
+            ("imag", ps, qc_s, par_s, ei, di, (s_ref.imag + ei) / 2),
         ):
             reports.append(
                 BenchmarkReport(
                     task=f"timeseries-{part}",
                     seed=seed,
                     params={"n": n, "t": t, "eta": eta, "length": dd,
-                            "scale": scale_, "fit_error": err,
-                            "residual": res, "shots": shots, "sigma": sigma},
+                            **par, "shots": shots, "sigma": sigma},
                     p_measured=p,
-                    p_exact=ref / scale_**2,
-                    gate_counts=G.gate_count((qc_c if part == "real" else qc_s).circuit),
+                    p_exact=ref / par["scale"]**2,
+                    gate_counts=G.gate_count(qc.circuit),
                     wall_time=wall / 2,
                 )
             )
@@ -441,10 +462,10 @@ def spectral_run(
     values, exact, reports = [], [], []
     for E, length in zip(energies, lengths):
         t0 = time.perf_counter()
-        p, scale_, err, residual, qc = _series_part(
+        p, qc, par = _series_part(
             ua, q, lorentzian_sqrt(eta, E), length - 1, shots, rng, noise_model, sigma
         )
-        s = scale_**2 * p / (eta * math.pi)
+        s = par["scale"]**2 * p / (eta * math.pi)
         s_ref = exact_spectral_measure(hmat, psi, E, eta)
         values.append(complex(s))
         exact.append(complex(s_ref))
@@ -453,10 +474,9 @@ def spectral_run(
                 task="spectral",
                 seed=seed,
                 params={"n": n, "E": E, "eta": eta, "length": length,
-                        "scale": scale_, "fit_error": err,
-                        "residual": residual, "shots": shots, "sigma": sigma},
+                        **par, "shots": shots, "sigma": sigma},
                 p_measured=p,
-                p_exact=s_ref * eta * math.pi / scale_**2,
+                p_exact=s_ref * eta * math.pi / par["scale"]**2,
                 gate_counts=G.gate_count(qc.circuit),
                 wall_time=time.perf_counter() - t0,
             )
@@ -495,6 +515,10 @@ class MettsTrace:
 
 PD_FLOOR = 1e-12
 
+# shots of one sampled collapse; with none of them post-selected the next
+# state is drawn uniformly
+COLLAPSE_SHOTS = 100
+
 
 def metts_run(
     beta: float,
@@ -520,10 +544,13 @@ def metts_run(
     because the canonical quadratic is h(x) = x^2) and the denominator
     applies exp(-beta y / 2) composed with h.  The chain collapses by
     running the denominator circuit, post-selecting both ancillas on 0,
-    and measuring the system register.  At beta = 0 the denominator is a
-    constant, so the literal collapse never moves; any distribution is
-    then stationary and the next state is drawn uniformly, the exact
-    infinite-temperature behavior."""
+    and measuring the system register; sampled mode draws COLLAPSE_SHOTS
+    shots at once and moves to the system bits of a uniformly chosen draw
+    whose ancillas read 00, or to a uniform state (a resample) when none
+    does.  At beta = 0 the denominator is a constant, so the literal
+    collapse never moves; any distribution is then stationary and the
+    next state is drawn uniformly, the exact infinite-temperature
+    behavior."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
     if steps < 1:
@@ -559,6 +586,7 @@ def metts_run(
         pd_by_state = np.sum(np.abs(U_den[:dim, :dim]) ** 2, axis=0)
         collapse_blocks = np.abs(U_den[:dim, :dim]) ** 2
 
+    noise_params = _noise_params(noise_model, sigma, shots, [qc_num.circuit, qc_den.circuit])
     noise = None if exact_mode else _noisy(noise_model, sigma)
     states, energies, nexts = [], [], []
     resamples = 0
@@ -594,14 +622,14 @@ def metts_run(
             else:
                 i_next = int(rng.choice(dim, p=dist / total))
         else:
-            i_next = -1
-            for _attempt in range(100):
-                counts = _sample(qc_den.circuit, 1, list(range(n_tot)), rng, noise, inp)
-                bits = next(iter(counts.counts))
-                if bits[:2] == "00":
-                    i_next = int(bits[2:], 2)
-                    break
-            if i_next < 0:
+            counts = _sample(qc_den.circuit, COLLAPSE_SHOTS, list(range(n_tot)), rng, noise, inp)
+            # the draws are exchangeable, so a uniform pick among those
+            # post-selected has the law of the first post-selected one
+            hits = [int(bits[2:], 2) for bits, k in counts.counts.items()
+                    if bits[:2] == "00" for _ in range(k)]
+            if hits:
+                i_next = hits[rng.integers(len(hits))]
+            else:
                 resamples += 1
                 i_next = int(rng.integers(dim))
         nexts.append(i_next)
@@ -628,7 +656,8 @@ def metts_run(
                 "scale_num": f_num.scale, "scale_den": f_den.scale,
                 "fit_error_num": err_num, "fit_error_den": g_den.err,
                 "residual_num": res_num, "residual_den": res_den,
-                "resamples": resamples, "flagged": flagged},
+                "converged": bool(max(res_num, res_den) <= CONVERGED_L),
+                "resamples": resamples, "flagged": flagged, **noise_params},
         p_measured=float(estimate),
         p_exact=float(exact),
         gate_counts=G.gate_count(qc_den.circuit),

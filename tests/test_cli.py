@@ -207,3 +207,26 @@ def test_cli_import_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_config_list_joins_flag_default(tmp_path, monkeypatch):
+    # a JSON list for one grid must combine with the other grid's default
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"etas_real": [1, 1, 1, 1.5, 2, 1.5, 1.5, 1.5, 1.5, 1.5]}))
+    out = tmp_path / "ts.json"
+    code = run(["timeseries", "--n", "1", "--seed", "1", "--exact", "--config", str(cfg),
+                "--out", str(out)], monkeypatch, tmp_path)
+    assert code == 0
+    assert len(json.loads(out.read_text())["s"]) == 10
+
+
+def test_noise_model_without_coverage_exits_4(tmp_path, monkeypatch, capsys):
+    from racbem.noise import NoiseModel
+
+    nm = tmp_path / "nm.json"
+    nm.write_text(NoiseModel(gate_errors={("cnot", (7, 8)): {"ii": 0.9, "xx": 0.1}}).to_json())
+    code = run(["linpack", "--n", "2", "--seed", "11", "--kappa", "2", "--d", "6",
+                "--shots", "16", "--noise-model", str(nm)], monkeypatch, tmp_path)
+    assert code == 4
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rec["error"] == "module" and "no error entry" in rec["message"]

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from racbem import gates as G
+from racbem.gates import gate_unitary
 from racbem.generator import linear_coupling_map
 from racbem.noise import (
     NoiseModel,
+    coverage,
+    outcome_distribution,
     sample_noisy_counts,
     scale,
     scale_dist,
     synth_model,
 )
-from racbem.statevector import StateVector, apply, marginal_probabilities
+from racbem.statevector import UNITARY_QUBIT_CAP, StateVector, apply, marginal_probabilities
 
 
 def test_scale_dist_worked_example():
@@ -99,3 +103,73 @@ def test_noisy_sampling_deterministic_given_rng():
     a = sample_noisy_counts(c, m, 256, [0], np.random.default_rng(9))
     b = sample_noisy_counts(c, m, 256, [0], np.random.default_rng(9))
     assert a.counts == b.counts
+
+
+def test_closed_form_single_gate_law():
+    # |1> survives the x-gate error with 0.9; read 1 = 0.9 * 0.95 + 0.1 * 0.03
+    m = NoiseModel(
+        gate_errors={("x", (0,)): {"i": 0.9, "x": 0.1}},
+        readout={0: ((0.97, 0.03), (0.05, 0.95))},
+    )
+    probs = outcome_distribution(G.from_gates(1, [G.x(0)]), m, [0], StateVector.zero(1))
+    assert probs[1] == pytest.approx(0.858, abs=1e-12)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+_PAULI = {"x": np.array([[0, 1], [1, 0]]), "y": np.array([[0, -1j], [1j, 0]]),
+          "z": np.diag([1, -1])}
+
+
+def _trajectory_counts(c, model, shots, rng):
+    """Per-shot reference: after each gate apply a Pauli error drawn from
+    its distribution; measure; flip each bit per its readout row."""
+    n = c.n_qubits
+    steps = []  # (gate tensor, qubits, error labels, their cumulative probabilities)
+    for g in c.gates():
+        dist = model.gate_errors.get((g.kind, g.qubits), {"i" * len(g.qubits): 1.0})
+        steps.append((gate_unitary(g).reshape((2,) * 2 * len(g.qubits)), g.qubits,
+                      list(dist), np.cumsum(list(dist.values()))))
+    counts = np.zeros(2**n, dtype=int)
+    for _ in range(shots):
+        amps = StateVector.zero(n).amplitudes.reshape((2,) * n)
+        for u, qs, labels, cdf in steps:
+            k = len(qs)
+            amps = np.moveaxis(np.tensordot(u, amps, axes=(range(k, 2 * k), qs)), range(k), qs)
+            for p, q in zip(labels[min(np.searchsorted(cdf, rng.random()), len(labels) - 1)], qs):
+                if p != "i":
+                    amps = np.moveaxis(np.tensordot(_PAULI[p], amps, axes=([1], [q])), 0, q)
+        out = np.searchsorted(np.cumsum(np.abs(amps.reshape(-1)) ** 2), rng.random())
+        bits = [(int(out) >> (n - 1 - q)) & 1 for q in range(n)]
+        bits = [b ^ int(rng.random() < model.readout[q][b][1 - b]) for q, b in enumerate(bits)]
+        counts[int("".join(map(str, bits)), 2)] += 1
+    return counts
+
+
+def test_counts_follow_trajectory_law():
+    # two-sample chi-square: one multinomial draw against per-shot trajectories
+    c = G.from_gates(3, [G.h(0), G.cnot(0, 1), G.u3(2, 0.7, 0.2, 1.1), G.cnot(1, 2),
+                         G.t(1), G.h(2), G.cnot(0, 1)])
+    m = synth_model(linear_coupling_map(3), 0.05, 0.15, 0.05, np.random.default_rng(4))
+    shots = 3000
+    ref = _trajectory_counts(c, m, shots, np.random.default_rng(5))
+    new = sample_noisy_counts(c, m, shots, [0, 1, 2], np.random.default_rng(6))
+    got = np.array([new.counts.get(format(i, "03b"), 0) for i in range(8)])
+    table = np.array([ref, got])
+    table = table[:, table.sum(axis=0) > 0]
+    assert stats.chi2_contingency(table).pvalue > 0.01
+    # and the noise is resolved: the ideal law is far from both
+    ideal = marginal_probabilities(apply(c, StateVector.zero(3)), [0, 1, 2])
+    assert stats.chisquare(got, ideal * shots + 1e-9).pvalue < 1e-6
+
+
+def test_noisy_sampler_rejects_oversized_register():
+    c = G.QuantumCircuit(UNITARY_QUBIT_CAP + 1)
+    with pytest.raises(ValueError):
+        sample_noisy_counts(c, NoiseModel(), 1, [0], np.random.default_rng(0))
+
+
+def test_coverage_share():
+    m = NoiseModel(gate_errors={("h", (0,)): {"i": 0.9, "z": 0.1}})
+    c = G.from_gates(2, [G.h(0), G.h(1), G.cnot(0, 1), G.h(0)])
+    assert coverage(m, [c]) == pytest.approx(0.5)
+    assert coverage(m, [c, G.from_gates(2, [G.x(1)])]) == pytest.approx(0.4)

@@ -62,6 +62,9 @@ def test_marginal_probabilities_order():
     assert np.allclose(marginal_probabilities(s, [0, 1]), [0, 1, 0, 0])
     assert np.allclose(marginal_probabilities(s, [1, 0]), [0, 0, 1, 0])
     assert np.allclose(marginal_probabilities(s, [1]), [0, 1])
+    # a cyclic order: |100> read as (q2, q0, q1) is 010
+    s = StateVector.basis(3, 4)
+    assert np.allclose(marginal_probabilities(s, [2, 0, 1]), np.eye(8)[2])
 
 
 def test_sample_counts_matches_born_distribution(rng):

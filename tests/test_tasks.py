@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from racbem import gates as G
 from racbem import tasks
 from racbem.blockenc import BlockEncoding, extract_block
+from racbem.chebpoly import compose_fit, fit_on_interval, gibbs
 from racbem.generator import linear_coupling_map
-from racbem.noise import synth_model
+from racbem.noise import NoiseModel, synth_model
 from racbem.phasefactors import CONVERGED_L
+from racbem.statevector import circuit_unitary
 from racbem.tasks import (
     BenchmarkReport,
     MettsTrace,
@@ -184,11 +187,11 @@ def test_metts_sigma_zero_matches_ideal_sampled():
 
 def test_metts_noisy_collapse_uses_noisy_sampler(monkeypatch):
     real = tasks.sample_noisy_counts
-    noisy_calls = []  # (shots, first outcome) per call
+    noisy_calls = []  # (shots, measured, counts) per call
 
-    def counting(c, model, shots, *rest):
-        counts = real(c, model, shots, *rest)
-        noisy_calls.append((shots, next(iter(counts.counts))))
+    def counting(c, model, shots, measured, *rest):
+        counts = real(c, model, shots, measured, *rest)
+        noisy_calls.append((shots, list(measured), counts.counts))
         return counts
 
     def ideal(*args):
@@ -199,11 +202,74 @@ def test_metts_noisy_collapse_uses_noisy_sampler(monkeypatch):
     steps = 20
     trace, _ = metts_run(1.0, steps, 2, seed=6, shots=64,
                          noise_model=_metts_noise_model(), sigma=0.5)
-    assert sum(1 for shots, _ in noisy_calls if shots == 64) == 2 * steps
-    collapses = [bits for shots, bits in noisy_calls if shots == 1]
-    # every step draws until both ancillas read 0 (or gives up and resamples)
-    assert len(collapses) >= steps
-    assert sum(bits[:2] == "00" for bits in collapses) == steps - trace.resamples
+    assert sum(1 for shots, m, _ in noisy_calls if (shots, m) == (64, [0, 1])) == 2 * steps
+    # one all-qubit call per step; the next state is the system bits of
+    # one of its draws whose ancillas read 00, or a resample when none does
+    collapses = [counts for shots, m, counts in noisy_calls if m == [0, 1, 2, 3]]
+    assert len(collapses) == steps == len(noisy_calls) - 2 * steps
+    assert all(sum(c.values()) == tasks.COLLAPSE_SHOTS for c in collapses)
+    hits = [{int(b[2:], 2) for b in c if b[:2] == "00"} for c in collapses]
+    assert sum(not h for h in hits) == trace.resamples
+    assert all(nxt in h for h, nxt in zip(hits, trace.next_states) if h)
+
+
+def _denominator_circuit(beta, n, seed):
+    q = canonical_quadratic()
+    g = fit_on_interval(gibbs(beta), tasks._default_metts_lengths(beta)[1] // 2, (q.a0, q.a0 + q.a2))
+    qc, _ = tasks._qsvt_for(generate_instance(n, seed), compose_fit(g, q))
+    return qc.circuit
+
+
+def test_metts_sampled_collapse_follows_exact_column():
+    # ideal-sampled transitions from each state i follow |U_den[:dim, i]|^2,
+    # the column the exact mode draws from; one chi-square pooled over i
+    dim = 4
+    U = circuit_unitary(_denominator_circuit(1.0, 2, 15))
+    col = np.abs(U[:dim, :dim]) ** 2
+    trace, _ = metts_run(1.0, 400, 2, seed=15, shots=1)
+    assert trace.resamples == 0
+    obs = np.zeros((dim, dim))
+    np.add.at(obs, (trace.next_states, trace.states), 1)
+    exp = col / col.sum(axis=0) * obs.sum(axis=0)
+    assert obs[exp < 1e-9].sum() == 0
+    chi2 = dof = 0
+    for o, e in zip(obs.T, exp.T):
+        big = e >= 5  # cells expected below 5 are pooled into one
+        o, e = np.append(o[big], o[~big].sum()), np.append(e[big], e[~big].sum())
+        if e[-1] < 1e-9:
+            o, e = o[:-1], e[:-1]
+        chi2 += ((o - e) ** 2 / e).sum()
+        dof += len(e) - 1
+    assert dof >= 3 and stats.chi2.sf(chi2, dof) > 0.01
+    # the chain does leave its states, so the off-diagonal law is exercised
+    assert (obs * (1 - np.eye(dim))).sum() >= 5
+
+
+def test_phase_residual_flag():
+    _, report = metts_run(1.0, 5, 2, seed=15, shots=0)
+    assert report.params["converged"] is True
+    # the beta = 8 numerator fit (d = 7) overshoots |f| = 1 between grid
+    # points, so no phases reach it
+    _, report = metts_run(8.0, 5, 2, seed=15, shots=0)
+    assert report.params["residual_num"] > CONVERGED_L
+    assert report.params["converged"] is False
+    assert linpack_run(2.0, 2, 6, 11).params["converged"] is True
+
+
+def test_noise_coverage_reported_and_checked():
+    nm = _metts_noise_model()
+    _, noisy = metts_run(1.0, 3, 2, seed=6, shots=16, noise_model=nm, sigma=1.0)
+    assert noisy.params["noise_coverage"] == pytest.approx(1.0)
+    res = spectral_run(2, 3, energies=(0.5,), lengths=5, shots=16, noise_model=nm, sigma=1.0)
+    assert res.reports[0].params["noise_coverage"] == pytest.approx(1.0)
+    _, exact = metts_run(1.0, 3, 2, seed=6, shots=0, noise_model=nm, sigma=1.0)
+    assert "noise_coverage" not in exact.params
+    # a model for another register covers none of the gates
+    stray = NoiseModel(gate_errors={("cnot", (7, 8)): {"ii": 0.9, "xx": 0.1}})
+    with pytest.raises(ValueError, match="no error entry"):
+        linpack_run(2.0, 2, 6, 11, shots=16, noise_model=stray, sigma=0.5)
+    quiet = linpack_run(2.0, 2, 6, 11, shots=16, noise_model=stray, sigma=0.0)
+    assert "noise_coverage" not in quiet.params
 
 
 def test_metts_validation():

@@ -26,8 +26,8 @@ from .blockenc import (
     quadratic_for_condition,
 )
 from .chebpoly import (
+    DEFAULT_MARGIN,
     ChebPoly,
-    IntervalFit,
     compose_fit,
     cos_sqrt,
     fit_on_interval,
@@ -143,41 +143,49 @@ def generate_instance(
     return generate_block_encoding(cfg, n)
 
 
-def _noisy(noise_model: NoiseModel | None, sigma: float) -> NoiseModel | None:
-    """The model scaled by sigma, or None when sampling is ideal."""
-    if noise_model is not None and sigma > 0.0:
-        return scale_noise(noise_model, sigma)
-    return None
+class _Measure:
+    """How one run measures: analytic success probabilities when shots =
+    0, else counts drawn from the run's generator, through the noise model
+    scaled once by sigma or by ideal Born sampling.  The samplers are
+    looked up in this module at call time."""
 
+    def __init__(self, shots: int, noise_model: NoiseModel | None, sigma: float,
+                 rng: np.random.Generator | None):
+        if shots and rng is None:
+            raise ValueError("sampled mode needs an rng")
+        self.shots, self.model, self.sigma, self.rng = shots, noise_model, sigma, rng
+        noisy = shots and noise_model is not None and sigma != 0.0
+        self.noise = scale_noise(noise_model, sigma) if noisy else None
 
-def _noise_params(
-    noise_model: NoiseModel | None, sigma: float, shots: int, circuits
-) -> dict:
-    """The `noise_coverage` report entry of a noisy sampled run (empty
-    otherwise): the share of the sampled gates that have an error entry.
-    At sigma > 0 a model that covers no gate, say one built for another
-    register size, would pass an ideal run off as noisy, so it raises."""
-    if shots == 0 or noise_model is None or sigma == 0.0:
-        return {}
-    share = coverage(noise_model, circuits)
-    if share == 0.0:
-        raise ValueError("the noise model has no error entry for any gate of the circuit")
-    return {"noise_coverage": share}
+    def counts(self, circuit: G.QuantumCircuit, shots: int, measured: list[int],
+               input_state: StateVector):
+        """Counts of `shots` draws on the measured qubits."""
+        if self.noise is not None:
+            return sample_noisy_counts(circuit, self.noise, shots, measured, self.rng, input_state)
+        return sample_counts(circuit, shots, measured, self.rng, input_state)
 
+    def success(self, circuit: G.QuantumCircuit, m: int,
+                input_state: StateVector | None = None) -> float:
+        """P(all m ancillas read 0)."""
+        if input_state is None:
+            input_state = StateVector.zero(circuit.n_qubits)
+        if self.shots == 0:
+            return success_probability_exact(circuit, m, input_state)
+        counts = self.counts(circuit, self.shots, list(range(m)), input_state)
+        return counts.counts.get("0" * m, 0) / self.shots
 
-def _sample(
-    circuit: G.QuantumCircuit,
-    shots: int,
-    measured: list[int],
-    rng: np.random.Generator,
-    noise: NoiseModel | None,
-    input_state: StateVector,
-):
-    """Counts on the measured qubits: drawn through the already-scaled
-    noise model, or ideal Born sampling when noise is None."""
-    if noise is not None:
-        return sample_noisy_counts(circuit, noise, shots, measured, rng, input_state)
-    return sample_counts(circuit, shots, measured, rng, input_state)
+    def params(self, circuits) -> dict:
+        """The report's shots and sigma and, on a noisy sampled run,
+        `noise_coverage`: the share of the sampled gates that have an error
+        entry.  A model that covers no gate, say one built for another
+        register size, would pass an ideal run off as noisy, so it raises."""
+        params = {"shots": self.shots, "sigma": self.sigma}
+        if self.noise is not None:
+            share = coverage(self.model, circuits)
+            if share == 0.0:
+                raise ValueError("the noise model has no error entry for any gate of the circuit")
+            params["noise_coverage"] = share
+        return params
 
 
 def measure_success(
@@ -190,15 +198,7 @@ def measure_success(
     input_state: StateVector | None = None,
 ) -> float:
     """P(all ancillas read 0): analytic when shots=0, else sampled."""
-    if input_state is None:
-        input_state = StateVector.zero(circuit.n_qubits)
-    if shots == 0:
-        return success_probability_exact(circuit, m_ancilla, input_state)
-    if rng is None:
-        raise ValueError("sampled mode needs an rng")
-    counts = _sample(circuit, shots, list(range(m_ancilla)), rng,
-                     _noisy(noise_model, sigma), input_state)
-    return counts.counts.get("0" * m_ancilla, 0) / shots
+    return _Measure(shots, noise_model, sigma, rng).success(circuit, m_ancilla, input_state)
 
 
 def _qsvt_for(ua: BlockEncoding, f: ChebPoly, allow_odd: bool = False):
@@ -208,9 +208,43 @@ def _qsvt_for(ua: BlockEncoding, f: ChebPoly, allow_odd: bool = False):
     return qc, residual
 
 
+def _point(
+    ua: BlockEncoding,
+    q: QuadraticH,
+    target,
+    degree: int,
+    margin: float = DEFAULT_MARGIN,
+) -> tuple[QsvtCircuit, dict]:
+    """One QSVT point: fit the target on h's range, compose with h, solve
+    the phases and build the circuit of even degree `degree`.
+
+    Returns (circuit, report params: scale, fit error in target units,
+    phase residual and its convergence flag)."""
+    g = fit_on_interval(target, degree // 2, (q.a0, q.a0 + q.a2), margin)
+    f = compose_fit(g, q)
+    qc, residual = _qsvt_for(ua, f)
+    return qc, {"scale": f.scale, "fit_error": g.err, "residual": residual,
+                "converged": bool(residual <= CONVERGED_L)}
+
+
 def _hermitian_matrix(ua: BlockEncoding, q: QuadraticH) -> np.ndarray:
     A = extract_block(ua)
     return q.a2 * (A.conj().T @ A) + q.a0 * np.eye(A.shape[0])
+
+
+def _canonical_instance(n, seed, p_cnot, depth, coupling, ua):
+    """(U_A, canonical h, h(A), |0^n>), generating U_A unless given."""
+    q = canonical_quadratic()
+    if ua is None:
+        ua = generate_instance(n, seed, p_cnot, depth, coupling)
+    return ua, q, _hermitian_matrix(ua, q), StateVector.basis(n, 0).amplitudes
+
+
+def _report(task: str, seed: int, params: dict, p_measured: float, p_exact: float,
+            circuit: G.QuantumCircuit, t0: float) -> BenchmarkReport:
+    """The report of one measured point, timed from t0."""
+    return BenchmarkReport(task, seed, params, p_measured, p_exact,
+                           G.gate_count(circuit), time.perf_counter() - t0)
 
 
 # -- RACBEM application benchmark ---------------------------------------
@@ -231,19 +265,10 @@ def racbem_benchmark(
     ua = generate_instance(n, seed, p_cnot, depth, coupling)
     A = extract_block(ua)
     p_exact = float(np.linalg.norm(A[:, 0]) ** 2)
-    rng = np.random.default_rng(seed) if shots else None
-    noise_params = _noise_params(noise_model, sigma, shots, [ua.circuit])
-    p_measured = measure_success(ua.circuit, 1, shots, rng, noise_model, sigma)
-    return BenchmarkReport(
-        task="racbem-bench",
-        seed=seed,
-        params={"n": n, "shots": shots, "sigma": sigma, "p_cnot": p_cnot,
-                "depth": ua.circuit.depth, **noise_params},
-        p_measured=p_measured,
-        p_exact=p_exact,
-        gate_counts=G.gate_count(ua.circuit),
-        wall_time=time.perf_counter() - t0,
-    )
+    run = _Measure(shots, noise_model, sigma, np.random.default_rng(seed))
+    params = {"n": n, **run.params([ua.circuit]), "p_cnot": p_cnot, "depth": ua.circuit.depth}
+    return _report("racbem-bench", seed, params, run.success(ua.circuit, 1), p_exact,
+                   ua.circuit, t0)
 
 
 # -- linear-solve success-probability benchmark -------------------------
@@ -279,38 +304,26 @@ def linpack_run(
     # margin 0 keeps alpha at kappa (plus fit overshoot only), so the
     # success floor (1/kappa - eps)^2 <= ||alpha^-1 h^-1 b||^2 holds for
     # every instance, including b aligned with the top eigenvector
-    g = fit_on_interval(inverse(kappa), d // 2, margin=0.0)
-    f = compose_fit(g, q)
-    alpha = f.scale
-    eps = g.err / alpha
-    qc, residual = _qsvt_for(ua, f)
-    rng = np.random.default_rng(seed) if shots else None
-    noise_params = _noise_params(noise_model, sigma, shots, [qc.circuit])
-    p_measured = measure_success(qc.circuit, 2, shots, rng, noise_model, sigma)
-    hmat = _hermitian_matrix(ua, q)
-    x = np.linalg.solve(hmat, StateVector.basis(n, 0).amplitudes)
+    qc, point = _point(ua, q, inverse(kappa), d, margin=0.0)
+    alpha = point["scale"]
+    eps = point["fit_error"] / alpha
+    run = _Measure(shots, noise_model, sigma, np.random.default_rng(seed))
+    sampling = run.params([qc.circuit])
+    p_measured = run.success(qc.circuit, 2)
+    x = np.linalg.solve(_hermitian_matrix(ua, q), StateVector.basis(n, 0).amplitudes)
     p_exact = float(np.linalg.norm(x / alpha) ** 2)
-    bound_rel = 2 * kappa * eps / (1 - kappa * eps) if kappa * eps < 1 else math.inf
     bound_floor = (1 / kappa - eps) ** 2
-    counts = G.gate_count(qc.circuit)
-    return BenchmarkReport(
-        task="linpack",
-        seed=seed,
-        params={
-            "kappa": kappa, "n": n, "d": d, "shots": shots, "sigma": sigma,
-            "p_cnot": p_cnot, "depth": ua.circuit.depth, "alpha": alpha,
-            "epsilon": eps, "residual": residual,
-            "converged": bool(residual <= CONVERGED_L),
-            "relative_error_bound": bound_rel,
-            "p_exact_floor": bound_floor,
-            "p_exact_above_floor": bool(p_exact >= bound_floor),
-            "gate_budget": qc.gate_budget, **noise_params,
-        },
-        p_measured=p_measured,
-        p_exact=p_exact,
-        gate_counts=counts,
-        wall_time=time.perf_counter() - t0,
-    )
+    params = {
+        "kappa": kappa, "n": n, "d": d, **sampling, "p_cnot": p_cnot,
+        "depth": ua.circuit.depth, "alpha": alpha, "epsilon": eps,
+        "residual": point["residual"], "converged": point["converged"],
+        "relative_error_bound": (2 * kappa * eps / (1 - kappa * eps)
+                                 if kappa * eps < 1 else math.inf),
+        "p_exact_floor": bound_floor,
+        "p_exact_above_floor": bool(p_exact >= bound_floor),
+        "gate_budget": qc.gate_budget,
+    }
+    return _report("linpack", seed, params, p_measured, p_exact, qc.circuit, t0)
 
 
 # -- time series --------------------------------------------------------
@@ -331,31 +344,6 @@ class SeriesResult:
     values: tuple[complex, ...]
     exact: tuple[complex, ...]
     reports: tuple[BenchmarkReport, ...] = field(repr=False)
-
-
-def _series_part(
-    ua: BlockEncoding,
-    q: QuadraticH,
-    target,
-    degree: int,
-    shots: int,
-    rng,
-    noise_model,
-    sigma: float,
-) -> tuple[float, QsvtCircuit, dict]:
-    """One quadrature part: fit, build, measure.
-
-    Returns (p_measured, circuit, report params: scale, fit error in
-    target units, phase residual, its convergence flag and, when noisy,
-    the noise coverage)."""
-    g = fit_on_interval(target, degree // 2, (q.a0, q.a0 + q.a2))
-    f = compose_fit(g, q)
-    qc, residual = _qsvt_for(ua, f)
-    params = {"scale": f.scale, "fit_error": g.err, "residual": residual,
-              "converged": bool(residual <= CONVERGED_L),
-              **_noise_params(noise_model, sigma, shots, [qc.circuit])}
-    p = measure_success(qc.circuit, 2, shots, rng, noise_model, sigma)
-    return p, qc, params
 
 
 def time_series_run(
@@ -384,42 +372,28 @@ def time_series_run(
         raise ValueError("grid and per-point parameter lists must align")
     if any(e < 1.0 for e in etas_real + etas_imag):
         raise ValueError("eta must be >= 1 at every point")
-    q = canonical_quadratic()
-    if ua is None:
-        ua = generate_instance(n, seed, p_cnot, depth, coupling)
-    hmat = _hermitian_matrix(ua, q)
-    psi = StateVector.basis(n, 0).amplitudes
-    rng = np.random.default_rng(seed) if shots else None
+    ua, q, hmat, psi = _canonical_instance(n, seed, p_cnot, depth, coupling, ua)
+    run = _Measure(shots, noise_model, sigma, np.random.default_rng(seed))
     values, exact, reports = [], [], []
     for t, dr, di, er, ei in zip(ts, lengths_real, lengths_imag, etas_real, etas_imag):
-        t0 = time.perf_counter()
-        pc, qc_c, par_c = _series_part(
-            ua, q, cos_sqrt(t, er), dr - 1, shots, rng, noise_model, sigma
-        )
-        ps, qc_s, par_s = _series_part(
-            ua, q, sin_sqrt(t, ei), di - 1, shots, rng, noise_model, sigma
-        )
-        s = complex(2 * par_c["scale"]**2 * pc - er, 2 * par_s["scale"]**2 * ps - ei)
         s_ref = exact_time_series(hmat, psi, t)
-        values.append(s)
-        exact.append(s_ref)
-        wall = time.perf_counter() - t0
-        for part, p, qc, par, eta, dd, ref in (
-            ("real", pc, qc_c, par_c, er, dr, (s_ref.real + er) / 2),
-            ("imag", ps, qc_s, par_s, ei, di, (s_ref.imag + ei) / 2),
+        parts = []
+        for part, target, length, eta, ref in (
+            ("real", cos_sqrt(t, er), dr, er, s_ref.real),
+            ("imag", sin_sqrt(t, ei), di, ei, s_ref.imag),
         ):
-            reports.append(
-                BenchmarkReport(
-                    task=f"timeseries-{part}",
-                    seed=seed,
-                    params={"n": n, "t": t, "eta": eta, "length": dd,
-                            **par, "shots": shots, "sigma": sigma},
-                    p_measured=p,
-                    p_exact=ref / par["scale"]**2,
-                    gate_counts=G.gate_count(qc.circuit),
-                    wall_time=wall / 2,
-                )
-            )
+            t0 = time.perf_counter()
+            qc, par = _point(ua, q, target, length - 1)
+            par.update(run.params([qc.circuit]))
+            p = run.success(qc.circuit, 2)
+            parts.append(2 * par["scale"]**2 * p - eta)
+            reports.append(_report(
+                f"timeseries-{part}", seed,
+                {"n": n, "t": t, "eta": eta, "length": length, **par},
+                p, (ref + eta) / 2 / par["scale"]**2, qc.circuit, t0,
+            ))
+        values.append(complex(*parts))
+        exact.append(s_ref)
     return SeriesResult(tuple(ts), tuple(values), tuple(exact), tuple(reports))
 
 
@@ -453,34 +427,21 @@ def spectral_run(
         lengths = (lengths,) * len(energies)
     if len(lengths) != len(energies):
         raise ValueError("need one phase length per energy point")
-    q = canonical_quadratic()
-    if ua is None:
-        ua = generate_instance(n, seed, p_cnot, depth, coupling)
-    hmat = _hermitian_matrix(ua, q)
-    psi = StateVector.basis(n, 0).amplitudes
-    rng = np.random.default_rng(seed) if shots else None
+    ua, q, hmat, psi = _canonical_instance(n, seed, p_cnot, depth, coupling, ua)
+    run = _Measure(shots, noise_model, sigma, np.random.default_rng(seed))
     values, exact, reports = [], [], []
     for E, length in zip(energies, lengths):
         t0 = time.perf_counter()
-        p, qc, par = _series_part(
-            ua, q, lorentzian_sqrt(eta, E), length - 1, shots, rng, noise_model, sigma
-        )
-        s = par["scale"]**2 * p / (eta * math.pi)
+        qc, par = _point(ua, q, lorentzian_sqrt(eta, E), length - 1)
+        par.update(run.params([qc.circuit]))
+        p = run.success(qc.circuit, 2)
         s_ref = exact_spectral_measure(hmat, psi, E, eta)
-        values.append(complex(s))
+        values.append(complex(par["scale"]**2 * p / (eta * math.pi)))
         exact.append(complex(s_ref))
-        reports.append(
-            BenchmarkReport(
-                task="spectral",
-                seed=seed,
-                params={"n": n, "E": E, "eta": eta, "length": length,
-                        **par, "shots": shots, "sigma": sigma},
-                p_measured=p,
-                p_exact=s_ref * eta * math.pi / par["scale"]**2,
-                gate_counts=G.gate_count(qc.circuit),
-                wall_time=time.perf_counter() - t0,
-            )
-        )
+        reports.append(_report(
+            "spectral", seed, {"n": n, "E": E, "eta": eta, "length": length, **par},
+            p, s_ref * eta * math.pi / par["scale"]**2, qc.circuit, t0,
+        ))
     return SeriesResult(tuple(energies), tuple(values), tuple(exact), tuple(reports))
 
 
@@ -561,18 +522,13 @@ def metts_run(
     if d_num % 2 == 0 or d_den % 2:
         raise ValueError("numerator degree must be odd, denominator even")
     t0 = time.perf_counter()
-    q = canonical_quadratic()
-    if ua is None:
-        ua = generate_instance(n, seed, p_cnot, depth, coupling)
-    hmat = _hermitian_matrix(ua, q)
-
+    ua, q, hmat, _ = _canonical_instance(n, seed, p_cnot, depth, coupling, ua)
     f_num, err_num = fit_scaled(odd_gibbs(beta), d_num, "odd", (0.0, 1.0))
     qc_num, res_num = _qsvt_for(ua, f_num, allow_odd=True)
-    g_den = fit_on_interval(gibbs(beta), d_den // 2, (q.a0, q.a0 + q.a2))
-    f_den = compose_fit(g_den, q)
-    qc_den, res_den = _qsvt_for(ua, f_den)
+    qc_den, den = _point(ua, q, gibbs(beta), d_den)
 
-    rng = np.random.default_rng(seed)
+    run = _Measure(shots, noise_model, sigma, np.random.default_rng(seed))
+    rng = run.rng
     dim = 2**n
     n_tot = qc_den.circuit.n_qubits
 
@@ -586,8 +542,7 @@ def metts_run(
         pd_by_state = np.sum(np.abs(U_den[:dim, :dim]) ** 2, axis=0)
         collapse_blocks = np.abs(U_den[:dim, :dim]) ** 2
 
-    noise_params = _noise_params(noise_model, sigma, shots, [qc_num.circuit, qc_den.circuit])
-    noise = None if exact_mode else _noisy(noise_model, sigma)
+    sampling = run.params([qc_num.circuit, qc_den.circuit])
     states, energies, nexts = [], [], []
     resamples = 0
     flagged = 0
@@ -598,11 +553,9 @@ def metts_run(
             pd = float(pd_by_state[i])
         else:
             inp = StateVector.basis(n_tot, i)
-            counts = _sample(qc_num.circuit, shots, [0, 1], rng, noise, inp)
-            pn = counts.counts.get("00", 0) / shots
-            counts = _sample(qc_den.circuit, shots, [0, 1], rng, noise, inp)
-            pd = counts.counts.get("00", 0) / shots
-        denom = f_den.scale**2 * pd
+            pn = run.success(qc_num.circuit, 2, inp)
+            pd = run.success(qc_den.circuit, 2, inp)
+        denom = den["scale"]**2 * pd
         if denom < PD_FLOOR:
             flagged += 1
             energy = 0.0
@@ -622,7 +575,7 @@ def metts_run(
             else:
                 i_next = int(rng.choice(dim, p=dist / total))
         else:
-            counts = _sample(qc_den.circuit, COLLAPSE_SHOTS, list(range(n_tot)), rng, noise, inp)
+            counts = run.counts(qc_den.circuit, COLLAPSE_SHOTS, list(range(n_tot)), inp)
             # the draws are exchangeable, so a uniform pick among those
             # post-selected has the law of the first post-selected one
             hits = [int(bits[2:], 2) for bits, k in counts.counts.items()
@@ -636,33 +589,15 @@ def metts_run(
         i = i_next
 
     cma = tuple(np.cumsum(energies) / np.arange(1, steps + 1))
-    estimate = cma[-1]
-    exact = exact_thermal_energy(hmat, beta)
-    trace = MettsTrace(
-        states=tuple(states),
-        energies=tuple(energies),
-        next_states=tuple(nexts),
-        cma=cma,
-        estimate=float(estimate),
-        exact=float(exact),
-        resamples=resamples,
-        flagged=flagged,
-    )
-    report = BenchmarkReport(
-        task="metts",
-        seed=seed,
-        params={"beta": beta, "steps": steps, "n": n, "d_num": d_num,
-                "d_den": d_den, "shots": shots, "sigma": sigma,
-                "scale_num": f_num.scale, "scale_den": f_den.scale,
-                "fit_error_num": err_num, "fit_error_den": g_den.err,
-                "residual_num": res_num, "residual_den": res_den,
-                "converged": bool(max(res_num, res_den) <= CONVERGED_L),
-                "resamples": resamples, "flagged": flagged, **noise_params},
-        p_measured=float(estimate),
-        p_exact=float(exact),
-        gate_counts=G.gate_count(qc_den.circuit),
-        wall_time=time.perf_counter() - t0,
-    )
+    trace = MettsTrace(tuple(states), tuple(energies), tuple(nexts), cma, float(cma[-1]),
+                       float(exact_thermal_energy(hmat, beta)), resamples, flagged)
+    params = {"beta": beta, "steps": steps, "n": n, "d_num": d_num, "d_den": d_den,
+              **sampling, "scale_num": f_num.scale, "scale_den": den["scale"],
+              "fit_error_num": err_num, "fit_error_den": den["fit_error"],
+              "residual_num": res_num, "residual_den": den["residual"],
+              "converged": bool(max(res_num, den["residual"]) <= CONVERGED_L),
+              "resamples": resamples, "flagged": flagged}
+    report = _report("metts", seed, params, trace.estimate, trace.exact, qc_den.circuit, t0)
     return trace, report
 
 

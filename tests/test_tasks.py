@@ -272,6 +272,16 @@ def test_noise_coverage_reported_and_checked():
     assert "noise_coverage" not in quiet.params
 
 
+def test_noise_model_scaled_once_per_run(monkeypatch):
+    scaled = []
+    scale = tasks.scale_noise
+    monkeypatch.setattr(tasks, "scale_noise", lambda m, sigma: scaled.append(sigma) or scale(m, sigma))
+    res = spectral_run(2, 3, energies=(0.3, 0.5, 0.7), lengths=5, shots=16,
+                       noise_model=_metts_noise_model(), sigma=0.5)
+    assert all(r.params["noise_coverage"] == pytest.approx(1.0) for r in res.reports)
+    assert scaled == [0.5]
+
+
 def test_metts_validation():
     with pytest.raises(ValueError):
         metts_run(-1.0, 10, 2, 0)

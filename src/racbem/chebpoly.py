@@ -25,21 +25,20 @@ BOUND_TOL = 1e-12
 PARITIES = ("even", "odd", "none")
 
 
-def _grid_max(coeffs: np.ndarray) -> float:
-    # dense mixed grid: Chebyshev points resolve the edges, the uniform
-    # part catches interior bumps a coarse grid can miss (a target even
-    # 1e-3 above 1 is unrealizable and stalls the phase solver)
-    d = max(len(coeffs) - 1, 1)
-    xs = np.concatenate(
-        [np.cos(np.linspace(0.0, np.pi, 30 * d + 31)), np.linspace(-1.0, 1.0, 2001)]
-    )
-    return float(np.abs(C.chebval(xs, coeffs)).max())
+def _max_abs(coeffs: np.ndarray) -> float:
+    """Exact max |p| on [-1, 1]: at the ends or where p' vanishes inside.
+    Every root of p' is tried at its real part clipped to [-1, 1], so a
+    real root that the eigenvalue solve moves off the axis still counts."""
+    c = np.asarray(coeffs, dtype=float)
+    stationary = C.chebroots(C.chebder(c)).real if len(c) > 2 else np.empty(0)
+    xs = np.concatenate([[-1.0, 1.0], np.clip(stationary, -1.0, 1.0)])
+    return float(np.abs(C.chebval(xs, c)).max())
 
 
 def _fold_overshoot(coeffs: np.ndarray, parity: str, scale: float) -> "ChebPoly":
     """ChebPoly of the coefficients with any excess of |p| over 1 folded
     into the scale, so the stored polynomial stays realizable."""
-    m = _grid_max(coeffs)
+    m = _max_abs(coeffs)
     bump = m * (1.0 + 10 * BOUND_TOL) if m > 1.0 else 1.0
     return ChebPoly(tuple(coeffs / bump), parity, scale * bump)
 
@@ -68,7 +67,7 @@ class ChebPoly:
         if self.parity in ("even", "odd"):
             if any(abs(c) > 1e-12 for c in coeffs[start::2]):
                 raise ValueError(f"nonzero off-parity coefficient for {self.parity}")
-        if _grid_max(np.asarray(coeffs)) > 1.0 + BOUND_TOL:
+        if _max_abs(np.asarray(coeffs)) > 1.0 + BOUND_TOL:
             raise ValueError("polynomial exceeds 1 in magnitude on [-1, 1]")
 
     @property
@@ -241,7 +240,6 @@ def _remez_core(
     w: Callable,
     degree: int,
     interval: tuple[float, float],
-    max_iter: int = REMEZ_MAX_ITER,
 ) -> tuple[np.ndarray, float]:
     """Best weighted approximation min max |w(x) p(x) - f(x)| on [a, b].
 
@@ -277,7 +275,7 @@ def _remez_core(
         return sol[:-1], sol[-1]
 
     prev_E = None
-    for _ in range(max_iter):
+    for _ in range(REMEZ_MAX_ITER):
         coeffs, E = solve(refs)
         xi_g = (2 * grid - (a + b)) / (b - a)
         err = wg * C.chebval(xi_g, coeffs) - fg
@@ -318,7 +316,7 @@ def _remez_core(
     emax = float(np.abs(err).max())
     if emax > 2.0 * abs(E) + 1e-14:
         raise RemezError(
-            f"no convergence in {max_iter} exchanges (E={E:.3e}, max={emax:.3e})"
+            f"no convergence in {REMEZ_MAX_ITER} exchanges (E={E:.3e}, max={emax:.3e})"
         )
     return coeffs, emax
 
@@ -356,7 +354,6 @@ def remez(
     degree: int,
     parity: str = "none",
     interval: tuple[float, float] | None = None,
-    max_iter: int = REMEZ_MAX_ITER,
 ) -> tuple[ChebPoly, float]:
     """Best degree-``degree`` polynomial approximation of t on the interval.
 
@@ -370,7 +367,7 @@ def remez(
         interval = getattr(t, "domain", (-1.0, 1.0))
     a, b = interval
     if parity == "none":
-        local, err = _remez_core(t, _unit_weight, degree, (a, b), max_iter)
+        local, err = _remez_core(t, _unit_weight, degree, (a, b))
         coeffs = _global_coeffs_from_local(local, (a, b), degree, "none")
     elif parity in ("even", "odd"):
         odd = parity == "odd"
@@ -382,7 +379,6 @@ def remez(
             (lambda u: np.sqrt(np.asarray(u, float))) if odd else _unit_weight,
             degree // 2,
             (ua, ub),
-            max_iter,
         )
         coeffs = _global_coeffs_from_local(local, (ua, ub), degree, parity)
         coeffs[(0 if odd else 1)::2] = 0.0  # off-parity coefficients
@@ -449,12 +445,7 @@ def fit_on_interval(
     if interval is None:
         interval = getattr(t, "domain", (-1.0, 1.0))
     scaled, alpha = apply_scaling(t, interval, margin)
-    local, err = _remez_core(
-        scaled,
-        _unit_weight,
-        degree,
-        interval,
-    )
+    local, err = _remez_core(scaled, _unit_weight, degree, interval)
     return IntervalFit(tuple(local), interval, alpha, float(err * alpha))
 
 

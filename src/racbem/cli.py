@@ -162,13 +162,14 @@ def _generator_config(args) -> GeneratorConfig:
 
 def _task_kwargs(args, *required) -> dict:
     """The preamble every task shares: check the required options, then
-    resolve sampling mode, noise model, p_cnot and depth into the task
-    keyword arguments."""
+    resolve sampling mode, noise model, p_cnot, depth and coupling map
+    into the task keyword arguments."""
     _require(args, "n", "seed", *required)
     shots, sigma = _sampling(args)
     return {
         "shots": shots, "sigma": sigma, "noise_model": _noise_for(args),
         "p_cnot": _p_cnot(args), "depth": _resolve_depth(args, args.n),
+        "coupling": _coupling_for(args, args.n + 1),
     }
 
 
@@ -176,7 +177,8 @@ def _write_task(args, kw: dict, base: str, keys: tuple[str, ...], body: dict, re
     """Write the artifact (config echo plus body), the JSONL report
     stream, and the CSV when --csv is given; file names derive from base."""
     echo = _effective_config(args, keys)
-    echo.update({"shots": kw["shots"], "sigma": kw["sigma"], "depth": kw["depth"]})
+    echo.update({"shots": kw["shots"], "sigma": kw["sigma"], "depth": kw["depth"],
+                 "coupling": args.coupling})
     _atomic_write(_resolve_out(args, base + ".json"), _echo(echo, body))
     stream = args.reports or os.path.join(_out_dir(), base + ".reports.jsonl")
     _atomic_write(stream, "".join(json.dumps(r.to_record()) + "\n" for r in reports))
@@ -421,14 +423,17 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviated flags: a flag counts as explicit, and wins over the
+    # config file, when argv spells it out
     p = argparse.ArgumentParser(
         prog="racbem",
         description="random-circuit block-encoding benchmarks",
+        allow_abbrev=False,
     )
     p.add_argument("--config", default=None, help=CONFIG_HELP)
     sub = p.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, flags) in COMMANDS.items():
-        s = sub.add_parser(name, help=help_text)
+        s = sub.add_parser(name, help=help_text, allow_abbrev=False)
         # SUPPRESS keeps a top-level --config when the subcommand has none
         s.add_argument("--config", default=argparse.SUPPRESS, help=CONFIG_HELP)
         for flag, kw in flags:
@@ -437,11 +442,31 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _config_value(key: str, value, kw: dict):
+    """A config value parsed as its flag parses the command line: lists
+    join with commas, then the flag's type and choices apply."""
+    if kw.get("action") == "store_true":
+        if not isinstance(value, bool):
+            raise SchemaError(f"config key {key!r} must be true or false")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float, list)):
+        raise SchemaError(f"config key {key!r} must be a string, a number or a list")
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    try:
+        parsed = kw.get("type", str)(text)
+    except ValueError:
+        raise SchemaError(f"config key {key!r}: invalid value {value!r}")
+    if "choices" in kw and parsed not in kw["choices"]:
+        raise SchemaError(f"config key {key!r}: {parsed!r} is not one of {list(kw['choices'])}")
+    return parsed
+
+
 def _apply_config_file(args, argv):
     """Apply the --config JSON file over the flag defaults.
 
     Values for keys the user passed explicitly on the command line are
-    left alone; unknown keys are schema errors."""
+    left alone; unknown keys and values the flag cannot parse are schema
+    errors."""
     if not args.config:
         return args
     with open(args.config) as fh:
@@ -451,15 +476,15 @@ def _apply_config_file(args, argv):
             raise SchemaError(f"config file is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise SchemaError("config file must hold a JSON object")
+    flags = {flag[2:].replace("-", "_"): kw for flag, kw in COMMANDS[args.command][2]}
     explicit = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        # func and command are parser bookkeeping, not flags
-        if dest in ("func", "command") or not hasattr(args, dest):
+        if dest not in flags:
             raise SchemaError(f"unknown config key {key!r}")
+        value = _config_value(key, value, flags[dest])
         if dest not in explicit:
-            # JSON arrays become tuples, as the list flags parse to
-            setattr(args, dest, tuple(value) if isinstance(value, list) else value)
+            setattr(args, dest, value)
     return args
 
 

@@ -230,3 +230,51 @@ def test_noise_model_without_coverage_exits_4(tmp_path, monkeypatch, capsys):
     assert code == 4
     rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert rec["error"] == "module" and "no error entry" in rec["message"]
+
+
+def test_task_commands_use_coupling_map(tmp_path, monkeypatch):
+    base = ["linpack", "--n", "2", "--seed", "11", "--kappa", "2", "--d", "6", "--exact"]
+    # t5 has 5 qubits; U_A on 2 system qubits needs 3
+    assert run(base + ["--coupling", "t5"], monkeypatch, tmp_path) == 4
+    one_edge = tmp_path / "edge.json"
+    one_edge.write_text(json.dumps({"n_qubits": 3, "edges": [[0, 2]]}))
+    chain, mapped = tmp_path / "chain.json", tmp_path / "mapped.json"
+    assert run(base + ["--out", str(chain)], monkeypatch, tmp_path) == 0
+    assert run(base + ["--coupling", str(one_edge), "--out", str(mapped)], monkeypatch, tmp_path) == 0
+    a, b = json.loads(chain.read_text()), json.loads(mapped.read_text())
+    assert a["config"]["coupling"] is None and b["config"]["coupling"] == str(one_edge)
+    assert a["report"]["p_exact"] != b["report"]["p_exact"]
+
+
+def test_config_values_parse_with_flag_type(tmp_path, monkeypatch, capsys):
+    base = ["linpack", "--seed", "11", "--kappa", "2", "--d", "6", "--exact"]
+    outs = []
+    for k, n in enumerate((2, "2")):
+        cfg, out = tmp_path / f"c{k}.json", tmp_path / f"o{k}.json"
+        cfg.write_text(json.dumps({"n": n}))
+        assert run(base + ["--config", str(cfg), "--out", str(out)], monkeypatch, tmp_path) == 0
+        outs.append(json.loads(out.read_text()))
+    assert outs[1]["config"]["n"] == 2
+    assert outs[0]["report"]["p_exact"] == outs[1]["report"]["p_exact"]
+    bad = tmp_path / "bad.json"
+    for body, cmd in (({"n": "two"}, base), ({"exact": "yes"}, base),
+                      ({"lengths_real": [3, 3.5]}, ["timeseries", "--n", "1", "--seed", "1"]),
+                      ({"parity": "neither"}, ["remez", "--target", "inverse", "--kappa", "2",
+                                               "--degree", "6"])):
+        bad.write_text(json.dumps(body))
+        assert run(cmd + ["--config", str(bad)], monkeypatch, tmp_path) == 2
+        rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert rec["error"] == "schema" and repr(next(iter(body))) in rec["message"]
+
+
+def test_explicit_flag_wins_over_config(tmp_path, monkeypatch):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n": 2, "seed": 11, "kappa": 5.0, "d": 6}))
+    out = tmp_path / "o.json"
+    assert run(["linpack", "--config", str(cfg), "--exact", "--kappa=2", "--out", str(out)],
+               monkeypatch, tmp_path) == 0
+    assert json.loads(out.read_text())["config"]["kappa"] == 2.0
+    # an abbreviation would be matched by argparse but not seen as explicit
+    with pytest.raises(SystemExit) as exc:
+        run(["linpack", "--config", str(cfg), "--exact", "--kap", "2"], monkeypatch, tmp_path)
+    assert exc.value.code == 2

@@ -7,9 +7,7 @@ from racbem.chebpoly import (
     ChebPoly,
     compose_fit,
     fit_on_interval,
-    fit_scaled,
     lorentzian_sqrt,
-    odd_gibbs,
 )
 from racbem.phasefactors import (
     CONVERGED_L,
@@ -87,13 +85,22 @@ def test_optimize_spectral_target_that_stalled_lbfgs():
 
 
 def test_optimize_reports_infeasible_target():
-    # the degree-7 Gibbs numerator fit peaks 1.4e-6 above 1 between the
-    # points ChebPoly checks, so no phases reproduce it; the solve must
-    # return and say so through L
-    f, _ = fit_scaled(odd_gibbs(8.0), 7, "odd", (0.0, 1.0))
+    # the degree-7 Gibbs numerator fit at beta = 8 raised to peak 1e-6
+    # above 1: a sampled grid (30 d + 31 Chebyshev and 2,001 uniform
+    # points) still reads 4e-7 below 1 there
+    raw = (0.0, 0.4294603233615999, 0.0, -0.5620586684857669,
+           0.0, 0.2966682740560377, 0.0, -0.10625800151703114)
     xs = np.cos(np.linspace(0, np.pi, 200_001))
-    assert np.abs(C.chebval(xs, f.coeffs)).max() > 1 + 1e-7
-    phases, L = optimize(f)
+    assert np.abs(C.chebval(xs, raw)).max() > 1 + 5e-7
+    # ChebPoly finds the peak, which lies between the points of a sampled grid
+    with pytest.raises(ValueError, match="exceeds 1"):
+        ChebPoly(raw, "odd")
+    # no phases reproduce it: built past validation, the solve must
+    # return and say so through L
+    bad = object.__new__(ChebPoly)
+    for name, value in (("coeffs", raw), ("parity", "odd"), ("scale", 1.0)):
+        object.__setattr__(bad, name, value)
+    phases, L = optimize(bad)
     assert L > CONVERGED_L
     assert phases.symmetric
 

@@ -30,9 +30,8 @@ def _max_abs(coeffs: np.ndarray) -> float:
     Every root of p' is tried at its real part clipped to [-1, 1], so a
     real root that the eigenvalue solve moves off the axis still counts."""
     c = np.asarray(coeffs, dtype=float)
-    stationary = C.chebroots(C.chebder(c)).real if len(c) > 2 else np.empty(0)
-    xs = np.concatenate([[-1.0, 1.0], np.clip(stationary, -1.0, 1.0)])
-    return float(np.abs(C.chebval(xs, c)).max())
+    stationary = np.clip(C.chebroots(C.chebder(c)).real, -1.0, 1.0)
+    return float(np.abs(C.chebval(np.concatenate([[-1.0, 1.0], stationary]), c)).max())
 
 
 def _fold_overshoot(coeffs: np.ndarray, parity: str, scale: float) -> "ChebPoly":

@@ -144,8 +144,8 @@ def generate_instance(
 
 
 class _Measure:
-    """How one run measures: analytic success probabilities when shots =
-    0, else counts drawn from the run's generator, through the noise model
+    """How one run measures: analytic success probabilities at shots 0,
+    else counts drawn from the run's generator, through the noise model
     scaled once by sigma or by ideal Born sampling.  The samplers are
     looked up in this module at call time."""
 

@@ -4,15 +4,16 @@ Polynomials are stored as Chebyshev coefficients on [-1, 1] and must be
 bounded by 1 there (the bound a signal-processing circuit can realize);
 the ``scale`` field records the divisor that was applied to the original
 target so callers can undo it.  Fitting happens on a subinterval [a, b]
-where the target is smooth; the polynomial is then re-expanded in the
-global basis.
+where the target is smooth, by a multi-point Remez exchange whose
+reported error is the sup of the returned polynomial's error there; the
+polynomial is then re-expanded in the global basis.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -25,10 +26,13 @@ BOUND_TOL = 1e-12
 PARITIES = ("even", "odd", "none")
 
 
-def _max_abs(coeffs: np.ndarray) -> float:
+@lru_cache(maxsize=64)
+def _max_abs(coeffs: tuple[float, ...]) -> float:
     """Exact max |p| on [-1, 1]: at the ends or where p' vanishes inside.
     Every root of p' is tried at its real part clipped to [-1, 1], so a
-    real root that the eigenvalue solve moves off the axis still counts."""
+    real root that the eigenvalue solve moves off the axis still counts.
+    Cached, since a fit and each ChebPoly built from it check the same
+    coefficients."""
     c = np.asarray(coeffs, dtype=float)
     stationary = np.clip(C.chebroots(C.chebder(c)).real, -1.0, 1.0)
     return float(np.abs(C.chebval(np.concatenate([[-1.0, 1.0], stationary]), c)).max())
@@ -37,7 +41,7 @@ def _max_abs(coeffs: np.ndarray) -> float:
 def _fold_overshoot(coeffs: np.ndarray, parity: str, scale: float) -> "ChebPoly":
     """ChebPoly of the coefficients with any excess of |p| over 1 folded
     into the scale, so the stored polynomial stays realizable."""
-    m = _max_abs(coeffs)
+    m = _max_abs(tuple(coeffs))
     bump = m * (1.0 + 10 * BOUND_TOL) if m > 1.0 else 1.0
     return ChebPoly(tuple(coeffs / bump), parity, scale * bump)
 
@@ -66,7 +70,7 @@ class ChebPoly:
         if self.parity in ("even", "odd"):
             if any(abs(c) > 1e-12 for c in coeffs[start::2]):
                 raise ValueError(f"nonzero off-parity coefficient for {self.parity}")
-        if _max_abs(np.asarray(coeffs)) > 1.0 + BOUND_TOL:
+        if _max_abs(coeffs) > 1.0 + BOUND_TOL:
             raise ValueError("polynomial exceeds 1 in magnitude on [-1, 1]")
 
     @property
@@ -115,66 +119,48 @@ def inverse(kappa: float) -> TargetFunction:
     """1/x on [1/kappa, 1] (scaling applied separately)."""
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
-    return TargetFunction(
-        "inverse", (("kappa", kappa),), (1.0 / kappa, 1.0), lambda x: 1.0 / x
-    )
+    return TargetFunction("inverse", (("kappa", kappa),), (1.0 / kappa, 1.0),
+                          lambda x: 1.0 / x)
 
 
 def cos_sqrt(t: float, eta: float) -> TargetFunction:
     """sqrt((cos(t x) + eta) / 2), real part carrier for time series."""
     if eta < 1:
         raise ValueError("eta must be >= 1")
-    return TargetFunction(
-        "cos_sqrt",
-        (("t", t), ("eta", eta)),
-        (0.0, 1.0),
-        lambda x: np.sqrt((np.cos(t * x) + eta) / 2.0),
-    )
+    return TargetFunction("cos_sqrt", (("t", t), ("eta", eta)), (0.0, 1.0),
+                          lambda x: np.sqrt((np.cos(t * x) + eta) / 2.0))
 
 
 def sin_sqrt(t: float, eta: float) -> TargetFunction:
     """sqrt((sin(t x) + eta) / 2), imaginary part carrier for time series."""
     if eta < 1:
         raise ValueError("eta must be >= 1")
-    return TargetFunction(
-        "sin_sqrt",
-        (("t", t), ("eta", eta)),
-        (0.0, 1.0),
-        lambda x: np.sqrt((np.sin(t * x) + eta) / 2.0),
-    )
+    return TargetFunction("sin_sqrt", (("t", t), ("eta", eta)), (0.0, 1.0),
+                          lambda x: np.sqrt((np.sin(t * x) + eta) / 2.0))
 
 
 def lorentzian_sqrt(eta: float, E: float) -> TargetFunction:
     """sqrt(eta^2 / ((x - E)^2 + eta^2)), spectral-measure carrier."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    return TargetFunction(
-        "lorentzian_sqrt",
-        (("eta", eta), ("E", E)),
-        (0.0, 1.0),
-        lambda x: np.sqrt(eta**2 / ((x - E) ** 2 + eta**2)),
-    )
+    return TargetFunction("lorentzian_sqrt", (("eta", eta), ("E", E)), (0.0, 1.0),
+                          lambda x: np.sqrt(eta**2 / ((x - E) ** 2 + eta**2)))
 
 
 def gibbs(beta: float) -> TargetFunction:
     """exp(-beta x / 2), imaginary-time half-evolution weight."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    return TargetFunction(
-        "gibbs", (("beta", beta),), (0.0, 1.0), lambda x: np.exp(-beta * x / 2.0)
-    )
+    return TargetFunction("gibbs", (("beta", beta),), (0.0, 1.0),
+                          lambda x: np.exp(-beta * x / 2.0))
 
 
 def odd_gibbs(beta: float) -> TargetFunction:
     """x exp(-beta x^2 / 2), odd on [-1, 1]."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    return TargetFunction(
-        "odd_gibbs",
-        (("beta", beta),),
-        (-1.0, 1.0),
-        lambda x: x * np.exp(-beta * x**2 / 2.0),
-    )
+    return TargetFunction("odd_gibbs", (("beta", beta),), (-1.0, 1.0),
+                          lambda x: x * np.exp(-beta * x**2 / 2.0))
 
 
 # -- scaling ------------------------------------------------------------
@@ -210,13 +196,10 @@ def cheb_interp_coeffs(
     near-best truncation (aliasing error only) of degree ``degree``."""
     a, b = interval
     npts = 2 * (degree + 1)
-    theta = (2 * np.arange(npts) + 1) * np.pi / (2 * npts)
-    xi = np.cos(theta)
-    xs = 0.5 * (b - a) * xi + 0.5 * (b + a)
-    vals = np.asarray(f(xs), dtype=float)
+    xi = np.cos((2 * np.arange(npts) + 1) * np.pi / (2 * npts))
+    vals = np.asarray(f(0.5 * (b - a) * xi + 0.5 * (b + a)), dtype=float)
     # discrete orthogonality of T_k at first-kind nodes
-    full = np.polynomial.chebyshev.chebfit(xi, vals, npts - 1)
-    return full[: degree + 1]
+    return C.chebfit(xi, vals, npts - 1)[: degree + 1]
 
 
 # -- Remez minimax fitting ----------------------------------------------
@@ -230,93 +213,78 @@ class RemezError(RuntimeError):
     pass
 
 
+def _to_unit(y, interval: tuple[float, float]):
+    """Map [a, b] onto [-1, 1]."""
+    a, b = interval
+    return (2 * np.asarray(y, dtype=float) - (a + b)) / (b - a)
+
+
 def _unit_weight(x):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
-def _remez_core(
-    f: Callable,
-    w: Callable,
-    degree: int,
-    interval: tuple[float, float],
-) -> tuple[np.ndarray, float]:
+def _remez_core(f: Callable, w: Callable, degree: int,
+                interval: tuple[float, float]) -> tuple[np.ndarray, float]:
     """Best weighted approximation min max |w(x) p(x) - f(x)| on [a, b].
 
     p is returned as Chebyshev coefficients on the mapped interval.  The
     weight w must be positive on the interval (w = 1 for plain fitting).
-    Single-point exchange: each iteration replaces one reference point
-    with the location of the current worst error, preserving sign
-    alternation."""
+    Multi-point exchange on a Chebyshev-spaced grid (Pachon and Trefethen,
+    BIT 49, 2009): each iteration levels the error on the references, then
+    takes the largest error of every run of one sign and keeps degree + 2
+    consecutive ones, dropping the smaller end, so the references alternate
+    in sign by construction.  Returns the iterate with the smallest grid
+    error, and as its error the sup found by refining each run's extremum
+    between its grid neighbours."""
     a, b = interval
     npts = degree + 2
+
+    def to_ab(u):
+        return 0.5 * (b - a) * u + 0.5 * (b + a)
+
+    def error(coeffs, x):
+        wp = np.asarray(w(x), float) * C.chebval(_to_unit(x, interval), coeffs)
+        return wp - np.asarray(f(x), float)
+
     # initial references: Chebyshev extrema mapped to [a, b]
-    refs = 0.5 * (b - a) * np.cos(np.pi * np.arange(npts) / (npts - 1))[::-1] + 0.5 * (
-        b + a
-    )
+    refs = to_ab(np.cos(np.pi * np.arange(npts) / (npts - 1))[::-1])
     if np.any(np.asarray(w(refs), dtype=float) == 0.0):
         # a zero-weight reference (w vanishing at an endpoint) forces the
         # leveled error to 0 there and stalls the exchange; fall back to
         # interior Chebyshev roots, where the weight is positive
-        refs = 0.5 * (b - a) * np.cos(
-            (2 * np.arange(npts) + 1) * np.pi / (2 * npts)
-        )[::-1] + 0.5 * (b + a)
-    grid = 0.5 * (b - a) * np.cos(np.linspace(np.pi, 0.0, REMEZ_GRID)) + 0.5 * (b + a)
-    fg = np.asarray(f(grid), dtype=float)
-    wg = np.asarray(w(grid), dtype=float)
-
-    def solve(refs):
-        xi = (2 * refs - (a + b)) / (b - a)
-        V = C.chebvander(xi, degree) * np.asarray(w(refs), dtype=float)[:, None]
-        signs = (-1.0) ** np.arange(npts)
-        M = np.hstack([V, signs[:, None]])
-        rhs = np.asarray(f(refs), dtype=float)
-        sol = np.linalg.solve(M, rhs)
-        return sol[:-1], sol[-1]
-
-    prev_E = None
+        refs = to_ab(np.cos((2 * np.arange(npts) + 1) * np.pi / (2 * npts))[::-1])
+    grid = to_ab(np.cos(np.linspace(np.pi, 0.0, REMEZ_GRID)))
+    best = None
     for _ in range(REMEZ_MAX_ITER):
-        coeffs, E = solve(refs)
-        xi_g = (2 * grid - (a + b)) / (b - a)
-        err = wg * C.chebval(xi_g, coeffs) - fg
-        k = int(np.abs(err).argmax())
-        emax = abs(err[k])
-        if prev_E is not None and emax - abs(E) <= 1e-12 * max(emax, 1.0):
-            return coeffs, emax
-        prev_E = E
-        x_new = grid[k]
-        s_new = np.sign(err[k])
-        # current reference deviations alternate starting with sign(E)... use
-        # recomputed signs to slot the new point in without breaking alternation
-        xi_r = (2 * refs - (a + b)) / (b - a)
-        ref_err = np.asarray(w(refs), dtype=float) * C.chebval(xi_r, coeffs) - np.asarray(
-            f(refs), dtype=float
-        )
-        if x_new < refs[0]:
-            if np.sign(ref_err[0]) == s_new:
-                refs[0] = x_new
-            else:
-                refs = np.concatenate([[x_new], refs[:-1]])
-        elif x_new > refs[-1]:
-            if np.sign(ref_err[-1]) == s_new:
-                refs[-1] = x_new
-            else:
-                refs = np.concatenate([refs[1:], [x_new]])
-        else:
-            j = int(np.searchsorted(refs, x_new))
-            # neighbor with matching sign gets replaced
-            if np.sign(ref_err[j - 1]) == s_new:
-                refs[j - 1] = x_new
-            else:
-                refs[j] = x_new
-        refs = np.sort(refs)
-    coeffs, E = solve(refs)
-    xi_g = (2 * grid - (a + b)) / (b - a)
-    err = wg * C.chebval(xi_g, coeffs) - fg
-    emax = float(np.abs(err).max())
-    if emax > 2.0 * abs(E) + 1e-14:
-        raise RemezError(
-            f"no convergence in {REMEZ_MAX_ITER} exchanges (E={E:.3e}, max={emax:.3e})"
-        )
+        V = C.chebvander(_to_unit(refs, interval), degree) * np.asarray(w(refs), float)[:, None]
+        levelled = np.hstack([V, ((-1.0) ** np.arange(npts))[:, None]])
+        sol = np.linalg.solve(levelled, np.asarray(f(refs), float))
+        coeffs, E = sol[:-1], sol[-1]
+        err = error(coeffs, grid)
+        starts = np.flatnonzero(np.diff(err >= 0, prepend=err[0] < 0))
+        stops = np.append(starts[1:], grid.size)
+        peaks = np.array([s + int(np.abs(err[s:e]).argmax()) for s, e in zip(starts, stops)])
+        emax = float(np.abs(err).max())
+        if best is None or emax < best[0]:
+            best = (emax, E, coeffs, peaks)
+        while peaks.size > npts:
+            peaks = peaks[1:] if abs(err[peaks[0]]) < abs(err[peaks[-1]]) else peaks[:-1]
+        # stop when levelled (relative test), at a fixed point, or short of runs
+        if (emax - abs(E) <= 1e-12 * emax or peaks.size < npts
+                or np.array_equal(grid[peaks], refs)):
+            break
+        refs = grid[peaks]
+    emax, E, coeffs, peaks = best
+    # the scaled targets stay below 1, so 1e-12 is a round-off floor
+    if emax > 2.0 * abs(E) + 1e-12:
+        raise RemezError(f"no convergence (E={E:.3e}, max={emax:.3e})")
+    lo, hi = grid[np.maximum(peaks - 1, 0)], grid[np.minimum(peaks + 1, grid.size - 1)]
+    for _ in range(4):
+        xs = np.linspace(lo, hi, 17, axis=1)
+        e = np.abs(error(coeffs, xs.ravel())).reshape(xs.shape)
+        emax = max(emax, float(e.max()))
+        centre, step = xs[np.arange(peaks.size), e.argmax(axis=1)], (hi - lo) / 16
+        lo, hi = np.maximum(centre - step, a), np.minimum(centre + step, b)
     return coeffs, emax
 
 
@@ -331,19 +299,12 @@ def _global_coeffs_from_local(
     transform 'none': p(x) = q(map(x)), degree unchanged.
     transform 'even': p(x) = q(map(x^2)), degree doubled.
     transform 'odd':  p(x) = x q(map(x^2)), degree doubled plus one."""
-    a, b = interval
 
     def p(x):
         x = np.asarray(x, dtype=float)
-        if transform == "none":
-            u = x
-        else:
-            u = x**2
-        xi = (2 * u - (a + b)) / (b - a)
-        vals = C.chebval(xi, local)
-        if transform == "odd":
-            vals = x * vals
-        return vals
+        u = x if transform == "none" else x**2
+        vals = C.chebval(_to_unit(u, interval), local)
+        return x * vals if transform == "odd" else vals
 
     return C.chebinterpolate(p, degree)
 
@@ -422,9 +383,7 @@ class IntervalFit:
     err: float
 
     def __call__(self, y):
-        a, b = self.interval
-        xi = (2.0 * np.asarray(y, dtype=float) - (a + b)) / (b - a)
-        return C.chebval(xi, self.coeffs)
+        return C.chebval(_to_unit(y, self.interval), self.coeffs)
 
     @property
     def degree(self) -> int:

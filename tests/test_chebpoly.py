@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as C
 
+from racbem import chebpoly
 from racbem.blockenc import quadratic_for_condition
 from racbem.chebpoly import (
     ChebPoly,
@@ -107,8 +108,7 @@ def test_fit_scaled_error_contract(deg, kappa):
     poly, err = fit_scaled(inverse(kappa), deg, "even", (1.0 / kappa, 1.0))
     xs = np.linspace(1.0 / kappa, 1.0, 801)
     dev = np.abs(poly.scale * poly(xs) - 1.0 / xs).max()
-    # err is measured on the exchange grid; allow slack for denser grids
-    assert dev <= err * (1 + 1e-3) + 1e-8
+    assert dev <= err * (1 + 1e-9)
 
 
 def test_fit_scaled_parity():
@@ -123,9 +123,39 @@ def test_fit_on_interval_contract():
     g = fit_on_interval(t, 3, (0.25, 1.0))
     xs = np.linspace(0.25, 1.0, 801)
     dev = np.abs(g.scale * g(xs) - t(xs)).max()
-    # err is measured on the exchange grid; allow slack for denser grids
-    assert dev <= g.err * (1 + 1e-3) + 1e-8
+    assert dev <= g.err * (1 + 1e-9)
     assert np.abs(g(xs)).max() <= 1.0
+
+
+def test_fit_error_is_the_sup():
+    # the error is refined past the exchange grid, to the sup between its points
+    q = quadratic_for_condition(100.0)
+    g = fit_on_interval(inverse(100.0), 60, (q.a0, q.a0 + q.a2), margin=0.0)
+    xs = np.linspace(q.a0, q.a0 + q.a2, 200_001)
+    dev = np.abs(g.scale * g(xs) - 1.0 / xs).max()
+    assert dev * (1 - 1e-9) <= g.err <= dev * (1 + 1e-6)
+
+
+def test_inverse_fit_at_kappa_400():
+    # the degree-400 inverse fit of the paper's LINPACK scaling in kappa
+    g = fit_on_interval(inverse(400.0), 200, (1.0 / 400.0, 1.0), margin=0.0)
+    xs = np.linspace(1.0 / 400.0, 1.0, 20_001)
+    dev = np.abs(g.scale * g(xs) - 1.0 / xs).max()
+    assert dev <= g.err * (1 + 1e-9) and g.err < 5e-7
+
+
+def test_exact_bound_once_per_fit(monkeypatch):
+    # one colleague-matrix eigensolve per polynomial, not one per check
+    solves = []
+    roots = chebpoly.C.chebroots
+    monkeypatch.setattr(chebpoly.C, "chebroots", lambda c: solves.append(1) or roots(c))
+    chebpoly._max_abs.cache_clear()
+    poly, _ = fit_scaled(odd_gibbs(2.0), 5, "odd", (0.0, 1.0))
+    assert len(solves) == 1
+    q = quadratic_for_condition(2.0)
+    f = compose_fit(fit_on_interval(inverse(2.0), 3, (q.a0, q.a0 + q.a2)), q)
+    assert len(solves) == 2
+    assert ChebPoly.from_json(f.to_json()) == f and len(solves) == 2
 
 
 def test_compose_fit_matches_direct_evaluation():

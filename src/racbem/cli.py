@@ -40,7 +40,7 @@ from .generator import (
     DEFAULT_GATE_SET,
     GeneratorConfig,
     default_depth,
-    generate,
+    generate_block_encoding,
     linear_coupling_map,
     load_coupling_map,
     sv_spread_stats,
@@ -107,9 +107,10 @@ def _noise_for(args) -> NoiseModel | None:
 
 
 def _sampling(args) -> tuple[int, float]:
-    """(shots, sigma) after defaults: --exact forces (0, 0); sigma
-    defaults to 1 when a noise model is supplied, else 0."""
-    if getattr(args, "exact", False):
+    """(shots, sigma) after defaults: --exact or --shots 0 forces (0, 0),
+    an exact run being noiseless; sigma defaults to 1 when a noise model
+    is supplied, else 0."""
+    if getattr(args, "exact", False) or args.shots == 0:
         return 0, 0.0
     shots = args.shots if args.shots is not None else DEFAULT_SHOTS
     if args.sigma is not None:
@@ -190,7 +191,8 @@ def _write_task(args, kw: dict, base: str, keys: tuple[str, ...], body: dict, re
 
 
 def cmd_generate(args) -> int:
-    circuit = generate(_generator_config(args))
+    # viewed as U_A, so a map of the wrong size fails as in sv-stats and the tasks
+    circuit = generate_block_encoding(_generator_config(args), args.n).circuit
     out = _resolve_out(args, f"racbem-n{args.n}-s{args.seed}.txt")
     _atomic_write(out, G.circuit_to_text(circuit))
     return EXIT_OK

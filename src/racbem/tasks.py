@@ -177,9 +177,10 @@ class _Measure:
     def params(self, circuits) -> dict:
         """The report's shots and sigma and, on a noisy sampled run,
         `noise_coverage`: the share of the sampled gates that have an error
-        entry.  A model that covers no gate, say one built for another
-        register size, would pass an ideal run off as noisy, so it raises."""
-        params = {"shots": self.shots, "sigma": self.sigma}
+        entry.  sigma reads 0 on a run that applied no noise.  A model that
+        covers no gate, say one built for another register size, would pass
+        an ideal run off as noisy, so it raises."""
+        params = {"shots": self.shots, "sigma": self.sigma if self.noise is not None else 0.0}
         if self.noise is not None:
             share = coverage(self.model, circuits)
             if share == 0.0:

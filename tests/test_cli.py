@@ -21,6 +21,16 @@ def test_generate_deterministic_bytes(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_generate_checks_coupling_size(tmp_path, monkeypatch):
+    # t5 has 5 qubits; an instance on 2 system qubits needs 3
+    bad = tmp_path / "bad.txt"
+    base = ["generate", "--n", "2", "--seed", "1"]
+    assert run(base + ["--coupling", "t5", "--out", str(bad)], monkeypatch, tmp_path) == 4
+    assert not bad.exists()
+    assert run(["generate", "--n", "4", "--seed", "1", "--coupling", "t5"], monkeypatch, tmp_path) == 0
+    assert "QUBITS 5" in (tmp_path / "racbem-n4-s1.txt").read_text()
+
+
 def test_remez_then_phase_factors(tmp_path, monkeypatch):
     poly = tmp_path / "p.json"
     pf = tmp_path / "pf.json"
@@ -230,6 +240,24 @@ def test_noise_model_without_coverage_exits_4(tmp_path, monkeypatch, capsys):
     assert code == 4
     rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert rec["error"] == "module" and "no error entry" in rec["message"]
+
+
+def test_shots_zero_is_noiseless(tmp_path, monkeypatch):
+    from racbem.noise import synth_model
+    from racbem.generator import linear_coupling_map
+    import numpy as np
+
+    nm = tmp_path / "nm.json"
+    nm.write_text(synth_model(linear_coupling_map(4), 0.01, 0.05, 0.02,
+                              np.random.default_rng(2)).to_json())
+    base = ["linpack", "--n", "2", "--seed", "11", "--kappa", "2", "--d", "6", "--shots", "0"]
+    plain, modelled = tmp_path / "plain.json", tmp_path / "modelled.json"
+    assert run(base + ["--out", str(plain)], monkeypatch, tmp_path) == 0
+    assert run(base + ["--noise-model", str(nm), "--out", str(modelled)], monkeypatch, tmp_path) == 0
+    a, b = json.loads(plain.read_text()), json.loads(modelled.read_text())
+    assert b["report"]["p_measured"] == a["report"]["p_measured"]
+    assert b["config"]["sigma"] == 0.0 and b["report"]["params"]["sigma"] == 0.0
+    assert "noise_coverage" not in b["report"]["params"]
 
 
 def test_task_commands_use_coupling_map(tmp_path, monkeypatch):

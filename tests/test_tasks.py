@@ -270,6 +270,7 @@ def test_noise_coverage_reported_and_checked():
     assert res.reports[0].params["noise_coverage"] == pytest.approx(1.0)
     _, exact = metts_run(1.0, 3, 2, seed=6, shots=0, noise_model=nm, sigma=1.0)
     assert "noise_coverage" not in exact.params
+    assert exact.params["sigma"] == 0.0 and noisy.params["sigma"] == 1.0
     # a model for another register covers none of the gates
     stray = NoiseModel(gate_errors={("cnot", (7, 8)): {"ii": 0.9, "xx": 0.1}})
     with pytest.raises(ValueError, match="no error entry"):

@@ -119,48 +119,66 @@ def inverse(kappa: float) -> TargetFunction:
     """1/x on [1/kappa, 1] (scaling applied separately)."""
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
-    return TargetFunction("inverse", (("kappa", kappa),), (1.0 / kappa, 1.0),
-                          lambda x: 1.0 / x)
+    return TargetFunction(
+        "inverse", (("kappa", kappa),), (1.0 / kappa, 1.0), lambda x: 1.0 / x
+    )
 
 
 def cos_sqrt(t: float, eta: float) -> TargetFunction:
     """sqrt((cos(t x) + eta) / 2), real part carrier for time series."""
     if eta < 1:
         raise ValueError("eta must be >= 1")
-    return TargetFunction("cos_sqrt", (("t", t), ("eta", eta)), (0.0, 1.0),
-                          lambda x: np.sqrt((np.cos(t * x) + eta) / 2.0))
+    return TargetFunction(
+        "cos_sqrt",
+        (("t", t), ("eta", eta)),
+        (0.0, 1.0),
+        lambda x: np.sqrt((np.cos(t * x) + eta) / 2.0),
+    )
 
 
 def sin_sqrt(t: float, eta: float) -> TargetFunction:
     """sqrt((sin(t x) + eta) / 2), imaginary part carrier for time series."""
     if eta < 1:
         raise ValueError("eta must be >= 1")
-    return TargetFunction("sin_sqrt", (("t", t), ("eta", eta)), (0.0, 1.0),
-                          lambda x: np.sqrt((np.sin(t * x) + eta) / 2.0))
+    return TargetFunction(
+        "sin_sqrt",
+        (("t", t), ("eta", eta)),
+        (0.0, 1.0),
+        lambda x: np.sqrt((np.sin(t * x) + eta) / 2.0),
+    )
 
 
 def lorentzian_sqrt(eta: float, E: float) -> TargetFunction:
     """sqrt(eta^2 / ((x - E)^2 + eta^2)), spectral-measure carrier."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    return TargetFunction("lorentzian_sqrt", (("eta", eta), ("E", E)), (0.0, 1.0),
-                          lambda x: np.sqrt(eta**2 / ((x - E) ** 2 + eta**2)))
+    return TargetFunction(
+        "lorentzian_sqrt",
+        (("eta", eta), ("E", E)),
+        (0.0, 1.0),
+        lambda x: np.sqrt(eta**2 / ((x - E) ** 2 + eta**2)),
+    )
 
 
 def gibbs(beta: float) -> TargetFunction:
     """exp(-beta x / 2), imaginary-time half-evolution weight."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    return TargetFunction("gibbs", (("beta", beta),), (0.0, 1.0),
-                          lambda x: np.exp(-beta * x / 2.0))
+    return TargetFunction(
+        "gibbs", (("beta", beta),), (0.0, 1.0), lambda x: np.exp(-beta * x / 2.0)
+    )
 
 
 def odd_gibbs(beta: float) -> TargetFunction:
     """x exp(-beta x^2 / 2), odd on [-1, 1]."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    return TargetFunction("odd_gibbs", (("beta", beta),), (-1.0, 1.0),
-                          lambda x: x * np.exp(-beta * x**2 / 2.0))
+    return TargetFunction(
+        "odd_gibbs",
+        (("beta", beta),),
+        (-1.0, 1.0),
+        lambda x: x * np.exp(-beta * x**2 / 2.0),
+    )
 
 
 # -- scaling ------------------------------------------------------------
@@ -196,10 +214,13 @@ def cheb_interp_coeffs(
     near-best truncation (aliasing error only) of degree ``degree``."""
     a, b = interval
     npts = 2 * (degree + 1)
-    xi = np.cos((2 * np.arange(npts) + 1) * np.pi / (2 * npts))
-    vals = np.asarray(f(0.5 * (b - a) * xi + 0.5 * (b + a)), dtype=float)
+    theta = (2 * np.arange(npts) + 1) * np.pi / (2 * npts)
+    xi = np.cos(theta)
+    xs = 0.5 * (b - a) * xi + 0.5 * (b + a)
+    vals = np.asarray(f(xs), dtype=float)
     # discrete orthogonality of T_k at first-kind nodes
-    return C.chebfit(xi, vals, npts - 1)[: degree + 1]
+    full = np.polynomial.chebyshev.chebfit(xi, vals, npts - 1)
+    return full[: degree + 1]
 
 
 # -- Remez minimax fitting ----------------------------------------------
@@ -254,13 +275,14 @@ def _remez_core(f: Callable, w: Callable, degree: int,
         # interior Chebyshev roots, where the weight is positive
         refs = to_ab(np.cos((2 * np.arange(npts) + 1) * np.pi / (2 * npts))[::-1])
     grid = to_ab(np.cos(np.linspace(np.pi, 0.0, REMEZ_GRID)))
+    xg, wg, fg = _to_unit(grid, interval), np.asarray(w(grid), float), np.asarray(f(grid), float)
     best = None
     for _ in range(REMEZ_MAX_ITER):
         V = C.chebvander(_to_unit(refs, interval), degree) * np.asarray(w(refs), float)[:, None]
         levelled = np.hstack([V, ((-1.0) ** np.arange(npts))[:, None]])
         sol = np.linalg.solve(levelled, np.asarray(f(refs), float))
         coeffs, E = sol[:-1], sol[-1]
-        err = error(coeffs, grid)
+        err = wg * C.chebval(xg, coeffs) - fg
         starts = np.flatnonzero(np.diff(err >= 0, prepend=err[0] < 0))
         stops = np.append(starts[1:], grid.size)
         peaks = np.array([s + int(np.abs(err[s:e]).argmax()) for s, e in zip(starts, stops)])
@@ -288,27 +310,6 @@ def _remez_core(f: Callable, w: Callable, degree: int,
     return coeffs, emax
 
 
-def _global_coeffs_from_local(
-    local: np.ndarray,
-    interval: tuple[float, float],
-    degree: int,
-    transform: str = "none",
-) -> np.ndarray:
-    """Re-expand a locally fitted polynomial in the global [-1, 1] basis.
-
-    transform 'none': p(x) = q(map(x)), degree unchanged.
-    transform 'even': p(x) = q(map(x^2)), degree doubled.
-    transform 'odd':  p(x) = x q(map(x^2)), degree doubled plus one."""
-
-    def p(x):
-        x = np.asarray(x, dtype=float)
-        u = x if transform == "none" else x**2
-        vals = C.chebval(_to_unit(u, interval), local)
-        return x * vals if transform == "odd" else vals
-
-    return C.chebinterpolate(p, degree)
-
-
 def remez(
     t: Callable,
     degree: int,
@@ -328,7 +329,7 @@ def remez(
     a, b = interval
     if parity == "none":
         local, err = _remez_core(t, _unit_weight, degree, (a, b))
-        coeffs = _global_coeffs_from_local(local, (a, b), degree, "none")
+        coeffs = C.chebinterpolate(lambda x: C.chebval(_to_unit(x, (a, b)), local), degree)
     elif parity in ("even", "odd"):
         odd = parity == "odd"
         if degree % 2 != odd or a < 0:
@@ -340,7 +341,9 @@ def remez(
             degree // 2,
             (ua, ub),
         )
-        coeffs = _global_coeffs_from_local(local, (ua, ub), degree, parity)
+        coeffs = C.chebinterpolate(
+            lambda x: (x if odd else 1.0) * C.chebval(_to_unit(x**2, (ua, ub)), local), degree
+        )
         coeffs[(0 if odd else 1)::2] = 0.0  # off-parity coefficients
     else:
         raise ValueError(f"parity must be one of {PARITIES}")

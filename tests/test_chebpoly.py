@@ -150,7 +150,7 @@ def test_exact_bound_once_per_fit(monkeypatch):
     roots = chebpoly.C.chebroots
     monkeypatch.setattr(chebpoly.C, "chebroots", lambda c: solves.append(1) or roots(c))
     chebpoly._max_abs.cache_clear()
-    poly, _ = fit_scaled(odd_gibbs(2.0), 5, "odd", (0.0, 1.0))
+    fit_scaled(odd_gibbs(2.0), 5, "odd", (0.0, 1.0))
     assert len(solves) == 1
     q = quadratic_for_condition(2.0)
     f = compose_fit(fit_on_interval(inverse(2.0), 3, (q.a0, q.a0 + q.a2)), q)

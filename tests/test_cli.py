@@ -24,8 +24,8 @@ def test_generate_deterministic_bytes(tmp_path, monkeypatch):
 def test_generate_checks_coupling_size(tmp_path, monkeypatch):
     # t5 has 5 qubits; an instance on 2 system qubits needs 3
     bad = tmp_path / "bad.txt"
-    base = ["generate", "--n", "2", "--seed", "1"]
-    assert run(base + ["--coupling", "t5", "--out", str(bad)], monkeypatch, tmp_path) == 4
+    argv = ["generate", "--n", "2", "--seed", "1", "--coupling", "t5", "--out", str(bad)]
+    assert run(argv, monkeypatch, tmp_path) == 4
     assert not bad.exists()
     assert run(["generate", "--n", "4", "--seed", "1", "--coupling", "t5"], monkeypatch, tmp_path) == 0
     assert "QUBITS 5" in (tmp_path / "racbem-n4-s1.txt").read_text()

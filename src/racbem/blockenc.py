@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates as G
-from .statevector import circuit_unitary
+from .statevector import UNITARY_QUBIT_CAP, _run
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,11 @@ class QuadraticH:
 
 def extract_block(be: BlockEncoding) -> np.ndarray:
     """The encoded matrix: top-left block of the circuit unitary."""
-    U = circuit_unitary(be.circuit)
-    k = 2**be.n_sys
-    return U[:k, :k]
+    q = be.circuit.n_qubits
+    if q > UNITARY_QUBIT_CAP:
+        raise ValueError(f"{q} qubits exceeds unitary cap {UNITARY_QUBIT_CAP}")
+    k = 2**be.n_sys  # only the kept columns go through the circuit
+    return _run(be.circuit, np.eye(2**q, k, dtype=complex))[:k]
 
 
 def _under_signal(ua: BlockEncoding, who: str):

@@ -1,9 +1,11 @@
 """Dense ideal statevector simulation.
 
 States are complex vectors of length 2**n with qubit 0 as the most
-significant bit of the state index.  Gate application reshapes the
-amplitude array to ``(2,)*n`` and contracts the gate tensor against the
-target axes, so no full-matrix product is ever formed.
+significant bit of the state index.  The one kernel, `_run`, folds each
+run of one-qubit gates into the next two-qubit gate on its qubit and
+applies each 2x2 or 4x4 block as one `matmul` on the amplitudes viewed
+as (2**q, 2 or 4, rest), to one state (`apply`), the identity
+(`circuit_unitary`) or the columns a block-encoding keeps.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .gates import QuantumCircuit, gate_unitary
 UNITARY_QUBIT_CAP = 12
 
 NORM_TOL = 1e-10
+_I2 = np.eye(2)
 
 
 @dataclass
@@ -58,14 +61,46 @@ def _apply_local(u: np.ndarray, arr: np.ndarray, axes) -> np.ndarray:
     return np.moveaxis(out, list(range(k)), list(axes))
 
 
+def _fused(c: QuantumCircuit) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """The circuit as (u, qubits) blocks, two-qubit ones in ascending
+    qubit order: each run of one-qubit gates is multiplied into the next
+    two-qubit gate on its qubit, and runs open at the end stay 2x2."""
+    mats = {g: gate_unitary(g) for g in set(c.gates())}  # QSVT repeats U_A's gates
+    pending: dict[int, np.ndarray] = {}
+    blocks = []
+    for g in c.gates():
+        u = mats[g]
+        if len(g.qubits) == 1:
+            q = g.qubits[0]
+            pending[q] = u @ pending[q] if q in pending else u
+            continue
+        a, b = g.qubits
+        pa, pb = pending.pop(a, _I2), pending.pop(b, _I2)
+        u = u @ (pa[:, None, :, None] * pb[None, :, None, :]).reshape(4, 4)
+        if a > b:  # swap the operand order so the block reads (b, a)
+            u = u.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+            a, b = b, a
+        blocks.append((u, (a, b)))
+    return blocks + [(u, (q,)) for q, u in pending.items()]
+
+
+def _run(c: QuantumCircuit, arr: np.ndarray) -> np.ndarray:
+    """U_c applied to the state arr, of shape (2**n,), or to each column
+    of arr, of shape (2**n, cols)."""
+    shape = arr.shape
+    for u, qs in _fused(c):
+        if qs[-1] - qs[0] <= 1:
+            arr = np.matmul(u, arr.reshape(2 ** qs[0], len(u), -1))
+        else:  # non-adjacent pair
+            arr = _apply_local(u, arr.reshape((2,) * c.n_qubits + (-1,)), qs)
+    return arr.reshape(shape)
+
+
 def apply(c: QuantumCircuit, s: StateVector) -> StateVector:
     """Return U_c |s>."""
     if c.n_qubits != s.n_qubits:
         raise ValueError("circuit/state qubit-count mismatch")
-    arr = s.amplitudes.reshape((2,) * s.n_qubits)
-    for g in c.gates():
-        arr = _apply_local(gate_unitary(g), arr, g.qubits)
-    return StateVector(s.n_qubits, arr.reshape(-1), s.unnormalized)
+    return StateVector(s.n_qubits, _run(c, s.amplitudes), s.unnormalized)
 
 
 def circuit_unitary(c: QuantumCircuit, cap: int = UNITARY_QUBIT_CAP) -> np.ndarray:
@@ -73,11 +108,7 @@ def circuit_unitary(c: QuantumCircuit, cap: int = UNITARY_QUBIT_CAP) -> np.ndarr
     q = c.n_qubits
     if q > cap:
         raise ValueError(f"{q} qubits exceeds unitary cap {cap}")
-    dim = 2**q
-    arr = np.eye(dim, dtype=complex).reshape((2,) * q + (dim,))
-    for g in c.gates():
-        arr = _apply_local(gate_unitary(g), arr, g.qubits)
-    return arr.reshape(dim, dim)
+    return _run(c, np.eye(2**q, dtype=complex))
 
 
 def success_probability_exact(

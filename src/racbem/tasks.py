@@ -52,10 +52,9 @@ from .oracle import (
     exact_time_series,
 )
 from .phasefactors import CONVERGED_L, optimize, to_varphi
-from .qsvt import QsvtCircuit, build
+from .qsvt import QsvtCircuit, block_of, build
 from .statevector import (
     StateVector,
-    circuit_unitary,
     sample_counts,
     success_probability_exact,
 )
@@ -264,8 +263,8 @@ def racbem_benchmark(
     """Success probability of A|0^n> against its exact norm squared."""
     t0 = time.perf_counter()
     ua = generate_instance(n, seed, p_cnot, depth, coupling)
-    A = extract_block(ua)
-    p_exact = float(np.linalg.norm(A[:, 0]) ** 2)
+    # ||A|0^n>||^2 is the weight of U|0> on the ancilla-0 half
+    p_exact = success_probability_exact(ua.circuit, 1, StateVector.zero(n + 1))
     run = _Measure(shots, noise_model, sigma, np.random.default_rng(seed))
     params = {"n": n, **run.params([ua.circuit]), "p_cnot": p_cnot, "depth": ua.circuit.depth}
     return _report("racbem-bench", seed, params, run.success(ua.circuit, 1), p_exact,
@@ -535,13 +534,11 @@ def metts_run(
 
     exact_mode = shots == 0
     if exact_mode:
-        # column c of the unitary is the circuit acting on basis state c;
-        # ancillas-at-zero rows are the first dim entries
-        U_num = circuit_unitary(qc_num.circuit)
-        U_den = circuit_unitary(qc_den.circuit)
-        pn_by_state = np.sum(np.abs(U_num[:dim, :dim]) ** 2, axis=0)
-        pd_by_state = np.sum(np.abs(U_den[:dim, :dim]) ** 2, axis=0)
-        collapse_blocks = np.abs(U_den[:dim, :dim]) ** 2
+        # column c of a block is the circuit acting on basis state c with
+        # both ancillas read at zero
+        pn_by_state = np.sum(np.abs(block_of(qc_num)) ** 2, axis=0)
+        collapse_blocks = np.abs(block_of(qc_den)) ** 2
+        pd_by_state = np.sum(collapse_blocks, axis=0)
 
     sampling = run.params([qc_num.circuit, qc_den.circuit])
     states, energies, nexts = [], [], []

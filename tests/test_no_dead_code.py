@@ -18,7 +18,7 @@ PACKAGE = ROOT / "src" / "racbem"
 # the acceptance tests import
 TEST_ONLY = {
     "qsp_value", "exact_success_prob", "validate", "circuit_from_text",
-    "block_of", "condition_bound", "project_on_interval", "to_phi",
+    "condition_bound", "project_on_interval", "to_phi",
     "objective", "gradient", "build_hracbem", "build_canonical_hracbem",
 }
 

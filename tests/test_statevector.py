@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from racbem import gates as G
+from racbem.blockenc import extract_block
+from racbem.generator import GeneratorConfig, generate_block_encoding, load_coupling_map
 from racbem.statevector import (
     CountsHistogram,
     StateVector,
+    _run,
     apply,
     circuit_unitary,
     marginal_probabilities,
@@ -13,6 +16,7 @@ from racbem.statevector import (
     sample_from_probs,
     success_probability_exact,
 )
+from conftest import random_ua
 from test_gates import random_circuit
 
 
@@ -35,6 +39,99 @@ def test_apply_matches_unitary(seed):
     v /= np.linalg.norm(v)
     out = apply(c, StateVector(3, v))
     assert np.allclose(out.amplitudes, U @ v, atol=1e-12)
+
+
+def _full_register(g: G.Gate, n: int) -> np.ndarray:
+    """The 2^n x 2^n matrix of one gate, as np.kron products of 2x2 factors."""
+
+    def kron_chain(factors: dict) -> np.ndarray:
+        m = np.eye(1)
+        for q in reversed(range(n)):  # np.kron is faster with the small factor first
+            m = np.kron(factors.get(q, np.eye(2)), m)
+        return m
+
+    if g.kind != "cnot":
+        return kron_chain({g.qubits[0]: G.gate_unitary(g)})
+    c, t = g.qubits
+    return (kron_chain({c: np.diag([1.0, 0.0])})
+            + kron_chain({c: np.diag([0.0, 1.0]), t: np.array([[0.0, 1.0], [1.0, 0.0]])}))
+
+
+def _dense_reference(c: G.QuantumCircuit, x: np.ndarray) -> np.ndarray:
+    """The circuit applied to the columns of x, one full-register matrix per gate."""
+    for g in c.gates():
+        x = _full_register(g, c.n_qubits) @ x
+    return x
+
+
+def _random_state(n: int, rng) -> np.ndarray:
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return v / np.linalg.norm(v)
+
+
+def _check_against_reference(c: G.QuantumCircuit, seed: int = 0):
+    n = c.n_qubits
+    ref = _dense_reference(c, np.eye(2**n))
+    assert np.abs(circuit_unitary(c) - ref).max() < 1e-12
+    v = _random_state(n, np.random.default_rng(seed))
+    assert np.abs(apply(c, StateVector(n, v)).amplitudes - ref @ v).max() < 1e-12
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=15, deadline=None)
+def test_kernel_matches_dense_reference_descending_cnots(seed):
+    """Adjacent CNOTs in both directions, with one-qubit runs between."""
+    rng = np.random.default_rng(seed)
+    n = 4
+    gates = []
+    for _ in range(30):
+        if rng.random() < 0.4:
+            lo = int(rng.integers(n - 1))
+            gates.append(G.cnot(lo + 1, lo) if rng.random() < 0.5 else G.cnot(lo, lo + 1))
+        else:
+            kind = str(rng.choice(sorted(G.ONE_QUBIT_KINDS)))
+            params = tuple(rng.uniform(0, 2 * np.pi, G.GATE_KINDS[kind]))
+            gates.append(G.Gate(kind, (int(rng.integers(n)),), params))
+    _check_against_reference(G.from_gates(n, gates), seed)
+
+
+def test_kernel_matches_dense_reference_non_adjacent_cnots():
+    c = G.from_gates(3, [G.h(0), G.u3(2, 0.3, 1.1, -0.4), G.cnot(0, 2), G.t(0),
+                         G.cnot(2, 0), G.u2(1, 0.2, 0.9)])
+    _check_against_reference(c)
+    cfg = GeneratorConfig(load_coupling_map("t5"), depth=8, seed=4)
+    t5 = generate_block_encoding(cfg, 4).circuit
+    assert any(g.kind == "cnot" and abs(g.qubits[0] - g.qubits[1]) > 1 for g in t5.gates())
+    _check_against_reference(t5, 4)
+
+
+def test_kernel_matches_dense_reference_open_runs_and_idle_qubit():
+    # qubit 3 is never touched, qubit 2 never meets a two-qubit gate, and
+    # the runs on qubits 0 and 1 after the CNOT are still open at the end
+    c = G.from_gates(4, [G.u3(2, 0.7, 0.1, 0.2), G.h(0), G.cnot(1, 0), G.x(0), G.sdg(0),
+                         G.rz(2, 1.3), G.u1(1, 0.4), G.t(2)])
+    _check_against_reference(c)
+
+
+def test_kernel_multi_column_input():
+    c = random_circuit(5, n_qubits=4, n_gates=25)
+    x = np.random.default_rng(5).normal(size=(16, 3)) + 0j
+    assert np.abs(_run(c, x) - _dense_reference(c, x)).max() < 1e-12
+
+
+def test_kernel_block_of_generated_instance():
+    be = random_ua(8, 0)
+    block = extract_block(be)
+    cols = np.arange(0, 2**8, 51)  # the dense reference costs one 512x512 product per gate
+    ref = _dense_reference(be.circuit, np.eye(2**9)[:, cols])[: 2**8]
+    assert np.abs(block[:, cols] - ref).max() < 1e-12
+
+
+def test_extract_block_is_top_left_of_unitary():
+    be = random_ua(3, 2)
+    block = extract_block(be)
+    assert block.shape == (8, 8)
+    assert np.abs(block - circuit_unitary(be.circuit)[:8, :8]).max() < 1e-12
 
 
 def test_qubit0_is_msb():

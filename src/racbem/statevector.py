@@ -55,8 +55,6 @@ def _apply_local(u: np.ndarray, arr: np.ndarray, axes) -> np.ndarray:
     axes' bits with axes[0] the most significant (for a gate, its
     qubits; for a superoperator, row then column qubits of rho)."""
     k = len(axes)
-    if k == 1:  # the common case, without the list bookkeeping
-        return np.moveaxis(np.tensordot(u, arr, axes=(1, axes[0])), 0, axes[0])
     out = np.tensordot(u.reshape((2,) * (2 * k)), arr, axes=(list(range(k, 2 * k)), list(axes)))
     return np.moveaxis(out, list(range(k)), list(axes))
 

@@ -59,13 +59,12 @@ def _apply_local(u: np.ndarray, arr: np.ndarray, axes) -> np.ndarray:
     return np.moveaxis(out, list(range(k)), list(axes))
 
 
-def _fused(c: QuantumCircuit) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """The circuit as (u, qubits) blocks, two-qubit ones in ascending
+def _fused(c: QuantumCircuit):
+    """Yield the circuit as (u, qubits) blocks, two-qubit ones in ascending
     qubit order: each run of one-qubit gates is multiplied into the next
     two-qubit gate on its qubit, and runs open at the end stay 2x2."""
     mats = {g: gate_unitary(g) for g in set(c.gates())}  # QSVT repeats U_A's gates
     pending: dict[int, np.ndarray] = {}
-    blocks = []
     for g in c.gates():
         u = mats[g]
         if len(g.qubits) == 1:
@@ -78,8 +77,8 @@ def _fused(c: QuantumCircuit) -> list[tuple[np.ndarray, tuple[int, ...]]]:
         if a > b:  # swap the operand order so the block reads (b, a)
             u = u.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
             a, b = b, a
-        blocks.append((u, (a, b)))
-    return blocks + [(u, (q,)) for q, u in pending.items()]
+        yield u, (a, b)
+    yield from ((u, (q,)) for q, u in pending.items())
 
 
 def _run(c: QuantumCircuit, arr: np.ndarray) -> np.ndarray:

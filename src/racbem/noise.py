@@ -5,9 +5,11 @@ operations (identity or Pauli insertions after the ideal gate); each
 measured qubit carries a 2x2 readout confusion matrix.  A parameter
 sigma in [0, 1] interpolates between noiseless (0) and the full model
 (1) by scaling every non-correct probability.  Shots are independent,
-so the counts are one multinomial draw from the exact outcome law: the
-density matrix passes through the circuit once, each gate fused with its
-Pauli channel, and the readout rows then mix the measured marginal.
+so the counts are one multinomial draw from the exact outcome law.  The
+density matrix rho is held as n four-level sites, site q being the pair
+(row bit q, column bit q), so a gate and its Pauli channel act as one
+4^k x 4^k block on the gate's sites and rho passes once through the
+statevector kernel; the readout rows then mix the measured marginal.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .statevector import (
     UNITARY_QUBIT_CAP,
     CountsHistogram,
     StateVector,
-    _apply_local,
     _marginal,
+    _run,
     sample_from_probs,
 )
 
@@ -68,6 +70,7 @@ class NoiseModel:
     readout: dict[int, tuple[tuple[float, float], tuple[float, float]]] = field(
         default_factory=dict
     )
+    _channels: dict = field(init=False, repr=False, compare=False)  # key -> channel superop
 
     def __post_init__(self):
         checked = {}
@@ -75,6 +78,9 @@ class NoiseModel:
             qubits = tuple(int(q) for q in qubits)
             checked[(kind, qubits)] = _check_dist(dist, len(qubits))
         object.__setattr__(self, "gate_errors", checked)
+        object.__setattr__(self, "_channels", {
+            key: sum(p * _PAULI_SUPEROPS[lab] for lab, p in dist.items())
+            for key, dist in checked.items()})
         ro = {}
         for q, rows in self.readout.items():
             rows = tuple(tuple(float(x) for x in r) for r in rows)
@@ -180,14 +186,20 @@ _PAULI = dict(zip(PAULI_1Q, (np.eye(2), np.array([[0, 1], [1, 0]]),
                             np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))))
 
 
-def _pauli_superop(label: str) -> np.ndarray:
-    """rho -> P rho P^dagger for the Pauli string P, as kron(P, conj P)."""
-    p = functools.reduce(np.kron, (_PAULI[ch] for ch in label))
-    return np.kron(p, p.conj())
+def _superop(u: np.ndarray) -> np.ndarray:
+    """rho -> u rho u^dagger for a k-qubit u, as a 4^k x 4^k block in site
+    order: the outer product of u and conj u with each row bit moved next
+    to its column bit."""
+    k = len(u).bit_length() - 1
+    t = u.reshape((2,) * 2 * k)
+    site = [a for q in range(k) for a in (q, q + 2 * k)]
+    sup = np.multiply.outer(t, t.conj()).transpose(site + [a + k for a in site])
+    return sup.reshape(len(u) ** 2, -1)
 
 
 # built once, so that a gate's channel is a weighted sum of table entries
-PAULI_SUPEROPS = {lab: _pauli_superop(lab) for lab in PAULI_1Q + PAULI_2Q}
+_PAULI_SUPEROPS = {lab: _superop(functools.reduce(np.kron, (_PAULI[ch] for ch in lab)))
+                   for lab in PAULI_1Q + PAULI_2Q}
 
 
 def coverage(model: NoiseModel, circuits) -> float:
@@ -204,29 +216,25 @@ def outcome_distribution(
 ) -> np.ndarray:
     """Exact distribution of the read bitstrings (measured[0] first).
 
-    The density matrix passes through the circuit once; each ideal gate
-    and its Pauli channel act as one fused superoperator.  The readout
-    rows then mix the measured marginal."""
+    rho = |psi><psi| is laid out as n four-level sites and passes once
+    through `statevector._run`, each gate's block being its Pauli channel
+    times its superoperator.  The diagonal (sites at 0 or 3) is the
+    outcome law, whose measured marginal the readout rows then mix."""
     n = c.n_qubits
     if n > UNITARY_QUBIT_CAP:
         raise ValueError(f"{n} qubits exceeds the density-matrix cap {UNITARY_QUBIT_CAP}")
     psi = input_state.amplitudes.reshape((2,) * n)
-    rho = np.multiply.outer(psi, psi.conj())
-    channels, fused = {}, {}
-    for g in c.gates():
-        if g not in fused:
-            u = gate_unitary(g)
-            sup = np.kron(u, u.conj())
-            key = (g.kind, g.qubits)
-            if key in model.gate_errors:
-                if key not in channels:
-                    channels[key] = sum(p * PAULI_SUPEROPS[lab]
-                                        for lab, p in model.gate_errors[key].items())
-                sup = channels[key] @ sup
-            fused[g] = sup
-        rho = _apply_local(fused[g], rho, g.qubits + tuple(q + n for q in g.qubits))
-    probs = np.clip(np.diagonal(rho.reshape(2**n, 2**n)).real, 0.0, None)
-    marg = _marginal(probs.reshape((2,) * n), measured).reshape((2,) * len(measured))
+    interleave = [a for q in range(n) for a in (q, q + n)]
+    rho = np.multiply.outer(psi, psi.conj()).transpose(interleave).reshape(-1)
+
+    def noisy(g):
+        sup = _superop(gate_unitary(g))
+        channel = model._channels.get((g.kind, g.qubits))
+        return sup if channel is None else channel @ sup
+
+    rho = _run(c, rho, noisy)
+    probs = np.clip(rho.reshape((4,) * n)[(slice(None, None, 3),) * n].real, 0.0, None)
+    marg = _marginal(probs, measured).reshape((2,) * len(measured))
     for pos, q in enumerate(measured):
         rows = model.readout.get(q)
         if rows is not None:

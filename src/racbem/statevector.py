@@ -1,11 +1,11 @@
-"""Dense ideal statevector simulation.
+"""Dense statevector simulation, and the one circuit kernel.
 
-States are complex vectors of length 2**n with qubit 0 as the most
-significant bit of the state index.  The one kernel, `_run`, folds each
-run of one-qubit gates into the next two-qubit gate on its qubit and
-applies each 2x2 or 4x4 block as one `matmul` on the amplitudes viewed
-as (2**q, 2 or 4, rest), to one state (`apply`), the identity
-(`circuit_unitary`) or the columns a block-encoding keeps.
+States are complex vectors of length 2**n, qubit 0 the most significant
+bit of the index.  The kernel, `_run`, sees an array as n sites of
+dimension d (2 for states, 4 for the density matrices of `noise`), folds
+each run of one-site blocks into the next two-site block on its site,
+and applies each block as one `matmul` on a (d**q, block, rest) view of
+a state, the identity, a block-encoding's kept columns or rho.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .gates import QuantumCircuit, gate_unitary
 UNITARY_QUBIT_CAP = 12
 
 NORM_TOL = 1e-10
-_I2 = np.eye(2)
 
 
 @dataclass
@@ -48,22 +47,12 @@ class StateVector:
         return cls(n_qubits, amps)
 
 
-def _apply_local(u: np.ndarray, arr: np.ndarray, axes) -> np.ndarray:
-    """Contract a 2^k x 2^k operator against k axes of arr.
-
-    arr has shape (2,)*N + rest; u's row and column indices are the k
-    axes' bits with axes[0] the most significant (for a gate, its
-    qubits; for a superoperator, row then column qubits of rho)."""
-    k = len(axes)
-    out = np.tensordot(u.reshape((2,) * (2 * k)), arr, axes=(list(range(k, 2 * k)), list(axes)))
-    return np.moveaxis(out, list(range(k)), list(axes))
-
-
-def _fused(c: QuantumCircuit):
-    """Yield the circuit as (u, qubits) blocks, two-qubit ones in ascending
-    qubit order: each run of one-qubit gates is multiplied into the next
-    two-qubit gate on its qubit, and runs open at the end stay 2x2."""
-    mats = {g: gate_unitary(g) for g in set(c.gates())}  # QSVT repeats U_A's gates
+def _fused(c: QuantumCircuit, d: int, mat):
+    """Yield (u, sites) blocks of mat(gate) on d-level sites, two-site ones
+    in ascending order: each run of one-site blocks is multiplied into the
+    next two-site block on its site; runs open at the end stay d x d."""
+    mats = {g: mat(g) for g in set(c.gates())}  # QSVT repeats U_A's gates
+    eye = np.eye(d)
     pending: dict[int, np.ndarray] = {}
     for g in c.gates():
         u = mats[g]
@@ -72,24 +61,26 @@ def _fused(c: QuantumCircuit):
             pending[q] = u @ pending[q] if q in pending else u
             continue
         a, b = g.qubits
-        pa, pb = pending.pop(a, _I2), pending.pop(b, _I2)
-        u = u @ (pa[:, None, :, None] * pb[None, :, None, :]).reshape(4, 4)
+        pa, pb = pending.pop(a, eye), pending.pop(b, eye)
+        u = u @ (pa[:, None, :, None] * pb[None, :, None, :]).reshape(d * d, d * d)
         if a > b:  # swap the operand order so the block reads (b, a)
-            u = u.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+            u = u.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
             a, b = b, a
         yield u, (a, b)
     yield from ((u, (q,)) for q, u in pending.items())
 
 
-def _run(c: QuantumCircuit, arr: np.ndarray) -> np.ndarray:
-    """U_c applied to the state arr, of shape (2**n,), or to each column
-    of arr, of shape (2**n, cols)."""
-    shape = arr.shape
-    for u, qs in _fused(c):
+def _run(c: QuantumCircuit, arr: np.ndarray, mat=gate_unitary) -> np.ndarray:
+    """The circuit, with mat(g) as gate g's block, applied to arr of shape
+    (d**n,) or (d**n, cols): d = 2 for states, 4 for rho in site order."""
+    n, shape = c.n_qubits, arr.shape
+    d = 2 if len(arr) == 2**n else 4
+    for u, qs in _fused(c, d, mat):
         if qs[-1] - qs[0] <= 1:
-            arr = np.matmul(u, arr.reshape(2 ** qs[0], len(u), -1))
+            arr = np.matmul(u, arr.reshape(d ** qs[0], len(u), -1))
         else:  # non-adjacent pair
-            arr = _apply_local(u, arr.reshape((2,) * c.n_qubits + (-1,)), qs)
+            arr = np.tensordot(u.reshape((d,) * 4), arr.reshape((d,) * n + (-1,)), ([2, 3], qs))
+            arr = np.moveaxis(arr, [0, 1], qs)
     return arr.reshape(shape)
 
 

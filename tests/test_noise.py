@@ -1,11 +1,20 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from racbem import gates as G
 from racbem.gates import gate_unitary
-from racbem.generator import linear_coupling_map
+from racbem.generator import (
+    GeneratorConfig,
+    generate_block_encoding,
+    linear_coupling_map,
+    load_coupling_map,
+)
 from racbem.noise import (
+    PAULI_1Q,
+    PAULI_2Q,
     NoiseModel,
     coverage,
     outcome_distribution,
@@ -14,7 +23,11 @@ from racbem.noise import (
     scale_dist,
     synth_model,
 )
+from racbem.qsvt import build
 from racbem.statevector import UNITARY_QUBIT_CAP, StateVector, apply, marginal_probabilities
+from conftest import random_ua
+from test_qsvt import phases_for
+from test_statevector import _full_register, _random_state
 
 
 def test_scale_dist_worked_example():
@@ -53,7 +66,10 @@ def test_noise_model_validation():
 
 def test_json_round_trip():
     m = synth_model(linear_coupling_map(3), 0.01, 0.05, 0.02, np.random.default_rng(0))
-    assert NoiseModel.from_json(m.to_json()).gate_errors == m.gate_errors
+    assert NoiseModel.from_json(m.to_json()) == m
+    assert scale(m, 0.5) != m
+    # the channel table built from gate_errors is neither compared nor shown
+    assert "_channels" not in repr(m) and "array" not in repr(m)
 
 
 def test_synth_model_structure():
@@ -116,8 +132,74 @@ def test_closed_form_single_gate_law():
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-_PAULI = {"x": np.array([[0, 1], [1, 0]]), "y": np.array([[0, -1j], [1j, 0]]),
+_PAULI = {"i": np.eye(2), "x": np.array([[0, 1], [1, 0]]), "y": np.array([[0, -1j], [1j, 0]]),
           "z": np.diag([1, -1])}
+
+
+def _pauli_register(factors: dict, n: int) -> np.ndarray:
+    """The Pauli string {qubit: label} as a 2^n x 2^n matrix, by np.kron."""
+    return functools.reduce(np.kron, [_PAULI[factors.get(q, "i")] for q in range(n)])
+
+
+def _dense_law(c, model, measured, v) -> np.ndarray:
+    """Full-register reference law: rho -> sum_P p (P U) rho (P U)^dagger
+    for each gate, then each measured bit read through its readout row."""
+    n, k = c.n_qubits, len(measured)
+    rho = np.outer(v, v.conj())
+    for g in c.gates():
+        u = _full_register(g, n)
+        dist = model.gate_errors.get((g.kind, g.qubits), {"i" * len(g.qubits): 1.0})
+        pus = [(p, _pauli_register(dict(zip(g.qubits, lab)), n) @ u) for lab, p in dist.items()]
+        rho = sum(p * pu @ rho @ pu.conj().T for p, pu in pus)
+    rows = [model.readout.get(q, np.eye(2)) for q in measured]
+    law = np.zeros(2**k)
+    for i, p in enumerate(np.diagonal(rho).real):
+        true = [(i >> (n - 1 - q)) & 1 for q in measured]
+        for s in range(2**k):
+            read = [(s >> (k - 1 - pos)) & 1 for pos in range(k)]
+            law[s] += p * np.prod([r[b][o] for r, b, o in zip(rows, true, read)])
+    return law
+
+
+def _random_dist(labels, rng) -> dict[str, float]:
+    """A distribution over the labels whose first (identity) entry is the largest."""
+    w = rng.uniform(0.0, 1.0, len(labels))
+    w[0] = w.sum()
+    return dict(zip(labels, w / w.sum()))
+
+
+def test_outcome_law_matches_dense_reference():
+    rng = np.random.default_rng(11)
+    # cnot(1, 0) descends, cnot(0, 2) skips a qubit, t(1) and u2(1) have no
+    # model entry, and the runs on qubits 0 and 2 are open at the end
+    c = G.from_gates(3, [G.h(0), G.u3(2, 0.7, 0.2, 1.1), G.cnot(1, 0), G.t(1),
+                         G.cnot(0, 2), G.u2(1, 0.4, -0.3), G.rz(0, 0.9), G.h(2)])
+    ge = {(g.kind, g.qubits): _random_dist(PAULI_1Q if len(g.qubits) == 1 else PAULI_2Q, rng)
+          for g in c.gates() if g.kind not in ("t", "u2")}
+    m = NoiseModel(ge, readout={2: ((0.93, 0.07), (0.11, 0.89))})
+    v = _random_state(3, rng)
+    for measured in ([2, 0], [0, 1, 2], [1]):
+        law = outcome_distribution(c, m, measured, StateVector(3, v))
+        assert np.abs(law - _dense_law(c, m, measured, v)).max() < 1e-12
+
+
+def test_outcome_law_matches_dense_reference_on_t5_instance():
+    coupling = load_coupling_map("t5")
+    c = generate_block_encoding(GeneratorConfig(coupling, depth=8, seed=4), 4).circuit
+    m = synth_model(coupling, 0.05, 0.15, 0.05, np.random.default_rng(3))
+    v = _random_state(5, np.random.default_rng(4))
+    for measured in ([3, 0, 4], [0, 1]):
+        law = outcome_distribution(c, m, measured, StateVector(5, v))
+        assert np.abs(law - _dense_law(c, m, measured, v)).max() < 1e-12
+
+
+def test_noiseless_law_is_ideal_marginal_on_qsvt_circuit():
+    _, varphi = phases_for((0.2, 0.0, 0.5, 0.0, 0.2), "even")
+    c = build(random_ua(2, seed=33), varphi).circuit
+    inp = StateVector(4, _random_state(4, np.random.default_rng(6)))
+    for measured in ([0, 1], [3, 0, 2]):
+        ideal = marginal_probabilities(apply(c, inp), measured)
+        assert np.abs(outcome_distribution(c, NoiseModel(), measured, inp) - ideal).max() < 1e-12
 
 
 def _trajectory_counts(c, model, shots, rng):

@@ -113,6 +113,12 @@ def test_kernel_matches_dense_reference_open_runs_and_idle_qubit():
     _check_against_reference(c)
 
 
+def test_kernel_zero_qubit_circuit():
+    c = G.QuantumCircuit(0)
+    assert circuit_unitary(c).tolist() == [[1]]
+    assert apply(c, StateVector.zero(0)).amplitudes.tolist() == [1]
+
+
 def test_kernel_multi_column_input():
     c = random_circuit(5, n_qubits=4, n_gates=25)
     x = np.random.default_rng(5).normal(size=(16, 3)) + 0j

@@ -224,6 +224,18 @@ class QuantumCircuit:
                         )
                     seen.add(q)
 
+    def __hash__(self) -> int:
+        # the generated hash walks every gate; frozen, so compute it once
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.n_qubits, self.layers, self.name))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        # string hashes are salted per process, so a pickle drops the cache
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def depth(self) -> int:
         return len(self.layers)

@@ -10,6 +10,8 @@ density matrix rho is held as n four-level sites, site q being the pair
 (row bit q, column bit q), so a gate and its Pauli channel act as one
 4^k x 4^k block on the gate's sites and rho passes once through the
 statevector kernel; the readout rows then mix the measured marginal.
+Each law is computed once per (circuit, measured, input) per model, and
+a run scales its model once, so once per run.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ class NoiseModel:
         default_factory=dict
     )
     _channels: dict = field(init=False, repr=False, compare=False)  # key -> channel superop
+    _laws: dict = field(init=False, repr=False, compare=False)  # (circuit, measured, input) -> law
 
     def __post_init__(self):
         checked = {}
@@ -81,6 +84,7 @@ class NoiseModel:
         object.__setattr__(self, "_channels", {
             key: sum(p * _PAULI_SUPEROPS[lab] for lab, p in dist.items())
             for key, dist in checked.items()})
+        object.__setattr__(self, "_laws", {})
         ro = {}
         for q, rows in self.readout.items():
             rows = tuple(tuple(float(x) for x in r) for r in rows)
@@ -219,7 +223,13 @@ def outcome_distribution(
     rho = |psi><psi| is laid out as n four-level sites and passes once
     through `statevector._run`, each gate's block being its Pauli channel
     times its superoperator.  The diagonal (sites at 0 or 3) is the
-    outcome law, whose measured marginal the readout rows then mix."""
+    outcome law, whose measured marginal the readout rows then mix.
+    The law is kept on the model, read-only, and returned again for the
+    same (circuit, measured, input)."""
+    key = (c, tuple(measured), input_state.amplitudes.tobytes())
+    law = model._laws.get(key)
+    if law is not None:
+        return law
     n = c.n_qubits
     if n > UNITARY_QUBIT_CAP:
         raise ValueError(f"{n} qubits exceeds the density-matrix cap {UNITARY_QUBIT_CAP}")
@@ -239,7 +249,10 @@ def outcome_distribution(
         rows = model.readout.get(q)
         if rows is not None:
             marg = np.moveaxis(np.tensordot(marg, np.array(rows), axes=([pos], [0])), -1, pos)
-    return marg.reshape(-1)
+    law = marg.reshape(-1)
+    law.setflags(write=False)
+    model._laws[key] = law
+    return law
 
 
 def sample_noisy_counts(

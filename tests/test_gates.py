@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -101,7 +102,11 @@ def test_text_round_trip(seed):
     t = G.circuit_to_text(c)
     c2 = G.circuit_from_text(t)
     assert c2 == c
+    assert hash(c2) == hash(c) == hash(c)
     assert G.circuit_to_text(c2) == t
+    # the cached hash depends on the process's string-hash salt, so a
+    # pickle leaves it out
+    assert "_hash" not in vars(pickle.loads(pickle.dumps(c)))
 
 
 def test_shift_and_concat():

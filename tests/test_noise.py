@@ -132,6 +132,20 @@ def test_closed_form_single_gate_law():
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_cached_law_is_read_only():
+    m = synth_model(linear_coupling_map(2), 0.02, 0.05, 0.02, np.random.default_rng(1))
+    c = G.from_gates(2, [G.x(0), G.h(1)])
+    law = outcome_distribution(c, m, [0, 1], StateVector.zero(2))
+    with pytest.raises(ValueError):
+        law[0] = 1.0
+    again = outcome_distribution(c, m, [0, 1], StateVector.zero(2))
+    assert np.array_equal(again, law)
+    # another input or measured order is another law
+    assert not np.array_equal(outcome_distribution(c, m, [0, 1], StateVector.basis(2, 2)), law)
+    swapped = outcome_distribution(c, m, [1, 0], StateVector.zero(2))
+    assert not np.allclose(swapped, law) and np.allclose(swapped, law[[0, 2, 1, 3]], atol=1e-12)
+
+
 _PAULI = {"i": np.eye(2), "x": np.array([[0, 1], [1, 0]]), "y": np.array([[0, -1j], [1j, 0]]),
           "z": np.diag([1, -1])}
 

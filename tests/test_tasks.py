@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from racbem import gates as G
-from racbem import tasks
+from racbem import noise, tasks
 from racbem.blockenc import BlockEncoding, extract_block
 from racbem.chebpoly import compose_fit, fit_on_interval, gibbs
 from racbem.generator import linear_coupling_map
@@ -211,6 +211,30 @@ def test_metts_noisy_collapse_uses_noisy_sampler(monkeypatch):
     hits = [{int(b[2:], 2) for b in c if b[:2] == "00"} for c in collapses]
     assert sum(not h for h in hits) == trace.resamples
     assert all(nxt in h for h, nxt in zip(hits, trace.next_states) if h)
+
+
+def test_metts_noisy_law_computed_once_per_key(monkeypatch):
+    real = noise._run
+    passes = []
+    monkeypatch.setattr(noise, "_run", lambda *a: passes.append(1) or real(*a))
+    metts_run(1.0, 20, 2, seed=6, shots=64, noise_model=_metts_noise_model(), sigma=1.0)
+    # 2 circuits x 4 basis inputs on the ancillas, plus the collapse
+    # circuit on all qubits from each of the 4 inputs
+    assert 0 < len(passes) <= 2 * 4 + 4
+
+
+def test_metts_noisy_cached_law_matches_fresh_law(monkeypatch):
+    nm = _metts_noise_model()
+    cached, _ = metts_run(1.0, 20, 2, seed=6, shots=64, noise_model=nm, sigma=1.0)
+    assert nm._laws == {}  # the run caches on its own scaled model
+    real = tasks.sample_noisy_counts
+
+    def fresh(c, model, *rest):
+        return real(c, NoiseModel(model.gate_errors, model.readout), *rest)
+
+    monkeypatch.setattr(tasks, "sample_noisy_counts", fresh)
+    uncached, _ = metts_run(1.0, 20, 2, seed=6, shots=64, noise_model=nm, sigma=1.0)
+    assert _chain(cached) == _chain(uncached)
 
 
 def _denominator_circuit(beta, n, seed):

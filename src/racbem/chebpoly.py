@@ -245,7 +245,7 @@ def _unit_weight(x):
 
 
 def _remez_core(f: Callable, w: Callable, degree: int,
-                interval: tuple[float, float]) -> tuple[np.ndarray, float]:
+                interval: tuple[float, float], widen: bool = True) -> tuple[np.ndarray, float]:
     """Best weighted approximation min max |w(x) p(x) - f(x)| on [a, b].
 
     p is returned as Chebyshev coefficients on the mapped interval.  The
@@ -256,7 +256,8 @@ def _remez_core(f: Callable, w: Callable, degree: int,
     consecutive ones, dropping the smaller end, so the references alternate
     in sign by construction.  Returns the iterate with the smallest grid
     error, and as its error the sup found by refining each run's extremum
-    between its grid neighbours."""
+    between its grid neighbours.  A fit that does not level is retried
+    once at degree + 1 (`widen`), and kept if its top coefficient is 0."""
     a, b = interval
     npts = degree + 2
 
@@ -299,6 +300,13 @@ def _remez_core(f: Callable, w: Callable, degree: int,
     emax, E, coeffs, peaks = best
     # the scaled targets stay below 1, so 1e-12 is a round-off floor
     if emax > 2.0 * abs(E) + 1e-12:
+        # a target even about the interval's midpoint has an even best fit,
+        # which at even degree is also the best of degree + 1; the symmetric
+        # start references level its error to E = 0 at even degree only
+        if widen:
+            wide, err = _remez_core(f, w, degree + 1, interval, widen=False)
+            if abs(wide[-1]) <= 1e-12:
+                return wide[:-1], err + abs(wide[-1])
         raise RemezError(f"no convergence (E={E:.3e}, max={emax:.3e})")
     lo, hi = grid[np.maximum(peaks - 1, 0)], grid[np.minimum(peaks + 1, grid.size - 1)]
     for _ in range(4):

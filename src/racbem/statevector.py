@@ -145,19 +145,3 @@ def sample_from_probs(
     }
     return CountsHistogram(counts, shots)
 
-
-def sample_counts(
-    c: QuantumCircuit,
-    shots: int,
-    measured: list[int],
-    rng: np.random.Generator,
-    input_state: StateVector | None = None,
-) -> CountsHistogram:
-    """Sample measurement outcomes from the exact Born distribution."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if input_state is None:
-        input_state = StateVector.zero(c.n_qubits)
-    out = apply(c, input_state)
-    probs = marginal_probabilities(out, measured)
-    return sample_from_probs(probs, len(measured), shots, rng)

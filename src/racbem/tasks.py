@@ -3,9 +3,10 @@
 Every task generates a random block-encoding instance from a seed, builds
 the polynomial-transform circuit for its target function, and reports a
 measured success probability against the dense-linear-algebra reference.
-"exact mode" (shots=0) evaluates success probabilities analytically from
-the statevector; "sampled mode" draws shots, optionally through a noise
-model scaled by sigma.
+Every outcome is read through one per-run `_Measure`: "exact mode"
+(shots=0) reads the ideal outcome law, computed once per (circuit,
+measured qubits, input) from the statevector; "sampled mode" draws shots
+from that law, or through a noise model scaled by sigma.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ from .oracle import (
     exact_time_series,
 )
 from .phasefactors import CONVERGED_L, optimize, to_varphi
-from .qsvt import QsvtCircuit, block_of, build
+from .qsvt import QsvtCircuit, build
 from .statevector import (
     StateVector,
-    sample_counts,
+    apply,
+    marginal_probabilities,
     success_probability_exact,
 )
 
@@ -143,35 +145,49 @@ def generate_instance(
 
 
 class _Measure:
-    """How one run measures: analytic success probabilities at shots 0,
-    else counts drawn from the run's generator, through the noise model
-    scaled once by sigma or by ideal Born sampling.  The samplers are
-    looked up in this module at call time."""
+    """How one run reads its outcomes.  `weights` gives, in bitstring
+    order, the ideal outcome law at shots 0, else counts drawn from the
+    run's generator: one multinomial from that law, or through the noise
+    model scaled once by sigma.  Each ideal law is computed once per run;
+    the noisy sampler is looked up in this module at call time."""
 
     def __init__(self, shots: int, noise_model: NoiseModel | None, sigma: float,
                  rng: np.random.Generator | None):
+        if shots < 0:
+            raise ValueError("shots must be >= 0 (0 is exact mode)")
         if shots and rng is None:
             raise ValueError("sampled mode needs an rng")
         self.shots, self.model, self.sigma, self.rng = shots, noise_model, sigma, rng
         noisy = shots and noise_model is not None and sigma != 0.0
         self.noise = scale_noise(noise_model, sigma) if noisy else None
+        self.laws: dict = {}  # (circuit, measured, input bytes) -> ideal law
 
-    def counts(self, circuit: G.QuantumCircuit, shots: int, measured: list[int],
-               input_state: StateVector):
-        """Counts of `shots` draws on the measured qubits."""
+    def weights(self, circuit: G.QuantumCircuit, shots: int, measured: list[int],
+                input_state: StateVector) -> np.ndarray:
+        """Outcome weights on the measured qubits (measured[0] the most
+        significant bit): the exact law in exact mode, else the counts
+        of `shots` draws."""
         if self.noise is not None:
-            return sample_noisy_counts(circuit, self.noise, shots, measured, self.rng, input_state)
-        return sample_counts(circuit, shots, measured, self.rng, input_state)
+            counts = sample_noisy_counts(circuit, self.noise, shots, measured, self.rng,
+                                         input_state)
+            w = np.zeros(2 ** len(measured))
+            for bits, k in counts.counts.items():
+                w[int(bits, 2)] = k
+            return w
+        key = (circuit, tuple(measured), input_state.amplitudes.tobytes())
+        law = self.laws.get(key)
+        if law is None:
+            law = self.laws[key] = marginal_probabilities(apply(circuit, input_state), measured)
+            law.setflags(write=False)  # handed to every later caller
+        return law if self.shots == 0 else self.rng.multinomial(shots, law / law.sum())
 
     def success(self, circuit: G.QuantumCircuit, m: int,
                 input_state: StateVector | None = None) -> float:
         """P(all m ancillas read 0)."""
         if input_state is None:
             input_state = StateVector.zero(circuit.n_qubits)
-        if self.shots == 0:
-            return success_probability_exact(circuit, m, input_state)
-        counts = self.counts(circuit, self.shots, list(range(m)), input_state)
-        return counts.counts.get("0" * m, 0) / self.shots
+        w = self.weights(circuit, self.shots, list(range(m)), input_state)
+        return float(w[0]) / (self.shots or 1)
 
     def params(self, circuits) -> dict:
         """The report's shots and sigma and, on a noisy sampled run,
@@ -505,12 +521,13 @@ def metts_run(
     because the canonical quadratic is h(x) = x^2) and the denominator
     applies exp(-beta y / 2) composed with h.  The chain collapses by
     running the denominator circuit, post-selecting both ancillas on 0,
-    and measuring the system register; sampled mode draws COLLAPSE_SHOTS
-    shots at once and moves to the system bits of a uniformly chosen draw
-    whose ancillas read 00, or to a uniform state (a resample) when none
-    does.  At beta = 0 the denominator is a constant, so the literal
-    collapse never moves; any distribution is then stationary and the
-    next state is drawn uniformly, the exact infinite-temperature
+    and measuring the system register: the next state is drawn from the
+    weights of the outcomes whose ancillas read 00 (the exact law in exact
+    mode, the counts of COLLAPSE_SHOTS draws in sampled mode), or
+    uniformly (a resample) when those weights sum to nothing.  Every mode
+    runs the same loop.  At beta = 0 the denominator is a constant, so
+    the literal collapse never moves; any distribution is then stationary
+    and the next state is drawn uniformly, the exact infinite-temperature
     behavior."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -531,28 +548,18 @@ def metts_run(
     rng = run.rng
     dim = 2**n
     n_tot = qc_den.circuit.n_qubits
-
-    exact_mode = shots == 0
-    if exact_mode:
-        # column c of a block is the circuit acting on basis state c with
-        # both ancillas read at zero
-        pn_by_state = np.sum(np.abs(block_of(qc_num)) ** 2, axis=0)
-        collapse_blocks = np.abs(block_of(qc_den)) ** 2
-        pd_by_state = np.sum(collapse_blocks, axis=0)
-
     sampling = run.params([qc_num.circuit, qc_den.circuit])
     states, energies, nexts = [], [], []
     resamples = 0
     flagged = 0
+    inputs: dict[int, StateVector] = {}  # basis input of each visited state
     i = 0
     for _ in range(steps):
-        if exact_mode:
-            pn = float(pn_by_state[i])
-            pd = float(pd_by_state[i])
-        else:
-            inp = StateVector.basis(n_tot, i)
-            pn = run.success(qc_num.circuit, 2, inp)
-            pd = run.success(qc_den.circuit, 2, inp)
+        if i not in inputs:
+            inputs[i] = StateVector.basis(n_tot, i)
+        inp = inputs[i]
+        pn = run.success(qc_num.circuit, 2, inp)
+        pd = run.success(qc_den.circuit, 2, inp)
         denom = den["scale"]**2 * pd
         if denom < PD_FLOOR:
             flagged += 1
@@ -564,25 +571,15 @@ def metts_run(
 
         if beta == 0.0:
             i_next = int(rng.integers(dim))
-        elif exact_mode:
-            dist = collapse_blocks[:, i]
-            total = float(dist.sum())
+        else:
+            # the outcomes whose ancillas read 00 are the first dim
+            w = run.weights(qc_den.circuit, COLLAPSE_SHOTS, list(range(n_tot)), inp)[:dim]
+            total = float(w.sum())
             if total < PD_FLOOR:
                 resamples += 1
                 i_next = int(rng.integers(dim))
             else:
-                i_next = int(rng.choice(dim, p=dist / total))
-        else:
-            counts = run.counts(qc_den.circuit, COLLAPSE_SHOTS, list(range(n_tot)), inp)
-            # the draws are exchangeable, so a uniform pick among those
-            # post-selected has the law of the first post-selected one
-            hits = [int(bits[2:], 2) for bits, k in counts.counts.items()
-                    if bits[:2] == "00" for _ in range(k)]
-            if hits:
-                i_next = hits[rng.integers(len(hits))]
-            else:
-                resamples += 1
-                i_next = int(rng.integers(dim))
+                i_next = int(rng.choice(dim, p=w / total))
         nexts.append(i_next)
         i = i_next
 

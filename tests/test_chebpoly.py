@@ -136,6 +136,21 @@ def test_fit_error_is_the_sup():
     assert dev * (1 - 1e-9) <= g.err <= dev * (1 + 1e-6)
 
 
+@pytest.mark.parametrize("degree", [6, 10, 14, 16])
+def test_fit_of_target_even_about_the_midpoint(degree):
+    # lorentzian_sqrt(eta, 0.5) is even about the middle of [0, 1]; its
+    # best fit is even, so at even degree the symmetric start references
+    # level the error to 0 and the exchange cannot leave them
+    t = lorentzian_sqrt(0.2, 0.5)
+    g = fit_on_interval(t, degree, (0.0, 1.0))
+    assert g.degree == degree
+    xs = np.linspace(0.0, 1.0, 200_001)
+    dev = np.abs(g.scale * g(xs) - t(xs)).max()
+    assert dev * (1 - 1e-9) <= g.err <= dev * (1 + 1e-6)
+    # the best fit of degree + 1 is the same polynomial
+    assert g.err == pytest.approx(fit_on_interval(t, degree + 1, (0.0, 1.0)).err, rel=1e-9)
+
+
 def test_inverse_fit_at_kappa_400():
     # the degree-400 inverse fit of the paper's LINPACK scaling in kappa
     g = fit_on_interval(inverse(400.0), 200, (1.0 / 400.0, 1.0), margin=0.0)

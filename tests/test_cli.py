@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from racbem import cli
+from racbem.chebpoly import fit_on_interval, lorentzian_sqrt
 
 
 def run(args, monkeypatch, tmp_path):
@@ -193,6 +195,23 @@ def test_spectral_artifact(tmp_path, monkeypatch):
     body = json.loads(out.read_text())
     assert body["E"] == [0.0, 0.5, 1.0]
     assert all(s >= 0 for s in body["s"])
+
+
+def test_spectral_symmetric_point_at_even_degree(tmp_path, monkeypatch):
+    # E = 0.5 is the middle of the fit interval [0, 1]; length 13 is degree 12,
+    # a degree-6 fit of the Lorentzian carrier
+    reports = tmp_path / "sp.jsonl"
+    code = run(["spectral", "--n", "2", "--seed", "1", "--exact", "--length", "13",
+                "--out", str(tmp_path / "sp.json"), "--reports", str(reports)],
+               monkeypatch, tmp_path)
+    assert code == 0
+    point = next(r["params"] for r in map(json.loads, reports.read_text().splitlines())
+                 if r["params"]["E"] == 0.5)
+    t = lorentzian_sqrt(0.2, 0.5)
+    g = fit_on_interval(t, 6, (0.0, 1.0))
+    xs = np.linspace(0.0, 1.0, 200_001)
+    dev = np.abs(g.scale * g(xs) - t(xs)).max()
+    assert dev * (1 - 1e-9) <= point["fit_error"] <= dev * (1 + 1e-6)
 
 
 def test_timeseries_artifact(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ TEST_ONLY = {
     "qsp_value", "exact_success_prob", "validate", "circuit_from_text",
     "condition_bound", "project_on_interval", "to_phi",
     "objective", "gradient", "build_hracbem", "build_canonical_hracbem",
+    "block_of",
 }
 
 

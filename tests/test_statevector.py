@@ -12,7 +12,6 @@ from racbem.statevector import (
     apply,
     circuit_unitary,
     marginal_probabilities,
-    sample_counts,
     sample_from_probs,
     success_probability_exact,
 )
@@ -168,15 +167,6 @@ def test_marginal_probabilities_order():
     # a cyclic order: |100> read as (q2, q0, q1) is 010
     s = StateVector.basis(3, 4)
     assert np.allclose(marginal_probabilities(s, [2, 0, 1]), np.eye(8)[2])
-
-
-def test_sample_counts_matches_born_distribution(rng):
-    c = G.from_gates(1, [G.h(0)])
-    shots = 8192
-    counts = sample_counts(c, shots, [0], rng)
-    p0 = counts.counts.get("0", 0) / shots
-    # 5 sigma MC band around 0.5
-    assert abs(p0 - 0.5) < 5 * 0.5 / np.sqrt(shots)
 
 
 def test_sample_from_probs_deterministic(rng):

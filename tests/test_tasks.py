@@ -8,11 +8,18 @@ from scipy import stats
 from racbem import gates as G
 from racbem import noise, tasks
 from racbem.blockenc import BlockEncoding, extract_block
-from racbem.chebpoly import compose_fit, fit_on_interval, gibbs
+from racbem.chebpoly import compose_fit, fit_on_interval, fit_scaled, gibbs, odd_gibbs
 from racbem.generator import linear_coupling_map
 from racbem.noise import NoiseModel, synth_model
 from racbem.phasefactors import CONVERGED_L
-from racbem.statevector import circuit_unitary
+from racbem.qsvt import block_of
+from racbem.statevector import (
+    StateVector,
+    apply,
+    circuit_unitary,
+    marginal_probabilities,
+    sample_from_probs,
+)
 from racbem.tasks import (
     BenchmarkReport,
     MettsTrace,
@@ -72,6 +79,35 @@ def test_measure_success_modes():
     assert abs(p_sampled - p_exact) < 5 * np.sqrt(p_exact * (1 - p_exact) / 8192) + 1e-3
     with pytest.raises(ValueError):
         measure_success(ua.circuit, 1, 100, None)
+    with pytest.raises(ValueError):
+        measure_success(ua.circuit, 1, -5, np.random.default_rng(0))
+
+
+def test_measure_success_matches_born_distribution(rng):
+    c = G.from_gates(1, [G.h(0)])
+    shots = 8192
+    p0 = measure_success(c, 1, shots, rng)
+    # 5 sigma MC band around 0.5
+    assert abs(p0 - 0.5) < 5 * 0.5 / np.sqrt(shots)
+
+
+def test_sampled_weights_are_one_draw_from_the_cached_law():
+    c = generate_instance(2, 5).circuit
+    inp = StateVector.basis(3, 6)
+    run = tasks._Measure(64, None, 0.0, np.random.default_rng(3))
+    law = marginal_probabilities(apply(c, inp), [2, 0])
+    ref = sample_from_probs(law, 2, 64, np.random.default_rng(3))
+    want = np.zeros(4)
+    for bits, k in ref.counts.items():
+        want[int(bits, 2)] = k
+    assert np.array_equal(run.weights(c, 64, [2, 0], inp), want)
+    # exact mode reads the law itself, kept once per key
+    exact = tasks._Measure(0, None, 0.0, None)
+    assert np.array_equal(exact.weights(c, 0, [2, 0], inp), law)
+    assert exact.weights(c, 0, [2, 0], inp) is exact.weights(c, 0, [2, 0], inp)
+    with pytest.raises(ValueError):
+        exact.weights(c, 0, [2, 0], inp)[0] = 1.0
+    assert not np.array_equal(exact.weights(c, 0, [0, 2], inp), law)
 
 
 def test_racbem_benchmark_exact_mode_is_exact():
@@ -195,10 +231,10 @@ def test_metts_noisy_collapse_uses_noisy_sampler(monkeypatch):
         return counts
 
     def ideal(*args):
-        raise AssertionError("ideal sampler called in a noisy run")
+        raise AssertionError("ideal simulation in a noisy run")
 
     monkeypatch.setattr(tasks, "sample_noisy_counts", counting)
-    monkeypatch.setattr(tasks, "sample_counts", ideal)
+    monkeypatch.setattr(tasks, "apply", ideal)
     steps = 20
     trace, _ = metts_run(1.0, steps, 2, seed=6, shots=64,
                          noise_model=_metts_noise_model(), sigma=0.5)
@@ -221,6 +257,43 @@ def test_metts_noisy_law_computed_once_per_key(monkeypatch):
     # 2 circuits x 4 basis inputs on the ancillas, plus the collapse
     # circuit on all qubits from each of the 4 inputs
     assert 0 < len(passes) <= 2 * 4 + 4
+
+
+def test_metts_ideal_sampled_law_computed_once_per_key(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tasks, "apply", lambda *a: calls.append(1) or apply(*a))
+    metts_run(1.0, 20, 2, seed=6, shots=64)
+    # as in the noisy chain: 2 circuits x 4 inputs, plus 4 collapse inputs
+    assert 0 < len(calls) <= 2 * 4 + 4
+
+
+def test_metts_exact_matches_block_columns(monkeypatch):
+    # reference: column i of a QSVT block is the circuit on basis state i
+    # with both ancillas read at zero
+    recorded = []  # (input index, measured count, weights) per call
+    weights = tasks._Measure.weights
+
+    def spy(self, circuit, shots, measured, input_state):
+        w = weights(self, circuit, shots, measured, input_state)
+        recorded.append((int(np.abs(input_state.amplitudes).argmax()), len(measured), w))
+        return w
+
+    monkeypatch.setattr(tasks._Measure, "weights", spy)
+    ua, q = generate_instance(2, 15), canonical_quadratic()
+    for beta in (1.0, 4.0, 8.0):
+        recorded.clear()
+        trace, report = metts_run(beta, 60, 2, seed=15, shots=0)
+        d_num, d_den = tasks._default_metts_lengths(beta)
+        f_num, _ = fit_scaled(odd_gibbs(beta), d_num, "odd", (0.0, 1.0))
+        num = np.abs(block_of(tasks._qsvt_for(ua, f_num, allow_odd=True)[0])) ** 2
+        den = np.abs(block_of(tasks._point(ua, q, gibbs(beta), d_den)[0])) ** 2
+        ratio = report.params["scale_num"] ** 2 / report.params["scale_den"] ** 2
+        want = ratio * num.sum(axis=0) / den.sum(axis=0)
+        assert np.allclose(trace.energies, want[list(trace.states)], rtol=1e-12, atol=0)
+        collapses = [(i, w) for i, m, w in recorded if m == 4]
+        assert len(collapses) == 60
+        for i, w in collapses:
+            assert np.allclose(w[:4], den[:, i], rtol=0, atol=1e-12)
 
 
 def test_metts_noisy_cached_law_matches_fresh_law(monkeypatch):

@@ -91,16 +91,26 @@ def test_measure_success_matches_born_distribution(rng):
     assert abs(p0 - 0.5) < 5 * 0.5 / np.sqrt(shots)
 
 
+def _counts_vector(hist, n_bits):
+    v = np.zeros(2**n_bits)
+    for bits, k in hist.counts.items():
+        v[int(bits, 2)] = k
+    return v
+
+
 def test_sampled_weights_are_one_draw_from_the_cached_law():
     c = generate_instance(2, 5).circuit
     inp = StateVector.basis(3, 6)
     run = tasks._Measure(64, None, 0.0, np.random.default_rng(3))
     law = marginal_probabilities(apply(c, inp), [2, 0])
     ref = sample_from_probs(law, 2, 64, np.random.default_rng(3))
-    want = np.zeros(4)
-    for bits, k in ref.counts.items():
-        want[int(bits, 2)] = k
-    assert np.array_equal(run.weights(c, 64, [2, 0], inp), want)
+    assert np.array_equal(run.weights(c, 64, [2, 0], inp), _counts_vector(ref, 2))
+    # a noisy run's weights are the counts of one noisy sampler call
+    model = synth_model(linear_coupling_map(3), 0.01, 0.05, 0.02, np.random.default_rng(2))
+    noisy = tasks._Measure(64, model, 0.5, np.random.default_rng(4))
+    ref = noise.sample_noisy_counts(c, noise.scale(model, 0.5), 64, [2, 0],
+                                    np.random.default_rng(4), inp)
+    assert np.array_equal(noisy.weights(c, 64, [2, 0], inp), _counts_vector(ref, 2))
     # exact mode reads the law itself, kept once per key
     exact = tasks._Measure(0, None, 0.0, None)
     assert np.array_equal(exact.weights(c, 0, [2, 0], inp), law)

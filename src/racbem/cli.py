@@ -57,7 +57,6 @@ EXIT_MODULE = 4
 OUT_DIR_ENV = "RACBEM_OUT_DIR"
 
 DEFAULT_SHOTS = 8192
-DEFAULT_P_CNOT = 0.5
 
 
 class SchemaError(ValueError):
@@ -150,26 +149,22 @@ def _require(args, *names):
         raise SchemaError(f"missing required option(s): {flags}")
 
 
-def _p_cnot(args) -> float:
-    return args.p_cnot if args.p_cnot is not None else DEFAULT_P_CNOT
-
-
 def _generator_config(args) -> GeneratorConfig:
     _require(args, "n", "seed")
     depth = _resolve_depth(args, args.n)
     coupling = _coupling_for(args, args.n + 1)
-    return GeneratorConfig(coupling, DEFAULT_GATE_SET, _p_cnot(args), depth, args.seed)
+    return GeneratorConfig(coupling, DEFAULT_GATE_SET, args.p_cnot, depth, args.seed)
 
 
 def _task_kwargs(args, *required) -> dict:
     """The preamble every task shares: check the required options, then
-    resolve sampling mode, noise model, p_cnot, depth and coupling map
-    into the task keyword arguments."""
+    resolve sampling mode, noise model, depth and coupling map into the
+    task keyword arguments."""
     _require(args, "n", "seed", *required)
     shots, sigma = _sampling(args)
     return {
         "shots": shots, "sigma": sigma, "noise_model": _noise_for(args),
-        "p_cnot": _p_cnot(args), "depth": _resolve_depth(args, args.n),
+        "p_cnot": args.p_cnot, "depth": _resolve_depth(args, args.n),
         "coupling": _coupling_for(args, args.n + 1),
     }
 
@@ -330,6 +325,8 @@ def cmd_metts(args) -> int:
         args.beta, args.steps, args.n, args.seed,
         d_num=args.d_num, d_den=args.d_den, **kw,
     )
+    # echo the degrees the run used, also when the beta rule chose them
+    args.d_num, args.d_den = report.params["d_num"], report.params["d_den"]
     base = f"metts-b{args.beta}-n{args.n}-s{args.seed}"
     _write_task(args, kw, base,
                 ("beta", "steps", "n", "seed", "d_num", "d_den", "p_cnot", "noise_model"), {
@@ -355,7 +352,7 @@ FLOAT = {"type": float}
 INSTANCE_FLAGS = (
     ("--n", {"type": int, "help": "system qubit count"}),
     ("--seed", INT),
-    ("--p-cnot", FLOAT),
+    ("--p-cnot", {"type": float, "default": 0.5}),
     ("--depth", {"help": "layer count, or 'auto' for the depth rule"}),
     ("--coupling", {"help": "bundled map name (t5, ladder15) or a JSON file path"}),
 )

@@ -325,3 +325,29 @@ def test_explicit_flag_wins_over_config(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run(["linpack", "--config", str(cfg), "--exact", "--kap", "2"], monkeypatch, tmp_path)
     assert exc.value.code == 2
+
+
+def test_p_cnot_echo_default_config_and_flag(tmp_path, monkeypatch):
+    # the echo states the p_cnot the run used: the default, the config
+    # file's value over the default, or an explicit flag over the file
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"p_cnot": 0.3}))
+    base = ["linpack", "--n", "2", "--seed", "11", "--kappa", "2", "--d", "6", "--exact"]
+    for extra, want in (([], 0.5), (["--config", str(cfg)], 0.3),
+                        (["--config", str(cfg), "--p-cnot", "0.2"], 0.2)):
+        out = tmp_path / "o.json"
+        assert run(base + extra + ["--out", str(out)], monkeypatch, tmp_path) == 0
+        body = json.loads(out.read_text())
+        assert body["config"]["p_cnot"] == want == body["report"]["params"]["p_cnot"]
+
+
+def test_metts_echoes_degrees_used(tmp_path, monkeypatch):
+    # left to the beta rule, the degrees echo as the run used them
+    out, reports = tmp_path / "m.json", tmp_path / "m.jsonl"
+    base = ["metts", "--n", "2", "--seed", "15", "--beta", "1", "--steps", "5", "--exact",
+            "--out", str(out), "--reports", str(reports)]
+    for extra, want in (([], (3, 2)), (["--d-num", "5", "--d-den", "4"], (5, 4))):
+        assert run(base + extra, monkeypatch, tmp_path) == 0
+        config = json.loads(out.read_text())["config"]
+        params = json.loads(reports.read_text())["params"]
+        assert (config["d_num"], config["d_den"]) == want == (params["d_num"], params["d_den"])

@@ -5,9 +5,10 @@ U_Phi(x) = e^{i phi_0 Z} prod_{j=1..d} [e^{i arccos(x) X} e^{i phi_j Z}],
 whose upper-left real part is a degree-d polynomial in x with the parity
 of d.  Given a target polynomial, symmetric phases are found by damped
 Newton iteration on the square system of residuals at Chebyshev nodes,
-starting from the flat sequence.  Two phase conventions exist: the optimization one
-("phi") and the circuit one ("varphi"); they differ by fixed shifts of
-pi/4 at the ends and pi/2 inside.
+starting from the flat sequence.  Each SU(2) product is carried as its
+first row (a, b), and the symmetric Jacobian folds by slicing.  The
+optimization ("phi") and circuit ("varphi") phase conventions differ by
+fixed shifts (pi/4 at the ends, pi/2 inside).
 """
 
 from __future__ import annotations
@@ -77,53 +78,31 @@ def _nodes(d: int) -> np.ndarray:
     return np.cos((2 * j - 1) * np.pi / (4 * dt))
 
 
-def _stacks(values: np.ndarray, xs: np.ndarray):
-    """Prefix/suffix 2x2 product stacks over all nodes at once.
-
-    Returns (prefix, suffix) with prefix[k] = e^{i phi_0 Z} W e^{i phi_1 Z}
-    ... W e^{i phi_k Z} and suffix[k] = the remaining right factors, each
-    of shape (n_nodes, 2, 2)."""
-    d = len(values) - 1
-    n = len(xs)
-    th = np.arccos(xs)
-    c, s = np.cos(th), np.sin(th)
-    W = np.empty((n, 2, 2), dtype=complex)
-    W[:, 0, 0] = c
-    W[:, 1, 1] = c
-    W[:, 0, 1] = 1j * s
-    W[:, 1, 0] = 1j * s
-
-    def ez(p):
-        E = np.zeros((2, 2), dtype=complex)
-        E[0, 0] = np.exp(1j * p)
-        E[1, 1] = np.exp(-1j * p)
-        return E
-
-    prefix = np.empty((d + 1, n, 2, 2), dtype=complex)
-    cur = np.broadcast_to(ez(values[0]), (n, 2, 2)).copy()
-    prefix[0] = cur
-    for k in range(1, d + 1):
-        cur = cur @ W @ ez(values[k])
-        prefix[k] = cur
-    suffix = np.empty((d + 1, n, 2, 2), dtype=complex)
-    cur = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
-    suffix[d] = cur
-    for k in range(d - 1, -1, -1):
-        cur = (W @ ez(values[k + 1])) @ cur
-        suffix[k] = cur
-    return prefix, suffix
+def _mul(a1, b1, a2, b2):
+    """First row of [[a1, b1], [-b1*, a1*]] @ [[a2, b2], [-b2*, a2*]]."""
+    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
 
 
 def _residuals_and_derivs(values: np.ndarray, xs: np.ndarray, targets: np.ndarray):
     """Residuals Re U00 - target on the nodes, and d(Re U00)/d phi_k.
 
-    The derivatives have shape (d+1, n_nodes): d(Re U00)/d phi_k =
-    Re[i (L_k Z R_k)_00] with L_k = prefix[k], R_k = suffix[k], and
-    (L Z R)_00 = L00 R00 - L01 R10."""
-    prefix, suffix = _stacks(values, xs)
-    res = prefix[-1][:, 0, 0].real - targets
-    zr = prefix[:, :, 0, 0] * suffix[:, :, 0, 0] - prefix[:, :, 0, 1] * suffix[:, :, 1, 0]
-    return res, -zr.imag
+    Prefix products L_k = e^{i phi_0 Z} W e^{i phi_1 Z} ... W e^{i phi_k Z}
+    and suffix products R_k (the remaining right factors) are kept as
+    first rows (a, b) of shape (d+1, n_nodes); the factor W e^{i phi Z}
+    has first row (x e^{i phi}, i sqrt(1-x^2) e^{-i phi}).  The
+    derivatives have shape (d+1, n_nodes): d(Re U00)/d phi_k =
+    Re[i (L_k Z R_k)_00] = -Im(a_L a_R + b_L b_R*)."""
+    d = len(values) - 1
+    e = np.exp(1j * values)[:, None]
+    fa, fb = xs * e, 1j * np.sqrt(1 - xs**2) * np.conj(e)
+    pa, pb, sa, sb = np.zeros((4, d + 1, len(xs)), dtype=complex)
+    pa[0], sa[d] = e[0], 1
+    for k in range(1, d + 1):
+        pa[k], pb[k] = _mul(pa[k - 1], pb[k - 1], fa[k], fb[k])
+        j = d - k
+        sa[j], sb[j] = _mul(fa[j + 1], fb[j + 1], sa[j + 1], sb[j + 1])
+    res = pa[d].real - targets
+    return res, -(pa * sa + pb * np.conj(sb)).imag
 
 
 def objective(phases: PhaseFactors, f: ChebPoly) -> float:
@@ -168,25 +147,30 @@ def optimize(f: ChebPoly) -> tuple[PhaseFactors, float]:
     """Symmetric phase factors reproducing the polynomial f.
 
     Damped Newton on the symmetric system: the free phases are the first
-    half of the sequence (the rest mirrors them), one Chebyshev node per
-    free phase, so the folded Jacobian is square.  From the flat start
-    (pi/4, 0, ..., 0, pi/4) each iteration takes the least-squares step
-    and halves it until the mean squared residual L drops.  Returns
-    (phases, L); raises only on malformed input.  A target with no
-    phases (|f| > 1 somewhere on [-1, 1]) or a stall is reported via L,
-    which then exceeds CONVERGED_L."""
+    half of the sequence, the rest their mirror image, with one Chebyshev
+    node per free phase; the Jacobian folds onto the free half by adding
+    mirrored rows (the middle one once at even d), so it is square.  From
+    the flat start (pi/4, 0, ..., 0, pi/4) each iteration takes the
+    least-squares step and halves it until the mean squared residual L
+    drops.  Returns (phases, L); raises only on malformed input.  A
+    target with no phases (|f| > 1 somewhere on [-1, 1]) or a stall is
+    reported via L, which then exceeds CONVERGED_L."""
     d = f.degree
     if d < 1:
         raise ValueError("need degree >= 1")
     xs = _nodes(d)
     targets = f(xs)
     half = len(xs)
-    # mirror[k, i] = 1 when full phase k is free phase i
-    mirror = np.eye(half)[np.minimum(np.arange(d + 1), d - np.arange(d + 1))]
+
+    def full(v):
+        return np.concatenate([v, v[: d + 1 - half][::-1]])
 
     def state(v):
-        res, derivs = _residuals_and_derivs(mirror @ v, xs, targets)
-        return v, res, derivs.T @ mirror, float(np.mean(res**2))
+        res, derivs = _residuals_and_derivs(full(v), xs, targets)
+        folded = derivs[:half] + derivs[::-1][:half]
+        if d % 2 == 0:
+            folded[-1] /= 2
+        return v, res, folded.T, float(np.mean(res**2))
 
     v0 = np.zeros(half)
     v0[0] = np.pi / 4
@@ -204,30 +188,30 @@ def optimize(f: ChebPoly) -> tuple[PhaseFactors, float]:
         else:
             break
         v, res, J, L = trial
-    phases = PhaseFactors(tuple(mirror @ v), "phi", symmetric=True)
+    phases = PhaseFactors(tuple(full(v)), "phi", symmetric=True)
     return phases, L
 
 
-def to_varphi(phases: PhaseFactors) -> PhaseFactors:
-    """Shift to the circuit convention.
+def _shift(d: int) -> np.ndarray:
+    """varphi - phi for a degree-d sequence: pi/2 inside, pi/4 at both
+    ends, and -d*pi/2 more on the first phase, which cancels the global
+    (-i)^d the pi/2 bookkeeping leaves on the assembled circuit.  Without
+    that term the circuit block comes out as (-i)^d times the encoded
+    polynomial's transform (a sign flip for d = 2 mod 4, an
+    imaginary-part swap for odd d)."""
+    if d < 1:
+        raise ValueError("need length >= 2")
+    s = np.full(d + 1, np.pi / 2)
+    s[0] = s[-1] = np.pi / 4
+    s[0] -= d * np.pi / 2
+    return s
 
-    Interior phases shift by pi/2 and both ends by pi/4; the first phase
-    additionally shifts by -d*pi/2, which cancels the global (-i)^d the
-    pi/2 bookkeeping leaves on the assembled circuit.  Without that term
-    the circuit block comes out as (-i)^d times the encoded polynomial's
-    transform (a sign flip for d = 2 mod 4, an imaginary-part swap for
-    odd d)."""
+
+def to_varphi(phases: PhaseFactors) -> PhaseFactors:
+    """Shift to the circuit convention (see _shift)."""
     if phases.convention != "phi":
         raise ValueError("expected phi convention")
-    v = list(phases.values)
-    if len(v) < 2:
-        raise ValueError("need length >= 2")
-    d = len(v) - 1
-    out = (
-        [v[0] + np.pi / 4 - d * np.pi / 2]
-        + [p + np.pi / 2 for p in v[1:-1]]
-        + [v[-1] + np.pi / 4]
-    )
+    out = np.array(phases.values) + _shift(phases.degree)
     return PhaseFactors(tuple(out), "varphi", symmetric=False)
 
 
@@ -235,14 +219,6 @@ def to_phi(phases: PhaseFactors) -> PhaseFactors:
     """Inverse of to_varphi."""
     if phases.convention != "varphi":
         raise ValueError("expected varphi convention")
-    v = list(phases.values)
-    if len(v) < 2:
-        raise ValueError("need length >= 2")
-    d = len(v) - 1
-    out = (
-        [v[0] - np.pi / 4 + d * np.pi / 2]
-        + [p - np.pi / 2 for p in v[1:-1]]
-        + [v[-1] - np.pi / 4]
-    )
+    out = np.array(phases.values) - _shift(phases.degree)
     sym = all(abs(a - b) <= SYM_TOL for a, b in zip(out, out[::-1]))
     return PhaseFactors(tuple(out), "phi", sym)

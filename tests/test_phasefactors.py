@@ -3,15 +3,18 @@ import numpy.polynomial.chebyshev as C
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from racbem.blockenc import quadratic_for_condition
 from racbem.chebpoly import (
     ChebPoly,
     compose_fit,
     fit_on_interval,
+    inverse,
     lorentzian_sqrt,
 )
 from racbem.phasefactors import (
     CONVERGED_L,
     PhaseFactors,
+    _nodes,
     gradient,
     objective,
     optimize,
@@ -84,6 +87,17 @@ def test_optimize_spectral_target_that_stalled_lbfgs():
     assert np.abs(qsp_value(xs, phases) - f(xs)).max() < 1e-9
 
 
+def test_optimize_linpack_target_at_degree_240():
+    # the linpack target at (kappa, d) = (200, 240), as linpack_run fits it
+    q = quadratic_for_condition(200)
+    f = compose_fit(fit_on_interval(inverse(200), 120, (q.a0, q.a0 + q.a2), 0.0), q)
+    assert f.degree == 240
+    phases, L = optimize(f)
+    assert L <= CONVERGED_L
+    xs = np.linspace(-1, 1, 41)
+    assert np.abs(qsp_value(xs, phases) - f(xs)).max() < 1e-9
+
+
 def test_optimize_reports_infeasible_target():
     # the degree-7 Gibbs numerator fit at beta = 8 raised to peak 1e-6
     # above 1: a sampled grid (30 d + 31 Chebyshev and 2,001 uniform
@@ -121,6 +135,17 @@ def test_gradient_matches_finite_differences(seed, d):
         dn = objective(PhaseFactors(tuple(v)), f)
         fd = (up - dn) / (2 * eps)
         assert g[k] == pytest.approx(fd, rel=1e-4, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 40])
+def test_objective_matches_independent_evaluator(d):
+    # the solver kernel against the 2x2 matrix products of qsp_value
+    rng = np.random.default_rng(d)
+    f = cheb_target(d, amp=0.7)
+    p = PhaseFactors(tuple(rng.uniform(-np.pi, np.pi, d + 1)))
+    xs = _nodes(d)
+    want = np.mean((qsp_value(xs, p) - f(xs)) ** 2)
+    assert objective(p, f) == pytest.approx(want, rel=0, abs=1e-14)
 
 
 def test_objective_parity_check():

@@ -13,7 +13,7 @@ the one assembler for both it and `qsvt.build`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +39,10 @@ class BlockEncoding:
                 f"circuit has {self.circuit.n_qubits} qubits, "
                 f"expected n_sys + m = {self.n_sys + self.m}"
             )
+
+    def __getstate__(self):
+        # a pickle keeps the fields only, not the kept signal copies
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -78,11 +82,15 @@ def extract_block(be: BlockEncoding) -> np.ndarray:
 
 def _under_signal(ua: BlockEncoding, who: str):
     """(register size, U_A, U_A^dag) with U_A moved up one qubit so that
-    the signal qubit is q0 and its ancilla q1."""
+    the signal qubit is q0 and its ancilla q1.  The pair is kept on ua, so
+    every circuit built from ua shares the two parts and their fusion."""
     if ua.m != 1:
         raise ValueError(f"{who} needs a 1-ancilla block-encoding")
-    n = ua.circuit.n_qubits + 1
-    return n, G.shift_qubits(ua.circuit, 1, n), G.shift_qubits(G.adjoint(ua.circuit), 1, n)
+    if "_signal" not in ua.__dict__:
+        n = ua.circuit.n_qubits + 1
+        ua.__dict__["_signal"] = (n, G.shift_qubits(ua.circuit, 1, n),
+                                  G.shift_qubits(G.adjoint(ua.circuit), 1, n))
+    return ua.__dict__["_signal"]
 
 
 def _rotation_group(varphi: float) -> list[G.Gate]:

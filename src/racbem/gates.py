@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -233,8 +233,9 @@ class QuantumCircuit:
         return h
 
     def __getstate__(self):
-        # string hashes are salted per process, so a pickle drops the cache
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        # string hashes are salted per process, so a pickle keeps only the
+        # fields and drops the hash, the parts and the fused blocks
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def depth(self) -> int:
@@ -272,12 +273,17 @@ def shift_qubits(c: QuantumCircuit, offset: int, n_qubits: int) -> QuantumCircui
 
 
 def concat(n_qubits: int, *circuits: QuantumCircuit, name: str = "") -> QuantumCircuit:
+    """The circuits in turn.  The result keeps them as its parts (outside
+    eq, hash and pickle, like its cached hash), so that the simulator
+    fuses a part that recurs, such as QSVT's U_A, once."""
     layers: list[tuple[Gate, ...]] = []
     for c in circuits:
         if c.n_qubits != n_qubits:
             raise ValueError("qubit-count mismatch in concat")
         layers.extend(c.layers)
-    return QuantumCircuit(n_qubits, tuple(layers), name)
+    out = QuantumCircuit(n_qubits, tuple(layers), name)
+    object.__setattr__(out, "_parts", circuits)
+    return out
 
 
 @dataclass(frozen=True)

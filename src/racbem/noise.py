@@ -11,7 +11,10 @@ density matrix rho is held as n four-level sites, site q being the pair
 4^k x 4^k block on the gate's sites and rho passes once through the
 statevector kernel; the readout rows then mix the measured marginal.
 Each law is computed once per (circuit, measured, input) per model, and
-a run scales its model once, so once per run.
+a run scales its model once, so once per run.  The model also keeps the
+fused noisy blocks of each circuit part, so the laws of a run share one
+fusion of its U_A.  Nothing on a circuit refers back to a model, so a
+run's scaled model goes when the run ends.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ class NoiseModel:
     )
     _channels: dict = field(init=False, repr=False, compare=False)  # key -> channel superop
     _laws: dict = field(init=False, repr=False, compare=False)  # (circuit, measured, input) -> law
+    _blocks: dict = field(init=False, repr=False, compare=False)  # circuit part -> fused blocks
 
     def __post_init__(self):
         checked = {}
@@ -85,6 +89,7 @@ class NoiseModel:
             key: sum(p * _PAULI_SUPEROPS[lab] for lab, p in dist.items())
             for key, dist in checked.items()})
         object.__setattr__(self, "_laws", {})
+        object.__setattr__(self, "_blocks", {})
         ro = {}
         for q, rows in self.readout.items():
             rows = tuple(tuple(float(x) for x in r) for r in rows)
@@ -105,6 +110,12 @@ class NoiseModel:
                 "readout": {str(q): [list(r) for r in rows] for q, rows in self.readout.items()},
             }
         )
+
+    def _block(self, g) -> np.ndarray:
+        """Gate g on rho: its Pauli channel times its superoperator."""
+        sup = _superop(gate_unitary(g))
+        channel = self._channels.get((g.kind, g.qubits))
+        return sup if channel is None else channel @ sup
 
     @classmethod
     def from_json(cls, text: str) -> "NoiseModel":
@@ -236,13 +247,7 @@ def outcome_distribution(
     psi = input_state.amplitudes.reshape((2,) * n)
     interleave = [a for q in range(n) for a in (q, q + n)]
     rho = np.multiply.outer(psi, psi.conj()).transpose(interleave).reshape(-1)
-
-    def noisy(g):
-        sup = _superop(gate_unitary(g))
-        channel = model._channels.get((g.kind, g.qubits))
-        return sup if channel is None else channel @ sup
-
-    rho = _run(c, rho, noisy)
+    rho = _run(c, rho, model._block, model._blocks)
     probs = np.clip(rho.reshape((4,) * n)[(slice(None, None, 3),) * n].real, 0.0, None)
     marg = _marginal(probs, measured).reshape((2,) * len(measured))
     for pos, q in enumerate(measured):

@@ -2,10 +2,15 @@
 
 States are complex vectors of length 2**n, qubit 0 the most significant
 bit of the index.  The kernel, `_run`, sees an array as n sites of
-dimension d (2 for states, 4 for the density matrices of `noise`), folds
-each run of one-site blocks into the next two-site block on its site,
-and applies each block as one `matmul` on a (d**q, block, rest) view of
-a state, the identity, a block-encoding's kept columns or rho.
+dimension d (2 for states, 4 for the density matrices of `noise`).  It
+fuses a circuit part by part: each run of one-site blocks folds into the
+next two-site block on its site, and a run open at a part's end into the
+last one.  A part (a `gates.concat` operand, such as the U_A that a QSVT
+circuit repeats d times, or a whole circuit) is fused once: its ideal
+blocks are kept on it, its noisy ones on the noise model.  Each block is
+one `matmul` on a (d**q, block, rest) view of a state, the identity, a
+block-encoding's kept columns or rho; when rest is the shorter side, one
+product with the block's axis moved to the front.
 """
 
 from __future__ import annotations
@@ -47,40 +52,78 @@ class StateVector:
         return cls(n_qubits, amps)
 
 
-def _fused(c: QuantumCircuit, d: int, mat):
-    """Yield (u, sites) blocks of mat(gate) on d-level sites, two-site ones
-    in ascending order: each run of one-site blocks is multiplied into the
-    next two-site block on its site; runs open at the end stay d x d."""
-    mats = {g: mat(g) for g in set(c.gates())}  # QSVT repeats U_A's gates
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    d = len(x)
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(d * d, d * d)
+
+
+def _fuse(c: QuantumCircuit, d: int, mat) -> list:
+    """The (u, sites) blocks of mat(gate) on d-level sites, two-site ones in
+    ascending order: each run of one-site blocks is multiplied into the
+    next two-site block on its site, and a run still open at the end into
+    the last one, so only a site that meets no two-site block keeps a
+    d x d block."""
     eye = np.eye(d)
+    blocks: list = []
+    last: dict[int, int] = {}  # site -> index of its last two-site block
     pending: dict[int, np.ndarray] = {}
     for g in c.gates():
-        u = mats[g]
+        u = mat(g)
         if len(g.qubits) == 1:
             q = g.qubits[0]
             pending[q] = u @ pending[q] if q in pending else u
             continue
         a, b = g.qubits
-        pa, pb = pending.pop(a, eye), pending.pop(b, eye)
-        u = u @ (pa[:, None, :, None] * pb[None, :, None, :]).reshape(d * d, d * d)
+        u = u @ _kron(pending.pop(a, eye), pending.pop(b, eye))
         if a > b:  # swap the operand order so the block reads (b, a)
             u = u.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
             a, b = b, a
-        yield u, (a, b)
-    yield from ((u, (q,)) for q, u in pending.items())
+        last[a] = last[b] = len(blocks)
+        blocks.append((u, (a, b)))
+    for q, p in pending.items():
+        if q not in last:
+            blocks.append((p, (q,)))
+            continue
+        # nothing after that block touches q, so the run commutes back to it
+        u, qs = blocks[last[q]]
+        blocks[last[q]] = (_kron(p, eye) if q == qs[0] else _kron(eye, p)) @ u, qs
+    return blocks
 
 
-def _run(c: QuantumCircuit, arr: np.ndarray, mat=gate_unitary) -> np.ndarray:
+def _fused(c: QuantumCircuit, d: int, mat, kept) -> list:
+    """c's blocks: the concatenation of its parts' `_fuse` blocks, each part
+    fused once.  A circuit from `gates.concat` has its parts; any other is
+    its own one part.  kept maps a part to its blocks of mat; with None the
+    ideal blocks (mat = gate_unitary) are kept on the part itself."""
+    out: list = []
+    for p in c.__dict__.get("_parts", (c,)):
+        home, key = (p.__dict__, "_blocks") if kept is None else (kept, p)
+        if key not in home:
+            home[key] = _fuse(p, d, mat)
+        out += home[key]
+    return out
+
+
+def _run(c: QuantumCircuit, arr: np.ndarray, mat=gate_unitary, kept=None) -> np.ndarray:
     """The circuit, with mat(g) as gate g's block, applied to arr of shape
-    (d**n,) or (d**n, cols): d = 2 for states, 4 for rho in site order."""
+    (d**n,) or (d**n, cols): d = 2 for states, 4 for rho in site order.
+    kept holds the fused blocks of mat, as in `_fused`."""
     n, shape = c.n_qubits, arr.shape
     d = 2 if len(arr) == 2**n else 4
-    for u, qs in _fused(c, d, mat):
-        if qs[-1] - qs[0] <= 1:
-            arr = np.matmul(u, arr.reshape(d ** qs[0], len(u), -1))
-        else:  # non-adjacent pair
+    for u, qs in _fused(c, d, mat, kept):
+        if qs[-1] - qs[0] > 1:  # non-adjacent pair
             arr = np.tensordot(u.reshape((d,) * 4), arr.reshape((d,) * n + (-1,)), ([2, 3], qs))
             arr = np.moveaxis(arr, [0, 1], qs)
+            continue
+        k = len(u)
+        v = arr.reshape(d ** qs[0], k, -1)
+        if v.shape[2] < len(v):
+            # a batch of many tiny products costs more than one product
+            # with the block's axis moved to the front
+            arr = u @ v.transpose(1, 0, 2).reshape(k, -1)
+            arr = arr.reshape(k, len(v), -1).transpose(1, 0, 2)
+        else:
+            arr = np.matmul(u, v)
     return arr.reshape(shape)
 
 

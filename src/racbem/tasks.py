@@ -497,6 +497,15 @@ PD_FLOOR = 1e-12
 COLLAPSE_SHOTS = 100
 
 
+def _draw(w: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """Index i with probability w[i] / total: the draw of
+    rng.choice(len(w), p=w / total), from the same uniform, at about half
+    its cost."""
+    cdf = np.cumsum(w / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def metts_run(
     beta: float,
     steps: int,
@@ -579,7 +588,7 @@ def metts_run(
                 resamples += 1
                 i_next = int(rng.integers(dim))
             else:
-                i_next = int(rng.choice(dim, p=w / total))
+                i_next = _draw(w, total, rng)
         nexts.append(i_next)
         i = i_next
 

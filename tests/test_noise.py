@@ -207,6 +207,22 @@ def test_outcome_law_matches_dense_reference_on_t5_instance():
         assert np.abs(law - _dense_law(c, m, measured, v)).max() < 1e-12
 
 
+def test_warm_model_law_matches_fresh_model():
+    # the model keeps each part's noisy blocks, so a second pass with another
+    # input reads them; its law is a fresh model's and the dense reference's
+    _, varphi = phases_for((0.2, 0.0, 0.5, 0.0, 0.2), "even")
+    c = build(random_ua(2, seed=33), varphi).circuit
+    m = synth_model(linear_coupling_map(4), 0.05, 0.15, 0.05, np.random.default_rng(8))
+    rng = np.random.default_rng(9)
+    outcome_distribution(c, m, [0, 1], StateVector(4, _random_state(4, rng)))
+    v = _random_state(4, rng)
+    warm = outcome_distribution(c, m, [0, 1, 3], StateVector(4, v))
+    fresh = outcome_distribution(c, NoiseModel(m.gate_errors, m.readout), [0, 1, 3],
+                                 StateVector(4, v))
+    assert np.abs(warm - fresh).max() < 1e-12
+    assert np.abs(warm - _dense_law(c, m, [0, 1, 3], v)).max() < 1e-12
+
+
 def test_noiseless_law_is_ideal_marginal_on_qsvt_circuit():
     _, varphi = phases_for((0.2, 0.0, 0.5, 0.0, 0.2), "even")
     c = build(random_ua(2, seed=33), varphi).circuit

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,10 @@ from racbem.blockenc import extract_block
 from racbem.oracle import matfun_right
 from racbem.phasefactors import PhaseFactors, optimize, to_varphi
 from racbem.qsvt import block_of, build, gate_count_bound
-from racbem.statevector import circuit_unitary
+from racbem.statevector import StateVector, apply, circuit_unitary
 from racbem.chebpoly import ChebPoly
 from conftest import random_ua
+from test_statevector import _random_state
 
 
 def phases_for(coeffs, parity):
@@ -74,3 +77,19 @@ def test_success_probability_equals_transformed_norm():
     )
     p_ref = exact_success_prob(extract_block(ua), f, StateVector.zero(2))
     assert p_circ == pytest.approx(p_ref, abs=1e-10)
+
+
+def test_pickled_circuit_compares_equal_and_runs_alike():
+    # a pickle keeps the fields only: not the hash, the parts, their fused
+    # blocks or the instance's signal copies, so the copy fuses afresh
+    ua = random_ua(2, seed=12)
+    _, varphi = phases_for((0.3, 0.0, 0.4), "even")
+    qc = build(ua, varphi)
+    s = StateVector(4, _random_state(4, np.random.default_rng(12)))
+    out = apply(qc.circuit, s).amplitudes
+    copy = pickle.loads(pickle.dumps(qc))
+    assert not {"_hash", "_parts", "_blocks"} & vars(copy.circuit).keys()
+    assert copy == qc and hash(copy.circuit) == hash(qc.circuit)
+    assert np.abs(apply(copy.circuit, s).amplitudes - out).max() < 1e-12
+    ua_copy = pickle.loads(pickle.dumps(ua))
+    assert ua_copy == ua and "_signal" in vars(ua) and "_signal" not in vars(ua_copy)

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from racbem import gates as G
-from racbem.blockenc import extract_block
+from racbem import statevector
+from racbem.blockenc import _under_signal, build_canonical_hracbem, extract_block
 from racbem.generator import GeneratorConfig, generate_block_encoding, load_coupling_map
+from racbem.phasefactors import PhaseFactors
+from racbem.qsvt import build
 from racbem.statevector import (
     CountsHistogram,
     StateVector,
@@ -121,6 +124,38 @@ def test_kernel_zero_qubit_circuit():
 def test_kernel_multi_column_input():
     c = random_circuit(5, n_qubits=4, n_gates=25)
     x = np.random.default_rng(5).normal(size=(16, 3)) + 0j
+    assert np.abs(_run(c, x) - _dense_reference(c, x)).max() < 1e-12
+
+
+def test_kernel_matches_dense_reference_on_assembled_circuits(monkeypatch):
+    # concatenations run part by part from each part's kept blocks; every
+    # part is fused once however often it recurs, in one circuit or several
+    fused = []
+    fuse = statevector._fuse
+    monkeypatch.setattr(statevector, "_fuse", lambda c, d, mat: fused.append(c) or fuse(c, d, mat))
+    ua = random_ua(2, 21)
+    rng = np.random.default_rng(21)
+    circuits = [build(ua, PhaseFactors(tuple(rng.uniform(0, 2 * np.pi, k)), "varphi"),
+                      allow_odd=True).circuit for k in (7, 4)]
+    circuits.append(build_canonical_hracbem(ua).circuit)
+    for k, c in enumerate(circuits):
+        _check_against_reference(c, k)
+        x = rng.normal(size=(2**c.n_qubits, 3)) + 1j * rng.normal(size=(2**c.n_qubits, 3))
+        assert np.abs(_run(c, x) - _dense_reference(c, x)).max() < 1e-12
+    assert len({id(c) for c in fused}) == len(fused)
+    _, ua_s, uad_s = _under_signal(ua, "")
+    assert sum(c is ua_s or c is uad_s for c in fused) == 2
+
+
+@pytest.mark.parametrize("q", range(6))
+def test_kernel_matches_dense_reference_on_every_pair(q):
+    # with one column, the pairs from q = 3 up have fewer amplitudes right of
+    # the pair than left of it and take the one-product path
+    n = 7
+    c = G.from_gates(n, [G.h(q), G.u3(q + 1, 0.3, 0.8, -1.2), G.cnot(q + 1, q), G.t(q),
+                         G.cnot(q, q + 1), G.u2(q + 1, 0.4, 0.1), G.sdg(q)])
+    _check_against_reference(c, q)
+    x = np.random.default_rng(q).normal(size=(2**n, 2)) + 0j
     assert np.abs(_run(c, x) - _dense_reference(c, x)).max() < 1e-12
 
 

@@ -1,5 +1,7 @@
 import csv
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -222,6 +224,47 @@ def test_metts_noisy_sampled_reproducible_from_seed():
     a, _ = metts_run(1.0, 20, 2, seed=6, shots=64, noise_model=nm, sigma=1.0)
     b, _ = metts_run(1.0, 20, 2, seed=6, shots=64, noise_model=nm, sigma=1.0)
     assert _chain(a) == _chain(b)
+
+
+def test_run_frees_its_scaled_model(monkeypatch):
+    # the circuits and the instance outlive a run, and nothing on them refers
+    # to the run's scaled model, so it goes with the run, without the collector
+    refs = []
+    real = tasks.scale_noise
+
+    def recording(model, sigma):
+        scaled = real(model, sigma)
+        refs.append(weakref.ref(scaled))
+        return scaled
+
+    monkeypatch.setattr(tasks, "scale_noise", recording)
+    ua = generate_instance(2, 6)
+    gc.disable()
+    try:
+        metts_run(1.0, 5, 2, seed=6, shots=64, noise_model=_metts_noise_model(), sigma=1.0, ua=ua)
+        spectral_run(2, 6, energies=(0.5,), lengths=7, shots=64,
+                     noise_model=_metts_noise_model(), sigma=1.0, ua=ua)
+        alive = [r() is not None for r in refs]
+    finally:
+        gc.enable()
+    assert alive == [False, False]
+
+
+def test_collapse_draw_reproduces_choice():
+    # exact and sampled chains keep their states: the same index as
+    # rng.choice, and the same generator state after it, on weights with zeros
+    for seed in range(10_000):
+        gen = np.random.default_rng(seed)
+        dim = int(gen.integers(2, 65))
+        if seed % 2:  # counts, as in sampled mode
+            w = gen.multinomial(64, gen.dirichlet(np.ones(dim))).astype(float)
+        else:  # a law, as in exact mode
+            w = gen.random(dim) * (gen.random(dim) < 0.5)
+            w[gen.integers(dim)] += gen.random()
+        a, b = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        total = float(w.sum())
+        assert tasks._draw(w, total, a) == b.choice(dim, p=w / total)
+        assert a.random() == b.random()
 
 
 def test_metts_sigma_zero_matches_ideal_sampled():

@@ -18,14 +18,14 @@ import numpy as np
 
 from racbem.generator import linear_coupling_map
 from racbem.noise import synth_model
-from racbem.tasks import racbem_benchmark
+from racbem.tasks import DEFAULT_SHOTS, racbem_benchmark
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=3, help="system qubits")
     ap.add_argument("--instances", type=int, default=20)
-    ap.add_argument("--shots", type=int, default=8192)
+    ap.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     ap.add_argument("--sigmas", default="0,0.25,0.5,0.75,1.0",
                     help="comma-separated sigma values")
     ap.add_argument("--seed", type=int, default=0, help="noise model seed")

@@ -364,7 +364,6 @@ def fit_scaled(
     degree: int,
     parity: str = "none",
     interval: tuple[float, float] | None = None,
-    margin: float = DEFAULT_MARGIN,
 ) -> tuple[ChebPoly, float]:
     """Scale the target below 1, minimax-fit the scaled target.
 
@@ -373,7 +372,7 @@ def fit_scaled(
     sup-norm error of poly.scale * poly versus t on the fit interval."""
     if interval is None:
         interval = t.domain
-    scaled, alpha = apply_scaling(t, interval, margin)
+    scaled, alpha = apply_scaling(t, interval)
     poly, err = remez(scaled, degree, parity, interval)
     total = alpha * poly.scale
     return ChebPoly(poly.coeffs, poly.parity, scale=total), float(err * alpha)

@@ -37,7 +37,6 @@ from .chebpoly import (
     sin_sqrt,
 )
 from .generator import (
-    DEFAULT_GATE_SET,
     GeneratorConfig,
     default_depth,
     generate_block_encoding,
@@ -55,8 +54,6 @@ EXIT_IO = 3
 EXIT_MODULE = 4
 
 OUT_DIR_ENV = "RACBEM_OUT_DIR"
-
-DEFAULT_SHOTS = 8192
 
 
 class SchemaError(ValueError):
@@ -111,7 +108,7 @@ def _sampling(args) -> tuple[int, float]:
     is supplied, else 0."""
     if getattr(args, "exact", False) or args.shots == 0:
         return 0, 0.0
-    shots = args.shots if args.shots is not None else DEFAULT_SHOTS
+    shots = args.shots if args.shots is not None else tasks.DEFAULT_SHOTS
     if args.sigma is not None:
         sigma = args.sigma
     else:
@@ -153,7 +150,7 @@ def _generator_config(args) -> GeneratorConfig:
     _require(args, "n", "seed")
     depth = _resolve_depth(args, args.n)
     coupling = _coupling_for(args, args.n + 1)
-    return GeneratorConfig(coupling, DEFAULT_GATE_SET, args.p_cnot, depth, args.seed)
+    return GeneratorConfig(coupling, args.p_cnot, depth, args.seed)
 
 
 def _task_kwargs(args, *required) -> dict:
@@ -279,17 +276,22 @@ def cmd_linpack(args) -> int:
     return EXIT_OK
 
 
-SERIES_GRIDS = ("lengths_real", "lengths_imag", "etas_real", "etas_imag")
+# timeseries grid flags, in time_series_run's order -> the default each replaces
+SERIES_GRIDS = {
+    "t_grid": tasks.TS_GRID, "lengths_real": tasks.TS_LENGTHS_REAL,
+    "lengths_imag": tasks.TS_LENGTHS_IMAG, "etas_real": tasks.TS_ETAS_REAL,
+    "etas_imag": tasks.TS_ETAS_IMAG,
+}
 
 
 def cmd_timeseries(args) -> int:
     kw = _task_kwargs(args)
-    grids = {k: getattr(args, k) for k in SERIES_GRIDS if getattr(args, k)}
-    res = tasks.time_series_run(
-        args.n, args.seed, ts=args.t_grid or tuple(range(1, 11)), **kw, **grids
-    )
+    # echo the grid and lists the run used, also where the defaults ran
+    for k, default in SERIES_GRIDS.items():
+        setattr(args, k, getattr(args, k) or default)
+    res = tasks.time_series_run(args.n, args.seed, *(getattr(args, k) for k in SERIES_GRIDS), **kw)
     _write_task(args, kw, f"timeseries-n{args.n}-s{args.seed}",
-                ("n", "seed", "p_cnot", "noise_model") + SERIES_GRIDS, {
+                ("n", "seed", "p_cnot", "noise_model", *SERIES_GRIDS), {
                     "t": list(res.grid),
                     "s": [[v.real, v.imag] for v in res.values],
                     "s_exact": [[v.real, v.imag] for v in res.exact],

@@ -246,9 +246,9 @@ class QuantumCircuit:
             yield from layer
 
 
-def from_gates(n_qubits: int, gates, name: str = "") -> QuantumCircuit:
+def from_gates(n_qubits: int, gates) -> QuantumCircuit:
     """Build a circuit with one gate per layer (sequential schedule)."""
-    return QuantumCircuit(n_qubits, tuple((g,) for g in gates), name)
+    return QuantumCircuit(n_qubits, tuple((g,) for g in gates))
 
 
 def adjoint(c: QuantumCircuit) -> QuantumCircuit:

@@ -11,7 +11,7 @@ is declared the encoding ancilla.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from . import gates as G
 from .blockenc import BlockEncoding, extract_block
 
 ONE_QUBIT_CHOICES = ("u1", "u2", "u3")
-
-DEFAULT_GATE_SET = ("u1", "u2", "u3", "cnot")
 
 
 def load_coupling_map(name: str) -> G.CouplingMap:
@@ -43,21 +41,13 @@ def linear_coupling_map(n_qubits: int) -> G.CouplingMap:
 @dataclass(frozen=True)
 class GeneratorConfig:
     coupling: G.CouplingMap
-    gate_set: tuple[str, ...] = DEFAULT_GATE_SET
     p_cnot: float = 0.5
     depth: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "gate_set", tuple(self.gate_set))
-        allowed = set(ONE_QUBIT_CHOICES) | {"cnot"}
-        bad = set(self.gate_set) - allowed
-        if bad:
-            raise ValueError(f"unsupported gate kinds {sorted(bad)}")
-        if not set(self.gate_set) & set(ONE_QUBIT_CHOICES):
-            raise ValueError("gate_set needs at least one 1-qubit kind")
-        if "cnot" in self.gate_set and not self.coupling.edges:
-            raise ValueError("cnot requested but coupling map has no edges")
+        if not self.coupling.edges:
+            raise ValueError("coupling map has no edges")
         if not 0.0 <= self.p_cnot < 1.0:
             raise ValueError("p_cnot must be in [0, 1)")
         if self.depth < 1:
@@ -78,8 +68,7 @@ def default_depth(n_system: int) -> int:
 def _one_layer(cfg: GeneratorConfig, rng: np.random.Generator) -> tuple[G.Gate, ...]:
     n = cfg.coupling.n_qubits
     vertices = set(range(n))
-    edges = sorted(cfg.coupling.edges) if "cnot" in cfg.gate_set else []
-    one_q = sorted(set(cfg.gate_set) & set(ONE_QUBIT_CHOICES))
+    edges = sorted(cfg.coupling.edges)
     gates = []
     while vertices:
         r = rng.uniform()
@@ -88,7 +77,7 @@ def _one_layer(cfg: GeneratorConfig, rng: np.random.Generator) -> tuple[G.Gate, 
             gates.append(G.cnot(c, t))
             used = {c, t}
         else:
-            kind = one_q[rng.integers(len(one_q))]
+            kind = ONE_QUBIT_CHOICES[rng.integers(len(ONE_QUBIT_CHOICES))]
             q = sorted(vertices)[rng.integers(len(vertices))]
             n_angles = G.GATE_KINDS[kind]
             angles = rng.uniform(0.0, 2.0 * np.pi, n_angles)
@@ -136,14 +125,7 @@ def sv_spread_stats(
     seeds = np.random.SeedSequence(cfg.seed).spawn(samples)
     spreads = np.empty(samples)
     for i, ss in enumerate(seeds):
-        child = GeneratorConfig(
-            coupling=cfg.coupling,
-            gate_set=cfg.gate_set,
-            p_cnot=cfg.p_cnot,
-            depth=cfg.depth,
-            seed=ss,
-        )
-        be = generate_block_encoding(child, n_system)
+        be = generate_block_encoding(replace(cfg, seed=ss), n_system)
         s = np.linalg.svd(extract_block(be), compute_uv=False)
         spreads[i] = s.max() - s.min()
     return SpreadStats(

@@ -268,13 +268,13 @@ def sample_noisy_counts(
     rng: np.random.Generator,
     input_state: StateVector | None = None,
 ) -> CountsHistogram:
-    """Counts of the noisy circuit: one multinomial draw of all shots from
-    the exact outcome distribution, which is the law of independent
-    trajectories that draw a Pauli error after each gate and flip each
-    read bit per its confusion row."""
+    """Counts of the noisy circuit, in bitstring order: one multinomial
+    draw of all shots from the exact outcome distribution, which is the
+    law of independent trajectories that draw a Pauli error after each
+    gate and flip each read bit per its confusion row."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if input_state is None:
         input_state = StateVector.zero(c.n_qubits)
     probs = outcome_distribution(c, model, measured, input_state)
-    return sample_from_probs(probs, len(measured), shots, rng)
+    return sample_from_probs(probs, shots, rng)

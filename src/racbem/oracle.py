@@ -14,6 +14,8 @@ from .statevector import StateVector
 
 SIGMA_TOL = 1e-8
 
+HERMITIAN_TOL = 1e-10
+
 DIM_CAP = 2**10
 
 
@@ -46,9 +48,9 @@ def exact_success_prob(A: np.ndarray, f: ChebPoly, b: StateVector) -> float:
     return float(np.vdot(v, v).real)
 
 
-def _check_hermitian(H: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _check_hermitian(H: np.ndarray) -> np.ndarray:
     H = _check_matrix(H)
-    if np.abs(H - H.conj().T).max() > tol:
+    if np.abs(H - H.conj().T).max() > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian")
     return H
 

@@ -11,6 +11,10 @@ blocks are kept on it, its noisy ones on the noise model.  Each block is
 one `matmul` on a (d**q, block, rest) view of a state, the identity, a
 block-encoding's kept columns or rho; when rest is the shorter side, one
 product with the block's axis moved to the front.
+
+Sampled counts stay one vector, `CountsHistogram.draws`, in the same
+bitstring order as the outcome laws, from the draw to every reader;
+only `CountsHistogram.counts` writes outcomes as bitstrings.
 """
 
 from __future__ import annotations
@@ -134,11 +138,11 @@ def apply(c: QuantumCircuit, s: StateVector) -> StateVector:
     return StateVector(s.n_qubits, _run(c, s.amplitudes), s.unnormalized)
 
 
-def circuit_unitary(c: QuantumCircuit, cap: int = UNITARY_QUBIT_CAP) -> np.ndarray:
+def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
     """Dense 2^q x 2^q unitary of the circuit (column j = U|j>)."""
     q = c.n_qubits
-    if q > cap:
-        raise ValueError(f"{q} qubits exceeds unitary cap {cap}")
+    if q > UNITARY_QUBIT_CAP:
+        raise ValueError(f"{q} qubits exceeds unitary cap {UNITARY_QUBIT_CAP}")
     return _run(c, np.eye(2**q, dtype=complex))
 
 
@@ -153,14 +157,21 @@ def success_probability_exact(
 
 @dataclass
 class CountsHistogram:
-    """Measurement counts keyed by bitstring (qubit 0 written first)."""
+    """Measurement counts as one int vector: draws[i] is how often outcome
+    i was read, in bitstring order (the first measured qubit the most
+    significant bit, as in `marginal_probabilities`)."""
 
-    counts: dict[str, int]
-    shots: int
+    draws: np.ndarray
 
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("counts do not sum to shots")
+    @property
+    def shots(self) -> int:
+        return int(self.draws.sum())
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """The outcomes read at least once, keyed by bitstring."""
+        n = len(self.draws).bit_length() - 1
+        return {format(i, f"0{n}b"): int(k) for i, k in enumerate(self.draws) if k}
 
 
 def marginal_probabilities(s: StateVector, measured: list[int]) -> np.ndarray:
@@ -179,12 +190,7 @@ def _marginal(probs: np.ndarray, measured: list[int]) -> np.ndarray:
     return np.transpose(marg, np.argsort(np.argsort(measured))).reshape(-1)
 
 
-def sample_from_probs(
-    probs: np.ndarray, n_bits: int, shots: int, rng: np.random.Generator
-) -> CountsHistogram:
-    draws = rng.multinomial(shots, probs / probs.sum())
-    counts = {
-        format(i, f"0{n_bits}b"): int(k) for i, k in enumerate(draws) if k > 0
-    }
-    return CountsHistogram(counts, shots)
+def sample_from_probs(probs: np.ndarray, shots: int, rng: np.random.Generator) -> CountsHistogram:
+    """Counts of `shots` independent reads of the outcome law probs."""
+    return CountsHistogram(rng.multinomial(shots, probs / probs.sum()))
 

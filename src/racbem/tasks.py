@@ -40,7 +40,6 @@ from .chebpoly import (
     sin_sqrt,
 )
 from .generator import (
-    DEFAULT_GATE_SET,
     GeneratorConfig,
     default_depth,
     generate_block_encoding,
@@ -58,6 +57,7 @@ from .statevector import (
     StateVector,
     apply,
     marginal_probabilities,
+    sample_from_probs,
     success_probability_exact,
 )
 
@@ -140,16 +140,16 @@ def generate_instance(
         coupling = linear_coupling_map(n + 1)
     if depth is None:
         depth = default_depth(n)
-    cfg = GeneratorConfig(coupling, DEFAULT_GATE_SET, p_cnot, depth, seed)
-    return generate_block_encoding(cfg, n)
+    return generate_block_encoding(GeneratorConfig(coupling, p_cnot, depth, seed), n)
 
 
 class _Measure:
     """How one run reads its outcomes.  `weights` gives, in bitstring
-    order, the ideal outcome law at shots 0, else counts drawn from the
-    run's generator: one multinomial from that law, or through the noise
-    model scaled once by sigma.  Each ideal law is computed once per run;
-    the noisy sampler is looked up in this module at call time."""
+    order, the ideal outcome law at shots 0, else the count vector
+    (`CountsHistogram.draws`) of one draw from the run's generator: from
+    that law, or through the noise model scaled once by sigma.  Each ideal
+    law is computed once per run; the noisy sampler is looked up in this
+    module at call time."""
 
     def __init__(self, shots: int, noise_model: NoiseModel | None, sigma: float,
                  rng: np.random.Generator | None):
@@ -168,18 +168,14 @@ class _Measure:
         significant bit): the exact law in exact mode, else the counts
         of `shots` draws."""
         if self.noise is not None:
-            counts = sample_noisy_counts(circuit, self.noise, shots, measured, self.rng,
-                                         input_state)
-            w = np.zeros(2 ** len(measured))
-            for bits, k in counts.counts.items():
-                w[int(bits, 2)] = k
-            return w
+            return sample_noisy_counts(circuit, self.noise, shots, measured, self.rng,
+                                       input_state).draws
         key = (circuit, tuple(measured), input_state.amplitudes.tobytes())
         law = self.laws.get(key)
         if law is None:
             law = self.laws[key] = marginal_probabilities(apply(circuit, input_state), measured)
             law.setflags(write=False)  # handed to every later caller
-        return law if self.shots == 0 else self.rng.multinomial(shots, law / law.sum())
+        return law if self.shots == 0 else sample_from_probs(law, shots, self.rng).draws
 
     def success(self, circuit: G.QuantumCircuit, m: int,
                 input_state: StateVector | None = None) -> float:
@@ -204,17 +200,10 @@ class _Measure:
         return params
 
 
-def measure_success(
-    circuit: G.QuantumCircuit,
-    m_ancilla: int,
-    shots: int,
-    rng: np.random.Generator | None,
-    noise_model: NoiseModel | None = None,
-    sigma: float = 0.0,
-    input_state: StateVector | None = None,
-) -> float:
-    """P(all ancillas read 0): analytic when shots=0, else sampled."""
-    return _Measure(shots, noise_model, sigma, rng).success(circuit, m_ancilla, input_state)
+def measure_success(circuit: G.QuantumCircuit, m_ancilla: int, shots: int,
+                    rng: np.random.Generator | None) -> float:
+    """P(all ancillas read 0) from |0...0>: analytic when shots=0, else sampled."""
+    return _Measure(shots, None, 0.0, rng).success(circuit, m_ancilla)
 
 
 def _qsvt_for(ua: BlockEncoding, f: ChebPoly, allow_odd: bool = False):
@@ -265,11 +254,13 @@ def _report(task: str, seed: int, params: dict, p_measured: float, p_exact: floa
 
 # -- RACBEM application benchmark ---------------------------------------
 
+DEFAULT_SHOTS = 8192
+
 
 def racbem_benchmark(
     n: int,
     seed: int,
-    shots: int = 8192,
+    shots: int = DEFAULT_SHOTS,
     noise_model: NoiseModel | None = None,
     sigma: float = 0.0,
     p_cnot: float = 0.5,
@@ -344,8 +335,9 @@ def linpack_run(
 
 # -- time series --------------------------------------------------------
 
-# default per-point phase lengths and eta offsets for t = 1..10 (shallow
-# profile; lengths are d+1 with d the even composite degree)
+# default t grid, and per-point phase lengths and eta offsets for it
+# (shallow profile; lengths are d+1 with d the even composite degree)
+TS_GRID = tuple(range(1, 11))
 TS_LENGTHS_REAL = (3, 3, 5, 7, 7, 9, 9, 9, 11, 11)
 TS_LENGTHS_IMAG = (3, 3, 5, 5, 5, 7, 7, 9, 9, 11)
 TS_ETAS_REAL = (1.0, 1.0, 1.0, 1.5, 2.0, 1.5, 1.5, 1.5, 1.5, 1.5)
@@ -365,7 +357,7 @@ class SeriesResult:
 def time_series_run(
     n: int,
     seed: int,
-    ts: tuple[float, ...] = tuple(range(1, 11)),
+    ts: tuple[float, ...] = TS_GRID,
     lengths_real: tuple[int, ...] = TS_LENGTHS_REAL,
     lengths_imag: tuple[int, ...] = TS_LENGTHS_IMAG,
     etas_real: tuple[float, ...] = TS_ETAS_REAL,

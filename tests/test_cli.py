@@ -229,6 +229,28 @@ def test_timeseries_artifact(tmp_path, monkeypatch):
     assert len(body["s"]) == 1 == len(body["s_exact"])
 
 
+def test_timeseries_echoes_grid_used(tmp_path, monkeypatch):
+    # the echo states the t grid and per-point lists the run used: the
+    # defaults when no flag sets them, else the flags' values
+    from racbem import tasks
+
+    out = tmp_path / "ts.json"
+    assert run(["timeseries", "--n", "1", "--seed", "3", "--exact", "--out", str(out)],
+               monkeypatch, tmp_path) == 0
+    body = json.loads(out.read_text())
+    assert body["config"]["t_grid"] == body["t"] == list(tasks.TS_GRID)
+    for key, want in (("lengths_real", tasks.TS_LENGTHS_REAL), ("lengths_imag", tasks.TS_LENGTHS_IMAG),
+                      ("etas_real", tasks.TS_ETAS_REAL), ("etas_imag", tasks.TS_ETAS_IMAG)):
+        assert body["config"][key] == list(want)
+    flags = ["--t-grid", "2", "--lengths-real", "5", "--lengths-imag", "3",
+             "--etas-real", "1.5", "--etas-imag", "1"]
+    assert run(["timeseries", "--n", "1", "--seed", "3", "--exact", "--out", str(out)] + flags,
+               monkeypatch, tmp_path) == 0
+    config = json.loads(out.read_text())["config"]
+    assert [config[k] for k in ("t_grid", "lengths_real", "lengths_imag", "etas_real",
+                                "etas_imag")] == [[2.0], [5], [3], [1.5], [1.0]]
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency; the runtime is numpy alone
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -42,15 +42,11 @@ def test_linear_coupling_map():
 def test_config_validation():
     m = linear_coupling_map(3)
     with pytest.raises(ValueError):
-        GeneratorConfig(m, gate_set=("swap",))
-    with pytest.raises(ValueError):
-        GeneratorConfig(m, gate_set=("cnot",))
-    with pytest.raises(ValueError):
         GeneratorConfig(m, p_cnot=1.0)
     with pytest.raises(ValueError):
         GeneratorConfig(m, depth=0)
     with pytest.raises(ValueError):
-        GeneratorConfig(G.CouplingMap(2), gate_set=("u3", "cnot"))
+        GeneratorConfig(G.CouplingMap(2))
 
 
 def test_generate_deterministic():

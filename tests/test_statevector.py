@@ -206,12 +206,41 @@ def test_marginal_probabilities_order():
 
 def test_sample_from_probs_deterministic(rng):
     probs = np.array([0.25, 0.75])
-    a = sample_from_probs(probs, 1, 100, np.random.default_rng(3))
-    b = sample_from_probs(probs, 1, 100, np.random.default_rng(3))
+    a = sample_from_probs(probs, 100, np.random.default_rng(3))
+    b = sample_from_probs(probs, 100, np.random.default_rng(3))
+    assert np.array_equal(a.draws, b.draws)
     assert a.counts == b.counts
 
 
+def test_sample_from_probs_is_one_multinomial():
+    # the counts are rng.multinomial's draw on the same seed, and leave the
+    # generator where that draw leaves it
+    for seed in range(20):
+        gen = np.random.default_rng([seed, 0])
+        dim = 2 ** int(gen.integers(1, 6))
+        probs = gen.random(dim) * (gen.random(dim) < 0.7)  # some outcomes impossible
+        probs[gen.integers(dim)] += 0.1
+        shots = int(gen.integers(1, 500))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        h = sample_from_probs(probs, shots, a)
+        assert np.array_equal(h.draws, b.multinomial(shots, probs / probs.sum()))
+        assert h.shots == shots
+        assert a.random() == b.random()
+
+
 def test_counts_histogram_round_trip():
-    assert CountsHistogram({"00": 3, "11": 5}, 8).shots == 8
-    with pytest.raises(ValueError):
-        CountsHistogram({"0": 1}, 2)
+    h = CountsHistogram(np.array([3, 0, 0, 5]))
+    assert h.shots == 8
+    assert h.counts == {"00": 3, "11": 5}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_counts_are_the_bitstrings_of_the_draws(n):
+    # the dict keeps the earlier bitstring format (qubit 0 written first),
+    # with outcomes never drawn left out
+    draws = np.random.default_rng(n).multinomial(3 * 2**n, np.full(2**n, 2.0**-n))
+    draws[n % len(draws)] = 0
+    want = {format(i, f"0{n}b"): int(k) for i, k in enumerate(draws) if k > 0}
+    assert CountsHistogram(draws).counts == want
+    assert all(len(bits) == n for bits in want)
+    assert len(want) < 2**n

@@ -93,26 +93,19 @@ def test_measure_success_matches_born_distribution(rng):
     assert abs(p0 - 0.5) < 5 * 0.5 / np.sqrt(shots)
 
 
-def _counts_vector(hist, n_bits):
-    v = np.zeros(2**n_bits)
-    for bits, k in hist.counts.items():
-        v[int(bits, 2)] = k
-    return v
-
-
 def test_sampled_weights_are_one_draw_from_the_cached_law():
     c = generate_instance(2, 5).circuit
     inp = StateVector.basis(3, 6)
     run = tasks._Measure(64, None, 0.0, np.random.default_rng(3))
     law = marginal_probabilities(apply(c, inp), [2, 0])
-    ref = sample_from_probs(law, 2, 64, np.random.default_rng(3))
-    assert np.array_equal(run.weights(c, 64, [2, 0], inp), _counts_vector(ref, 2))
+    ref = sample_from_probs(law, 64, np.random.default_rng(3))
+    assert np.array_equal(run.weights(c, 64, [2, 0], inp), ref.draws)
     # a noisy run's weights are the counts of one noisy sampler call
     model = synth_model(linear_coupling_map(3), 0.01, 0.05, 0.02, np.random.default_rng(2))
     noisy = tasks._Measure(64, model, 0.5, np.random.default_rng(4))
     ref = noise.sample_noisy_counts(c, noise.scale(model, 0.5), 64, [2, 0],
                                     np.random.default_rng(4), inp)
-    assert np.array_equal(noisy.weights(c, 64, [2, 0], inp), _counts_vector(ref, 2))
+    assert np.array_equal(noisy.weights(c, 64, [2, 0], inp), ref.draws)
     # exact mode reads the law itself, kept once per key
     exact = tasks._Measure(0, None, 0.0, None)
     assert np.array_equal(exact.weights(c, 0, [2, 0], inp), law)
@@ -274,9 +267,12 @@ def test_metts_sigma_zero_matches_ideal_sampled():
     assert _chain(quiet) == _chain(ideal)
 
 
-def test_metts_noisy_collapse_uses_noisy_sampler(monkeypatch):
+def _noisy_seam(monkeypatch) -> list:
+    """Record every call of the noisy sampler as tasks looks it up, and
+    fail any ideal simulation; returns the (shots, measured, counts dict)
+    of each call."""
     real = tasks.sample_noisy_counts
-    noisy_calls = []  # (shots, measured, counts) per call
+    noisy_calls = []
 
     def counting(c, model, shots, measured, *rest):
         counts = real(c, model, shots, measured, *rest)
@@ -288,6 +284,11 @@ def test_metts_noisy_collapse_uses_noisy_sampler(monkeypatch):
 
     monkeypatch.setattr(tasks, "sample_noisy_counts", counting)
     monkeypatch.setattr(tasks, "apply", ideal)
+    return noisy_calls
+
+
+def test_metts_noisy_collapse_uses_noisy_sampler(monkeypatch):
+    noisy_calls = _noisy_seam(monkeypatch)
     steps = 20
     trace, _ = metts_run(1.0, steps, 2, seed=6, shots=64,
                          noise_model=_metts_noise_model(), sigma=0.5)
@@ -300,6 +301,29 @@ def test_metts_noisy_collapse_uses_noisy_sampler(monkeypatch):
     hits = [{int(b[2:], 2) for b in c if b[:2] == "00"} for c in collapses]
     assert sum(not h for h in hits) == trace.resamples
     assert all(nxt in h for h, nxt in zip(hits, trace.next_states) if h)
+
+
+NOISY_RUNS = {  # task -> (run at n = 2 under a noise model, register width, measured qubits)
+    "racbem-bench": (lambda nm: [racbem_benchmark(2, 11, 64, nm, 0.5)], 3, [0]),
+    "linpack": (lambda nm: [linpack_run(2.0, 2, 6, 11, 64, nm, 0.5)], 4, [0, 1]),
+    "spectral": (lambda nm: spectral_run(2, 13, (0.2, 0.5, 0.8), lengths=11, shots=64,
+                                         noise_model=nm, sigma=0.5).reports, 4, [0, 1]),
+    "timeseries": (lambda nm: time_series_run(2, 3, (1.0, 2.0), (3, 5), (3, 3), (1.0, 1.5),
+                                              (1.0, 1.0), 64, nm, 0.5).reports, 4, [0, 1]),
+}
+
+
+@pytest.mark.parametrize("task", NOISY_RUNS)
+def test_noisy_task_reads_through_noisy_sampler(task, monkeypatch):
+    # one noisy sampler call per measured circuit, none through the ideal
+    # simulator, and each point's probability is its call's ancilla-zero count
+    run, width, measured = NOISY_RUNS[task]
+    noisy_calls = _noisy_seam(monkeypatch)
+    nm = synth_model(linear_coupling_map(width), 0.01, 0.05, 0.02, np.random.default_rng(2))
+    reports = run(nm)
+    assert [(shots, m) for shots, m, _ in noisy_calls] == [(64, measured)] * len(reports)
+    zeros = "0" * len(measured)
+    assert [r.p_measured for r in reports] == [c.get(zeros, 0) / 64 for _, _, c in noisy_calls]
 
 
 def test_metts_noisy_law_computed_once_per_key(monkeypatch):

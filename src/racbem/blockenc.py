@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import gates as G
-from .statevector import UNITARY_QUBIT_CAP, _run
+from .statevector import UNITARY_QUBIT_CAP, _keep_shifted, _run
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,18 @@ def extract_block(be: BlockEncoding) -> np.ndarray:
 def _under_signal(ua: BlockEncoding, who: str):
     """(register size, U_A, U_A^dag) with U_A moved up one qubit so that
     the signal qubit is q0 and its ancilla q1.  The pair is kept on ua, so
-    every circuit built from ua shares the two parts and their fusion."""
+    every circuit built from ua shares the two parts, and both keep U_A's
+    own fusion (the one `extract_block` uses), moved up and, for U_A^dag,
+    daggered."""
     if ua.m != 1:
         raise ValueError(f"{who} needs a 1-ancilla block-encoding")
     if "_signal" not in ua.__dict__:
         n = ua.circuit.n_qubits + 1
-        ua.__dict__["_signal"] = (n, G.shift_qubits(ua.circuit, 1, n),
-                                  G.shift_qubits(G.adjoint(ua.circuit), 1, n))
+        ua_s = G.shift_qubits(ua.circuit, 1, n)
+        uad_s = G.shift_qubits(G.adjoint(ua.circuit), 1, n)
+        _keep_shifted(ua_s, ua.circuit, dagger=False)
+        _keep_shifted(uad_s, ua.circuit, dagger=True)
+        ua.__dict__["_signal"] = (n, ua_s, uad_s)
     return ua.__dict__["_signal"]
 
 

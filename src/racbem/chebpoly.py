@@ -331,10 +331,14 @@ def remez(
     t(sqrt(u)).  For 'odd', p(x) = x q(x^2) and the fit is weighted by
     sqrt(u).  Returns (polynomial on [-1, 1], sup-norm error on the fit
     interval).  The polynomial keeps the target's values only on the fit
-    interval (and its mirror image for definite parity)."""
+    interval (and its mirror image for definite parity), so a parity fit
+    on an interval symmetric about 0 fits its right half: its sup error
+    there is the same."""
     if interval is None:
         interval = getattr(t, "domain", (-1.0, 1.0))
     a, b = interval
+    if parity in ("even", "odd") and a == -b:
+        a = 0.0
     if parity == "none":
         local, err = _remez_core(t, _unit_weight, degree, (a, b))
         coeffs = C.chebinterpolate(lambda x: C.chebval(_to_unit(x, (a, b)), local), degree)

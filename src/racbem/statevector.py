@@ -5,12 +5,19 @@ bit of the index.  The kernel, `_run`, sees an array as n sites of
 dimension d (2 for states, 4 for the density matrices of `noise`).  It
 fuses a circuit part by part: each run of one-site blocks folds into the
 next two-site block on its site, and a run open at a part's end into the
-last one.  A part (a `gates.concat` operand, such as the U_A that a QSVT
-circuit repeats d times, or a whole circuit) is fused once: its ideal
-blocks are kept on it, its noisy ones on the noise model.  Each block is
-one `matmul` on a (d**q, block, rest) view of a state, the identity, a
+last one.  On states the blocks then grow: a block merges with the open
+blocks (those no later block touches) that last touched its sites, while
+their sites span at most BLOCK_DIM_CAP = 16 amplitudes, four sites.  On
+rho a pair is 16 x 16 already, so rho's blocks stay the pairs.  A part
+(a `gates.concat` operand, such as the U_A that a QSVT circuit repeats d
+times, or a whole circuit) is fused once: its ideal blocks are kept on
+it, its noisy ones on the noise model.  The shifted U_A and U_A^dag of a
+QSVT circuit keep U_A's own blocks, moved up one site and, for U_A^dag,
+conjugate-transposed in reverse order.  Each block on sites lo..lo+k-1 is
+one `matmul` on a (d**lo, d**k, rest) view of a state, the identity, a
 block-encoding's kept columns or rho; when rest is the shorter side, one
-product with the block's axis moved to the front.
+product with the block's axis moved to the front.  A non-adjacent pair
+(the t5 map) is one `tensordot`.
 
 Sampled counts stay one vector, `CountsHistogram.draws`, in the same
 bitstring order as the outcome laws, from the draw to every reader;
@@ -28,6 +35,9 @@ from .gates import QuantumCircuit, gate_unitary
 UNITARY_QUBIT_CAP = 12
 
 NORM_TOL = 1e-10
+
+# largest fused block: four sites of a state, two of a density matrix
+BLOCK_DIM_CAP = 16
 
 
 @dataclass
@@ -62,11 +72,14 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _fuse(c: QuantumCircuit, d: int, mat) -> list:
-    """The (u, sites) blocks of mat(gate) on d-level sites, two-site ones in
-    ascending order: each run of one-site blocks is multiplied into the
-    next two-site block on its site, and a run still open at the end into
-    the last one, so only a site that meets no two-site block keeps a
-    d x d block."""
+    """The (u, sites) blocks of mat(gate) on d-level sites, in circuit
+    order.  First each run of one-site blocks is multiplied into the next
+    two-site block on its site, and a run still open at the end into the
+    last one, so only a site that meets no two-site block keeps a d x d
+    block.  Then, on states, `_grow` merges those blocks into blocks of
+    up to BLOCK_DIM_CAP amplitudes, four sites.  On rho (d = 4) a pair is
+    at the cap already, so its blocks stay the pairs, and so do the
+    noisy laws, to the last bit."""
     eye = np.eye(d)
     blocks: list = []
     last: dict[int, int] = {}  # site -> index of its last two-site block
@@ -91,7 +104,41 @@ def _fuse(c: QuantumCircuit, d: int, mat) -> list:
         # nothing after that block touches q, so the run commutes back to it
         u, qs = blocks[last[q]]
         blocks[last[q]] = (_kron(p, eye) if q == qs[0] else _kron(eye, p)) @ u, qs
-    return blocks
+    return _grow(blocks, d) if len(blocks) > 1 and d * d < BLOCK_DIM_CAP else blocks
+
+
+def _grow(blocks: list, d: int) -> list:
+    """Merge each block with the open blocks that last touched its sites.
+
+    A block is open when no later block touches any of its sites, so it
+    commutes forward to the block that merges it.  Each merge needs the
+    sites so far to span at most BLOCK_DIM_CAP amplitudes.  Two open
+    blocks share no site, and each shares one with the merging block, so
+    the span is one contiguous run, and the merged block is the merged
+    ones applied in turn to the identity on it.  A non-adjacent pair is
+    a barrier: it neither merges nor is merged."""
+    out: list = []  # merged-away blocks become None
+    last: dict[int, int] = {}  # site -> index in out of its last block
+    for u, qs in blocks:
+        lo, hi, olds = qs[0], qs[-1], []
+        if hi - lo < len(qs):  # contiguous
+            for i in sorted({last[q] for q in qs if q in last}):
+                ps = out[i][1]
+                if ps[-1] - ps[0] >= len(ps) or any(last[p] != i for p in ps):
+                    continue  # a non-adjacent pair, or not open
+                a, b = min(lo, ps[0]), max(hi, ps[-1])
+                if d ** (b - a + 1) <= BLOCK_DIM_CAP:
+                    lo, hi = a, b
+                    olds.append(out[i])
+                    out[i] = None
+        if olds:
+            span = tuple(range(lo, hi + 1))
+            moved = [(v, tuple(p - lo for p in ps)) for v, ps in olds + [(u, qs)]]
+            u, qs = _apply(moved, np.eye(d ** len(span), dtype=complex), d), span
+        for q in qs:
+            last[q] = len(out)
+        out.append((u, qs))
+    return [b for b in out if b is not None]
 
 
 def _fused(c: QuantumCircuit, d: int, mat, kept) -> list:
@@ -108,16 +155,32 @@ def _fused(c: QuantumCircuit, d: int, mat, kept) -> list:
     return out
 
 
+def _keep_shifted(c: QuantumCircuit, src: QuantumCircuit, dagger: bool) -> None:
+    """Keep on c, which is src moved up one qubit (dagger: its adjoint moved
+    up), src's ideal blocks with sites + 1 (dagger: conjugate-transposed,
+    in reverse order), so c needs no fusion of its own."""
+    blocks = _fused(src, 2, gate_unitary, None)
+    if dagger:
+        blocks = [(u.conj().T, qs) for u, qs in reversed(blocks)]
+    c.__dict__["_blocks"] = [(u, tuple(q + 1 for q in qs)) for u, qs in blocks]
+
+
 def _run(c: QuantumCircuit, arr: np.ndarray, mat=gate_unitary, kept=None) -> np.ndarray:
     """The circuit, with mat(g) as gate g's block, applied to arr of shape
     (d**n,) or (d**n, cols): d = 2 for states, 4 for rho in site order.
     kept holds the fused blocks of mat, as in `_fused`."""
-    n, shape = c.n_qubits, arr.shape
-    d = 2 if len(arr) == 2**n else 4
-    for u, qs in _fused(c, d, mat, kept):
-        if qs[-1] - qs[0] > 1:  # non-adjacent pair
-            arr = np.tensordot(u.reshape((d,) * 4), arr.reshape((d,) * n + (-1,)), ([2, 3], qs))
-            arr = np.moveaxis(arr, [0, 1], qs)
+    d = 2 if len(arr) == 2**c.n_qubits else 4
+    return _apply(_fused(c, d, mat, kept), arr, d)
+
+
+def _apply(blocks, arr: np.ndarray, d: int) -> np.ndarray:
+    """The (u, sites) blocks in turn on arr, whose rows are d-level sites."""
+    shape = arr.shape
+    for u, qs in blocks:
+        if qs[-1] - qs[0] >= len(qs):  # non-adjacent pair
+            a, b = qs
+            v = arr.reshape(d**a, d, d ** (b - a - 1), d, -1)
+            arr = np.moveaxis(np.tensordot(u.reshape((d,) * 4), v, ([2, 3], [1, 3])), [0, 1], [1, 3])
             continue
         k = len(u)
         v = arr.reshape(d ** qs[0], k, -1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from racbem import cli
-from racbem.chebpoly import fit_on_interval, lorentzian_sqrt
+from racbem.chebpoly import ChebPoly, fit_on_interval, lorentzian_sqrt, odd_gibbs
 
 
 def run(args, monkeypatch, tmp_path):
@@ -49,6 +49,21 @@ def test_remez_then_phase_factors(tmp_path, monkeypatch):
     out = json.loads(pf.read_text())
     assert out["residual"] < 1e-20
     assert len(out["phi"]) == 7 == len(out["varphi"])
+
+
+def test_remez_odd_target_at_odd_parity(tmp_path, monkeypatch):
+    # odd-gibbs declares (-1, 1); the odd fit runs on its right half, and
+    # the reported sup error holds on the whole domain
+    out = tmp_path / "odd.json"
+    argv = ["remez", "--target", "odd-gibbs", "--beta", "2", "--degree", "7",
+            "--parity", "odd", "--out", str(out)]
+    assert run(argv, monkeypatch, tmp_path) == 0
+    body = json.loads(out.read_text())
+    poly = ChebPoly.from_json(json.dumps(body["poly"]))
+    assert poly.parity == "odd" and poly.degree == 7
+    xs = np.linspace(-1.0, 1.0, 4001)
+    miss = np.abs(poly.scale * poly(xs) - odd_gibbs(2.0)(xs)).max()
+    assert miss == pytest.approx(body["sup_error"], rel=1e-4)
 
 
 def test_exact_mode_deterministic_output(tmp_path, monkeypatch):

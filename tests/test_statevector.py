@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from racbem import gates as G
 from racbem import statevector
 from racbem.blockenc import _under_signal, build_canonical_hracbem, extract_block
-from racbem.generator import GeneratorConfig, generate_block_encoding, load_coupling_map
+from racbem.generator import (
+    GeneratorConfig,
+    generate_block_encoding,
+    linear_coupling_map,
+    load_coupling_map,
+)
 from racbem.phasefactors import PhaseFactors
 from racbem.qsvt import build
 from racbem.statevector import (
@@ -43,20 +49,19 @@ def test_apply_matches_unitary(seed):
     assert np.allclose(out.amplitudes, U @ v, atol=1e-12)
 
 
-def _full_register(g: G.Gate, n: int) -> np.ndarray:
-    """The 2^n x 2^n matrix of one gate, as np.kron products of 2x2 factors."""
-
-    def kron_chain(factors: dict) -> np.ndarray:
-        m = np.eye(1)
-        for q in reversed(range(n)):  # np.kron is faster with the small factor first
-            m = np.kron(factors.get(q, np.eye(2)), m)
-        return m
-
-    if g.kind != "cnot":
-        return kron_chain({g.qubits[0]: G.gate_unitary(g)})
-    c, t = g.qubits
-    return (kron_chain({c: np.diag([1.0, 0.0])})
-            + kron_chain({c: np.diag([0.0, 1.0]), t: np.array([[0.0, 1.0], [1.0, 0.0]])}))
+def _full_register(g: G.Gate, n: int):
+    """The 2^n x 2^n matrix of one gate, sparse so that a 15-qubit register
+    fits: column j maps to the rows j with the gate's bits rewritten."""
+    cols = np.arange(2**n)
+    if g.kind == "cnot":
+        c, t = (n - 1 - q for q in g.qubits)  # bit positions, qubit 0 the MSB
+        rows, vals = cols ^ (((cols >> c) & 1) << t), np.ones(2**n)
+    else:
+        s, u = n - 1 - g.qubits[0], G.gate_unitary(g)
+        bit = (cols >> s) & 1
+        rows = np.concatenate([cols & ~(1 << s), cols | (1 << s)])
+        vals, cols = np.concatenate([u[0, bit], u[1, bit]]), np.tile(cols, 2)
+    return sp.csr_array((vals, (rows, cols)), shape=(2**n, 2**n))
 
 
 def _dense_reference(c: G.QuantumCircuit, x: np.ndarray) -> np.ndarray:
@@ -129,7 +134,8 @@ def test_kernel_multi_column_input():
 
 def test_kernel_matches_dense_reference_on_assembled_circuits(monkeypatch):
     # concatenations run part by part from each part's kept blocks; every
-    # part is fused once however often it recurs, in one circuit or several
+    # part is fused once however often it recurs, in one circuit or several,
+    # and the shifted U_A and U_A^dag are never fused: they keep U_A's blocks
     fused = []
     fuse = statevector._fuse
     monkeypatch.setattr(statevector, "_fuse", lambda c, d, mat: fused.append(c) or fuse(c, d, mat))
@@ -142,9 +148,50 @@ def test_kernel_matches_dense_reference_on_assembled_circuits(monkeypatch):
         _check_against_reference(c, k)
         x = rng.normal(size=(2**c.n_qubits, 3)) + 1j * rng.normal(size=(2**c.n_qubits, 3))
         assert np.abs(_run(c, x) - _dense_reference(c, x)).max() < 1e-12
+    extract_block(ua)
     assert len({id(c) for c in fused}) == len(fused)
     _, ua_s, uad_s = _under_signal(ua, "")
-    assert sum(c is ua_s or c is uad_s for c in fused) == 2
+    assert sum(c is ua.circuit for c in fused) == 1
+    assert not any(c is ua_s or c is uad_s for c in fused)
+
+
+@pytest.mark.parametrize("coupling", ["linear", "t5"])
+def test_shifted_blocks_are_those_of_ua(coupling):
+    # U_A^dag's derived blocks are U_A's, daggered in reverse order and moved
+    # up one site, and apply what a fresh fusion of the shifted adjoint does
+    for seed in range(4):
+        if coupling == "t5":
+            ua = generate_block_encoding(GeneratorConfig(load_coupling_map("t5"), depth=10, seed=seed), 4)
+        else:
+            ua = random_ua(5, seed)
+        n, ua_s, uad_s = _under_signal(ua, "")
+        own = statevector._fused(ua.circuit, 2, G.gate_unitary, None)
+        assert len(own) > 2
+        for c, fresh, want in [
+            (ua_s, G.shift_qubits(ua.circuit, 1, n), own),
+            (uad_s, G.shift_qubits(G.adjoint(ua.circuit), 1, n),
+             [(u.conj().T, qs) for u, qs in reversed(own)]),
+        ]:
+            kept = c.__dict__["_blocks"]
+            assert [qs for _, qs in kept] == [tuple(q + 1 for q in qs) for _, qs in want]
+            assert all(np.array_equal(u, v) for (u, _), (v, _) in zip(kept, want))
+            eye = np.eye(2**n, dtype=complex)
+            derived = statevector._apply(kept, eye, 2)
+            assert np.abs(derived - statevector._apply(statevector._fuse(fresh, 2, G.gate_unitary), eye, 2)).max() < 1e-12
+            assert np.abs(derived - _dense_reference(fresh, eye)).max() < 1e-12
+
+
+def _check_columns(c: G.QuantumCircuit, seed: int):
+    """_run against the dense reference on one column and on three."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2**c.n_qubits, 3)) + 1j * rng.normal(size=(2**c.n_qubits, 3))
+    ref = _dense_reference(c, x)
+    assert np.abs(_run(c, x) - ref).max() < 1e-12
+    assert np.abs(_run(c, x[:, 0]) - ref[:, 0]).max() < 1e-12
+
+
+def _sites(c: G.QuantumCircuit) -> list:
+    return [qs for _, qs in statevector._fuse(c, 2, G.gate_unitary)]
 
 
 @pytest.mark.parametrize("q", range(6))
@@ -157,6 +204,71 @@ def test_kernel_matches_dense_reference_on_every_pair(q):
     _check_against_reference(c, q)
     x = np.random.default_rng(q).normal(size=(2**n, 2)) + 0j
     assert np.abs(_run(c, x) - _dense_reference(c, x)).max() < 1e-12
+
+
+@pytest.mark.parametrize("q", range(4))
+def test_kernel_four_site_merge_at_every_position(q):
+    # two disjoint pairs joined by the pair between them merge into one
+    # 16 x 16 block on q..q+3; with one column the blocks from q = 2 up
+    # have fewer amplitudes right of them than left and take one product
+    n = 7
+    c = G.from_gates(n, [G.h(q), G.cnot(q, q + 1), G.u3(q + 2, 0.3, 0.8, -1.2),
+                         G.cnot(q + 3, q + 2), G.cnot(q + 1, q + 2), G.t(q + 1),
+                         G.cnot(q + 2, q + 3), G.u2(q + 3, 0.4, 0.1), G.sdg(q)])
+    assert _sites(c) == [tuple(range(q, q + 4))]
+    _check_against_reference(c, q)
+    _check_columns(c, q)
+
+
+def test_kernel_merge_needs_open_blocks():
+    # the 4-site block on 0..3 cannot take (3, 4) (five sites), and once
+    # (3, 4) follows it on site 3 it is no longer open, so the last (1, 2)
+    # may not move it past (3, 4) and stays a block of its own
+    c = G.from_gates(5, [G.h(1), G.cnot(0, 1), G.cnot(2, 3), G.cnot(1, 2),
+                         G.u3(3, 0.3, 0.2, 0.1), G.cnot(3, 4), G.t(2), G.cnot(2, 1),
+                         G.u2(0, 0.5, 0.6)])
+    assert _sites(c) == [(0, 1, 2, 3), (3, 4), (1, 2)]
+    _check_against_reference(c, 5)
+    _check_columns(c, 5)
+
+
+def test_kernel_non_adjacent_pair_is_a_barrier():
+    # t5's (1, 3) pair sits between mergeable blocks: it merges with none,
+    # and the blocks before it on sites 1 and 3 are no longer open
+    c = G.from_gates(5, [G.h(0), G.cnot(0, 1), G.u3(4, 0.3, 0.2, 0.1), G.cnot(4, 3),
+                         G.cnot(1, 2), G.cnot(3, 1), G.t(2), G.cnot(2, 1), G.cnot(1, 0),
+                         G.cnot(3, 4), G.u2(0, 0.5, 0.6)])
+    assert _sites(c) == [(3, 4), (0, 1, 2), (1, 3), (0, 1, 2), (3, 4)]
+    _check_against_reference(c, 6)
+    _check_columns(c, 6)
+    for seed in (2, 9, 16):
+        t5 = generate_block_encoding(GeneratorConfig(load_coupling_map("t5"), depth=10, seed=seed), 4).circuit
+        sites = _sites(t5)
+        # a non-adjacent pair with a merged (3-site) block on each side
+        assert any(len(sites[i]) == 2 and sites[i][1] - sites[i][0] > 1
+                   and any(len(s) > 2 for s in sites[:i]) and any(len(s) > 2 for s in sites[i + 1:])
+                   for i in range(len(sites)))
+        _check_against_reference(t5, seed)
+        _check_columns(t5, seed)
+
+
+@pytest.mark.parametrize("coupling, count", [("linear", 20), ("t5", 20), ("ladder15", 10)])
+def test_kernel_matches_dense_reference_on_random_maps(coupling, count):
+    # seeded circuits of random depth and CNOT share; every fused block is
+    # contiguous (or a non-adjacent pair) and at most 16 x 16
+    rng = np.random.default_rng(count + len(coupling))
+    for k in range(count):
+        if coupling == "linear":
+            cmap = linear_coupling_map(int(rng.integers(3, 8)))
+        else:
+            cmap = load_coupling_map(coupling)
+        depth = int(rng.integers(3, 6 if coupling == "ladder15" else 16))
+        cfg = GeneratorConfig(cmap, float(rng.uniform(0.2, 0.9)), depth, int(rng.integers(10**6)))
+        c = generate_block_encoding(cfg, cmap.n_qubits - 1).circuit
+        for u, qs in statevector._fuse(c, 2, G.gate_unitary):
+            assert len(u) == 2 ** len(qs) <= statevector.BLOCK_DIM_CAP
+            assert qs == tuple(range(qs[0], qs[-1] + 1)) or len(qs) == 2
+        _check_columns(c, k)
 
 
 def test_kernel_block_of_generated_instance():

@@ -101,10 +101,12 @@ def _under_signal(ua: BlockEncoding, who: str):
 def _rotation_group(varphi: float) -> list[G.Gate]:
     """Open-controlled-NOT sandwich around exp(-i varphi Z) on signal q0.
 
-    Ancilla q1 controls.  The sandwich applies the rotation on the signal
-    qubit unconditionally (the X/CNOT pairs cancel); it is kept verbatim
-    from the reference construction so gate counts match the 7-gate
-    budget."""
+    Ancilla q1 controls.  On (q0, q1) the sandwich is
+    diag(e^{i varphi}, e^{-i varphi}, e^{-i varphi}, e^{i varphi}) =
+    exp(i varphi Z0 Z1): the signal gets exp(i varphi Z) while the ancilla
+    reads 0 and exp(-i varphi Z) otherwise, the projector-controlled
+    phase.  It is kept verbatim from the reference construction so gate
+    counts match the 7-gate budget."""
     return [
         G.x(1),
         G.cnot(1, 0),

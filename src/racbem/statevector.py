@@ -3,21 +3,21 @@
 States are complex vectors of length 2**n, qubit 0 the most significant
 bit of the index.  The kernel, `_run`, sees an array as n sites of
 dimension d (2 for states, 4 for the density matrices of `noise`).  It
-fuses a circuit part by part: each run of one-site blocks folds into the
-next two-site block on its site, and a run open at a part's end into the
-last one.  On states the blocks then grow: a block merges with the open
-blocks (those no later block touches) that last touched its sites, while
-their sites span at most BLOCK_DIM_CAP = 16 amplitudes, four sites.  On
-rho a pair is 16 x 16 already, so rho's blocks stay the pairs.  A part
-(a `gates.concat` operand, such as the U_A that a QSVT circuit repeats d
-times, or a whole circuit) is fused once: its ideal blocks are kept on
-it, its noisy ones on the noise model.  The shifted U_A and U_A^dag of a
-QSVT circuit keep U_A's own blocks, moved up one site and, for U_A^dag,
-conjugate-transposed in reverse order.  Each block on sites lo..lo+k-1 is
-one `matmul` on a (d**lo, d**k, rest) view of a state, the identity, a
-block-encoding's kept columns or rho; when rest is the shorter side, one
-product with the block's axis moved to the front.  A non-adjacent pair
-(the t5 map) is one `tensordot`.
+fuses a circuit part by part, in one pass over a part's gates: a gate
+whose sites were all last touched by one block folds back into it, and
+any other gate starts a block that merges the open blocks (those no later
+block touches) on its sites, while the merged sites are two sites or a
+contiguous run of at most BLOCK_DIM_CAP = 16 amplitudes: four sites of a
+state, two of rho.  A part (a `gates.concat` operand, such as the U_A
+that a QSVT circuit repeats d times, or a whole circuit) is fused once:
+its ideal blocks are kept on it, its noisy ones on the noise model.
+The shifted U_A and U_A^dag of a QSVT circuit keep U_A's own blocks,
+moved up one site and, for U_A^dag, conjugate-transposed in reverse
+order.  Each block on sites lo..lo+k-1 is one `matmul` on a
+(d**lo, d**k, rest) view of a state, the identity, a block-encoding's
+kept columns or rho; when rest is the shorter side, one product with the
+block's axis moved to the front.  A non-adjacent pair (the t5 map) is one
+`tensordot`.
 
 Sampled counts stay one vector, `CountsHistogram.draws`, in the same
 bitstring order as the outcome laws, from the draw to every reader;
@@ -36,7 +36,7 @@ UNITARY_QUBIT_CAP = 12
 
 NORM_TOL = 1e-10
 
-# largest fused block: four sites of a state, two of a density matrix
+# largest contiguous fused block: four sites of a state, two of rho
 BLOCK_DIM_CAP = 16
 
 
@@ -44,16 +44,14 @@ BLOCK_DIM_CAP = 16
 class StateVector:
     n_qubits: int
     amplitudes: np.ndarray
-    unnormalized: bool = False
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (2**self.n_qubits,):
             raise ValueError("amplitude vector has wrong length")
-        if not self.unnormalized:
-            nrm = np.linalg.norm(self.amplitudes)
-            if abs(nrm - 1.0) > NORM_TOL:
-                raise ValueError(f"state norm {nrm} not within {NORM_TOL} of 1")
+        nrm = np.linalg.norm(self.amplitudes)
+        if abs(nrm - 1.0) > NORM_TOL:
+            raise ValueError(f"state norm {nrm} not within {NORM_TOL} of 1")
 
     @classmethod
     def zero(cls, n_qubits: int) -> "StateVector":
@@ -66,79 +64,48 @@ class StateVector:
         return cls(n_qubits, amps)
 
 
-def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    d = len(x)
-    return (x[:, None, :, None] * y[None, :, None, :]).reshape(d * d, d * d)
-
-
 def _fuse(c: QuantumCircuit, d: int, mat) -> list:
     """The (u, sites) blocks of mat(gate) on d-level sites, in circuit
-    order.  First each run of one-site blocks is multiplied into the next
-    two-site block on its site, and a run still open at the end into the
-    last one, so only a site that meets no two-site block keeps a d x d
-    block.  Then, on states, `_grow` merges those blocks into blocks of
-    up to BLOCK_DIM_CAP amplitudes, four sites.  On rho (d = 4) a pair is
-    at the cap already, so its blocks stay the pairs, and so do the
-    noisy laws, to the last bit."""
-    eye = np.eye(d)
-    blocks: list = []
-    last: dict[int, int] = {}  # site -> index of its last two-site block
-    pending: dict[int, np.ndarray] = {}
+    order, from one pass over the gates.  A gate whose sites were all last
+    touched by one block folds back into it, open or not: no later block
+    touches those sites.  Any other gate starts a block that merges the
+    open blocks (those no later block touches) that last touched its
+    sites, while the merged sites are two sites or a contiguous run of at
+    most BLOCK_DIM_CAP amplitudes: four sites of a state, two of rho.
+    Open blocks share no site and commute forward to the gate, so the
+    merged block is they and the gate in turn on the identity, with sites
+    relabelled by rank."""
+    blocks: list = []  # merged-away blocks become None
+    last: dict[int, int] = {}  # site -> index of the block that last touched it
     for g in c.gates():
-        u = mat(g)
-        if len(g.qubits) == 1:
-            q = g.qubits[0]
-            pending[q] = u @ pending[q] if q in pending else u
-            continue
-        a, b = g.qubits
-        u = u @ _kron(pending.pop(a, eye), pending.pop(b, eye))
-        if a > b:  # swap the operand order so the block reads (b, a)
+        u, qs = mat(g), g.qubits
+        if len(qs) == 2 and qs[0] > qs[1]:  # swap the operand order so the block reads (b, a)
             u = u.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
-            a, b = b, a
-        last[a] = last[b] = len(blocks)
-        blocks.append((u, (a, b)))
-    for q, p in pending.items():
-        if q not in last:
-            blocks.append((p, (q,)))
+            qs = qs[::-1]
+        owners = {last.get(q) for q in qs}
+        if len(owners) == 1 and None not in owners:
+            i = owners.pop()
+            v, ps = blocks[i]
+            blocks[i] = (u @ v if ps == qs else _apply([(u, tuple(map(ps.index, qs)))], v, d)), ps
             continue
-        # nothing after that block touches q, so the run commutes back to it
-        u, qs = blocks[last[q]]
-        blocks[last[q]] = (_kron(p, eye) if q == qs[0] else _kron(eye, p)) @ u, qs
-    return _grow(blocks, d) if len(blocks) > 1 and d * d < BLOCK_DIM_CAP else blocks
-
-
-def _grow(blocks: list, d: int) -> list:
-    """Merge each block with the open blocks that last touched its sites.
-
-    A block is open when no later block touches any of its sites, so it
-    commutes forward to the block that merges it.  Each merge needs the
-    sites so far to span at most BLOCK_DIM_CAP amplitudes.  Two open
-    blocks share no site, and each shares one with the merging block, so
-    the span is one contiguous run, and the merged block is the merged
-    ones applied in turn to the identity on it.  A non-adjacent pair is
-    a barrier: it neither merges nor is merged."""
-    out: list = []  # merged-away blocks become None
-    last: dict[int, int] = {}  # site -> index in out of its last block
-    for u, qs in blocks:
-        lo, hi, olds = qs[0], qs[-1], []
-        if hi - lo < len(qs):  # contiguous
-            for i in sorted({last[q] for q in qs if q in last}):
-                ps = out[i][1]
-                if ps[-1] - ps[0] >= len(ps) or any(last[p] != i for p in ps):
-                    continue  # a non-adjacent pair, or not open
-                a, b = min(lo, ps[0]), max(hi, ps[-1])
-                if d ** (b - a + 1) <= BLOCK_DIM_CAP:
-                    lo, hi = a, b
-                    olds.append(out[i])
-                    out[i] = None
+        span, olds = set(qs), []
+        for i in sorted(owners - {None}):
+            ps = blocks[i][1]
+            s = span.union(ps)
+            if all(last[p] == i for p in ps) and (
+                len(s) == 2 or max(s) - min(s) < len(s) and d ** len(s) <= BLOCK_DIM_CAP
+            ):
+                span = s
+                olds.append(blocks[i])
+                blocks[i] = None
         if olds:
-            span = tuple(range(lo, hi + 1))
-            moved = [(v, tuple(p - lo for p in ps)) for v, ps in olds + [(u, qs)]]
+            span = tuple(sorted(span))
+            moved = [(v, tuple(map(span.index, ps))) for v, ps in olds + [(u, qs)]]
             u, qs = _apply(moved, np.eye(d ** len(span), dtype=complex), d), span
         for q in qs:
-            last[q] = len(out)
-        out.append((u, qs))
-    return [b for b in out if b is not None]
+            last[q] = len(blocks)
+        blocks.append((u, qs))
+    return [b for b in blocks if b is not None]
 
 
 def _fused(c: QuantumCircuit, d: int, mat, kept) -> list:
@@ -198,7 +165,7 @@ def apply(c: QuantumCircuit, s: StateVector) -> StateVector:
     """Return U_c |s>."""
     if c.n_qubits != s.n_qubits:
         raise ValueError("circuit/state qubit-count mismatch")
-    return StateVector(s.n_qubits, _run(c, s.amplitudes), s.unnormalized)
+    return StateVector(s.n_qubits, _run(c, s.amplitudes))
 
 
 def circuit_unitary(c: QuantumCircuit) -> np.ndarray:

@@ -465,21 +465,24 @@ def _default_metts_lengths(beta: float) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class MettsTrace:
-    """One Markov chain of basis states with per-step energy estimates."""
+    """One Markov chain of basis states with per-step energy estimates;
+    the running average and the estimate are derived from the energies,
+    not stored independently, so they always match them."""
 
     states: tuple[int, ...]
     energies: tuple[float, ...]
     next_states: tuple[int, ...]
-    cma: tuple[float, ...]
-    estimate: float
     exact: float
     resamples: int
     flagged: int
 
-    def __post_init__(self):
-        run = np.cumsum(self.energies) / np.arange(1, len(self.energies) + 1)
-        if np.abs(run - np.asarray(self.cma)).max() > 1e-9:
-            raise ValueError("cma series inconsistent with energies")
+    @property
+    def cma(self) -> tuple[float, ...]:
+        return tuple(np.cumsum(self.energies) / np.arange(1, len(self.energies) + 1))
+
+    @property
+    def estimate(self) -> float:
+        return float(self.cma[-1])
 
 
 PD_FLOOR = 1e-12
@@ -584,8 +587,7 @@ def metts_run(
         nexts.append(i_next)
         i = i_next
 
-    cma = tuple(np.cumsum(energies) / np.arange(1, steps + 1))
-    trace = MettsTrace(tuple(states), tuple(energies), tuple(nexts), cma, float(cma[-1]),
+    trace = MettsTrace(tuple(states), tuple(energies), tuple(nexts),
                        float(exact_thermal_energy(hmat, beta)), resamples, flagged)
     params = {"beta": beta, "steps": steps, "n": n, "d_num": d_num, "d_den": d_den,
               **sampling, "scale_num": f_num.scale, "scale_den": den["scale"],

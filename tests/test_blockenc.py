@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from racbem import gates as G
 from racbem.blockenc import (
     QuadraticH,
+    _rotation_group,
     build_canonical_hracbem,
     build_hracbem,
     condition_bound,
@@ -15,6 +17,7 @@ from racbem.blockenc import (
 )
 from racbem.phasefactors import PhaseFactors
 from racbem.qsvt import build
+from racbem.statevector import circuit_unitary
 from conftest import random_ua
 
 
@@ -22,6 +25,14 @@ def quad_coeffs(phi0, phi1):
     a2 = -2.0 * math.sin(2 * phi0) * math.sin(phi1)
     a0 = math.cos(2 * phi0 - phi1)
     return a2, a0
+
+
+@pytest.mark.parametrize("varphi", [0.0, 0.37, -1.2])
+def test_rotation_group_is_the_projector_controlled_phase(varphi):
+    # exp(i varphi Z0 Z1) on signal q0 and ancilla q1, the system left alone
+    u = circuit_unitary(G.from_gates(3, _rotation_group(varphi)))
+    phase = np.exp(1j * varphi * np.array([1, -1, -1, 1]))
+    assert np.abs(u - np.diag(np.repeat(phase, 2))).max() < 1e-14
 
 
 def test_hracbem_block_matches_formula():

@@ -36,7 +36,7 @@ def test_exact_success_prob():
     b = StateVector.zero(1)
     assert exact_success_prob(A, f, b) == pytest.approx(0.64)
     with pytest.raises(ValueError):
-        exact_success_prob(A, f, StateVector(1, np.array([0.5, 0.5]), unnormalized=True))
+        StateVector(1, np.array([0.5, 0.5]))
 
 
 def test_time_series_basics():

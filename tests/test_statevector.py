@@ -166,7 +166,7 @@ def test_shifted_blocks_are_those_of_ua(coupling):
             ua = random_ua(5, seed)
         n, ua_s, uad_s = _under_signal(ua, "")
         own = statevector._fused(ua.circuit, 2, G.gate_unitary, None)
-        assert len(own) > 2
+        assert any(len(qs) > 1 for _, qs in own)
         for c, fresh, want in [
             (ua_s, G.shift_qubits(ua.circuit, 1, n), own),
             (uad_s, G.shift_qubits(G.adjoint(ua.circuit), 1, n),
@@ -222,32 +222,41 @@ def test_kernel_four_site_merge_at_every_position(q):
 
 def test_kernel_merge_needs_open_blocks():
     # the 4-site block on 0..3 cannot take (3, 4) (five sites), and once
-    # (3, 4) follows it on site 3 it is no longer open, so the last (1, 2)
-    # may not move it past (3, 4) and stays a block of its own
-    c = G.from_gates(5, [G.h(1), G.cnot(0, 1), G.cnot(2, 3), G.cnot(1, 2),
-                         G.u3(3, 0.3, 0.2, 0.1), G.cnot(3, 4), G.t(2), G.cnot(2, 1),
+    # (3, 4) follows it on site 3 it is no longer open: the last (2, 3) may
+    # not move it past (3, 4), while (3, 4), open, merges into (2, 3, 4)
+    c = G.from_gates(5, [G.h(0), G.cnot(0, 1), G.cnot(1, 2), G.cnot(2, 3),
+                         G.u3(3, 0.3, 0.2, 0.1), G.cnot(3, 4), G.t(4), G.cnot(2, 3),
                          G.u2(0, 0.5, 0.6)])
-    assert _sites(c) == [(0, 1, 2, 3), (3, 4), (1, 2)]
+    assert _sites(c) == [(0, 1, 2, 3), (2, 3, 4)]
     _check_against_reference(c, 5)
     _check_columns(c, 5)
 
 
-def test_kernel_non_adjacent_pair_is_a_barrier():
-    # t5's (1, 3) pair sits between mergeable blocks: it merges with none,
-    # and the blocks before it on sites 1 and 3 are no longer open
-    c = G.from_gates(5, [G.h(0), G.cnot(0, 1), G.u3(4, 0.3, 0.2, 0.1), G.cnot(4, 3),
-                         G.cnot(1, 2), G.cnot(3, 1), G.t(2), G.cnot(2, 1), G.cnot(1, 0),
-                         G.cnot(3, 4), G.u2(0, 0.5, 0.6)])
-    assert _sites(c) == [(3, 4), (0, 1, 2), (1, 3), (0, 1, 2), (3, 4)]
+def test_kernel_pair_folds_back_into_a_closed_block():
+    # (3, 4) closes the block on 0..3, but nothing after it touches sites
+    # 1 and 2, so t(2), the (2, 1) pair and u2(0) fold back into it
+    c = G.from_gates(5, [G.h(1), G.cnot(0, 1), G.cnot(2, 3), G.cnot(1, 2),
+                         G.u3(3, 0.3, 0.2, 0.1), G.cnot(3, 4), G.t(2), G.cnot(2, 1),
+                         G.u2(0, 0.5, 0.6)])
+    assert _sites(c) == [(0, 1, 2, 3), (3, 4)]
+    _check_against_reference(c, 7)
+    _check_columns(c, 7)
+
+
+def test_kernel_non_adjacent_pair_joins_a_block():
+    # t5's (1, 3) pair merges the open pairs on (1, 2) and (3, 4) into one
+    # contiguous block on 1..4, and the gates after it fold back in
+    c = G.from_gates(5, [G.h(1), G.cnot(1, 2), G.u3(4, 0.3, 0.2, 0.1), G.cnot(4, 3),
+                         G.cnot(3, 1), G.t(2), G.cnot(2, 1), G.cnot(3, 4),
+                         G.u2(1, 0.5, 0.6)])
+    assert _sites(c) == [(1, 2, 3, 4)]
     _check_against_reference(c, 6)
     _check_columns(c, 6)
     for seed in (2, 9, 16):
         t5 = generate_block_encoding(GeneratorConfig(load_coupling_map("t5"), depth=10, seed=seed), 4).circuit
-        sites = _sites(t5)
-        # a non-adjacent pair with a merged (3-site) block on each side
-        assert any(len(sites[i]) == 2 and sites[i][1] - sites[i][0] > 1
-                   and any(len(s) > 2 for s in sites[:i]) and any(len(s) > 2 for s in sites[i + 1:])
-                   for i in range(len(sites)))
+        # some non-adjacent pair of the circuit lands inside a larger block
+        far = [g for g in t5.gates() if len(g.qubits) == 2 and abs(g.qubits[0] - g.qubits[1]) > 1]
+        assert sum(qs[-1] - qs[0] >= len(qs) for qs in _sites(t5)) < len(far)
         _check_against_reference(t5, seed)
         _check_columns(t5, seed)
 

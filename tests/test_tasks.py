@@ -24,7 +24,6 @@ from racbem.statevector import (
 )
 from racbem.tasks import (
     BenchmarkReport,
-    MettsTrace,
     canonical_quadratic,
     generate_instance,
     linpack_run,
@@ -173,14 +172,6 @@ def test_spectral_run_basics():
     assert res.reports[0].params["length"] == 7
     for r in res.reports:
         assert r.params["residual"] <= CONVERGED_L
-
-
-def test_metts_trace_validates_cma():
-    with pytest.raises(ValueError):
-        MettsTrace(
-            states=(0, 1), energies=(1.0, 2.0), next_states=(1, 0),
-            cma=(1.0, 1.0), estimate=1.0, exact=1.0, resamples=0, flagged=0,
-        )
 
 
 def test_metts_beta_zero_uniform_limit():

@@ -7,18 +7,20 @@ block-encoding of A this module builds 2-ancilla block-encodings of the
 Hermitian matrix h(A) = a2 * A^dag A + a0 * I, where the quadratic
 h(x) = a2 x^2 + a0 is selected by two rotation phases.  That circuit is
 the degree-2 case of the alternating-phase circuit, and `alternate` is
-the one assembler for both it and `qsvt.build`.
+the one assembler for both it and `qsvt.build`.  An assembled circuit
+copies no gate of U_A: its parts refer to `ua.circuit` at qubit offset
+1, with dagger for U_A^dag, between gate-level phase groups.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gates as G
-from .statevector import UNITARY_QUBIT_CAP, _keep_shifted, _run
+from .statevector import UNITARY_QUBIT_CAP, _run
 
 
 @dataclass(frozen=True)
@@ -39,10 +41,6 @@ class BlockEncoding:
                 f"circuit has {self.circuit.n_qubits} qubits, "
                 f"expected n_sys + m = {self.n_sys + self.m}"
             )
-
-    def __getstate__(self):
-        # a pickle keeps the fields only, not the kept signal copies
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -81,21 +79,11 @@ def extract_block(be: BlockEncoding) -> np.ndarray:
 
 
 def _under_signal(ua: BlockEncoding, who: str):
-    """(register size, U_A, U_A^dag) with U_A moved up one qubit so that
-    the signal qubit is q0 and its ancilla q1.  The pair is kept on ua, so
-    every circuit built from ua shares the two parts, and both keep U_A's
-    own fusion (the one `extract_block` uses), moved up and, for U_A^dag,
-    daggered."""
+    """(register size, U_A, U_A^dag) as parts moved up one qubit, so that
+    the signal qubit is q0 and its ancilla q1."""
     if ua.m != 1:
         raise ValueError(f"{who} needs a 1-ancilla block-encoding")
-    if "_signal" not in ua.__dict__:
-        n = ua.circuit.n_qubits + 1
-        ua_s = G.shift_qubits(ua.circuit, 1, n)
-        uad_s = G.shift_qubits(G.adjoint(ua.circuit), 1, n)
-        _keep_shifted(ua_s, ua.circuit, dagger=False)
-        _keep_shifted(uad_s, ua.circuit, dagger=True)
-        ua.__dict__["_signal"] = (n, ua_s, uad_s)
-    return ua.__dict__["_signal"]
+    return ua.circuit.n_qubits + 1, (ua.circuit, 1, False), (ua.circuit, 1, True)
 
 
 def _rotation_group(varphi: float) -> list[G.Gate]:
@@ -127,12 +115,12 @@ def alternate(ua: BlockEncoding, varphi, name: str) -> G.QuantumCircuit:
     (starting with U_A), then the rotation group of varphi_0 and H(q0)."""
     n, ua_s, uad_s = _under_signal(ua, "the alternating circuit")
     d = len(varphi) - 1
-    parts = [G.from_gates(n, [G.h(0)])]
+    parts = [(G.from_gates(n, [G.h(0)]), 0, False)]
     for j in range(d, 0, -1):
-        parts.append(G.from_gates(n, _rotation_group(varphi[j])))
+        parts.append((G.from_gates(n, _rotation_group(varphi[j])), 0, False))
         parts.append(ua_s if (d - j) % 2 == 0 else uad_s)
-    parts.append(G.from_gates(n, _rotation_group(varphi[0]) + [G.h(0)]))
-    return G.concat(n, *parts, name=name)
+    parts.append((G.from_gates(n, _rotation_group(varphi[0]) + [G.h(0)]), 0, False))
+    return G.QuantumCircuit(n, name=name, parts=tuple(parts))
 
 
 def build_hracbem(ua: BlockEncoding, phi0: float, phi1: float) -> BlockEncoding:
@@ -150,15 +138,14 @@ def build_canonical_hracbem(ua: BlockEncoding) -> BlockEncoding:
     Extra gates beyond U_A and U_A^dag are exactly 2 H, 2 CNOT, 1 Sdg, 2 T.
     """
     n, ua_s, uad_s = _under_signal(ua, "build_canonical_hracbem")
-    c = G.concat(
-        n,
-        G.from_gates(n, [G.h(0), G.t(0)]),
+    parts = (
+        (G.from_gates(n, [G.h(0), G.t(0)]), 0, False),
         ua_s,
-        G.from_gates(n, [G.cnot(1, 0), G.sdg(0), G.cnot(1, 0)]),
+        (G.from_gates(n, [G.cnot(1, 0), G.sdg(0), G.cnot(1, 0)]), 0, False),
         uad_s,
-        G.from_gates(n, [G.t(0), G.h(0)]),
-        name="canonical-hracbem",
+        (G.from_gates(n, [G.t(0), G.h(0)]), 0, False),
     )
+    c = G.QuantumCircuit(n, name="canonical-hracbem", parts=parts)
     return BlockEncoding(c, ua.n_sys, m=2)
 
 

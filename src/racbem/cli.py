@@ -15,7 +15,6 @@ machine-parsable JSON line on stderr.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import os
@@ -253,14 +252,7 @@ def cmd_phase_factors(args) -> int:
 
 def cmd_racbem_bench(args) -> int:
     kw = _task_kwargs(args)
-    run = functools.partial(tasks.racbem_benchmark, args.n, **kw)
-    seeds = [args.seed + k for k in range(args.instances)]
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(seeds) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            reports = list(ex.map(run, seeds))
-    else:
-        reports = [run(s) for s in seeds]
+    reports = [tasks.racbem_benchmark(args.n, args.seed + k, **kw) for k in range(args.instances)]
     _write_task(args, kw, f"racbem-bench-n{args.n}-s{args.seed}",
                 ("n", "seed", "instances", "p_cnot", "noise_model"),
                 {"reports": [r.to_record() for r in reports]}, reports)
@@ -391,7 +383,6 @@ COMMANDS = {
     "racbem-bench": (cmd_racbem_bench, "success probability of A|0^n>",
                      INSTANCE_FLAGS + SAMPLING_FLAGS + (
                          ("--instances", {"type": int, "default": 1}),
-                         ("--jobs", INT),
                      ) + REPORT_FLAGS),
     "linpack": (cmd_linpack, "matrix-inversion success benchmark",
                 INSTANCE_FLAGS + SAMPLING_FLAGS + (("--kappa", FLOAT), ("--d", INT)) + REPORT_FLAGS),
@@ -443,6 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser as it was, so one serves every call
+    return build_parser()
+
+
 def _config_value(key: str, value, kw: dict):
     """A config value parsed as its flag parses the command line: lists
     join with commas, then the flag's type and choices apply."""
@@ -491,8 +488,7 @@ def _apply_config_file(args, argv):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args = _apply_config_file(args, argv)
         return args.func(args)

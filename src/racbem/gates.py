@@ -17,13 +17,17 @@ Conventions used throughout the package:
 * CNOT 4x4 unitary is written with the control bit more significant than
   the target bit within the pair.
 
-Circuits are immutable after construction and safe to share.
+Circuits are immutable after construction and safe to share.  A circuit
+is its gates or its parts: (leaf, qubit offset, dagger) references to
+gate-level circuits, so a QSVT circuit applies U_A d times without
+copying a gate; readers of its gates see the parts placed in turn.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -169,6 +173,10 @@ def gate_unitary(g: Gate) -> np.ndarray:
     raise AssertionError(k)
 
 
+# a gate's inverse has its kind, except these (see gate_adjoint)
+ADJOINT_KINDS = {"t": "u1", "sdg": "u1", "u2": "u3"}
+
+
 def gate_adjoint(g: Gate) -> Gate:
     """The inverse of a single gate, expressed in the same gate alphabet.
 
@@ -197,52 +205,62 @@ def gate_adjoint(g: Gate) -> Gate:
 
 @dataclass(frozen=True)
 class QuantumCircuit:
-    """Layered quantum circuit.
+    """Layered quantum circuit, given by its gates or by its parts.
 
     ``layers`` is a tuple of layers, each a tuple of gates acting on
-    disjoint qubits (layers are parallel time steps)."""
+    disjoint qubits (layers are parallel time steps).  An assembled
+    circuit has instead ``parts``: (leaf, offset, dagger) references, each
+    the gate-level circuit leaf with its operands moved up by offset and,
+    for dagger, inverted.  A leaf is validated once, when it is built."""
 
     n_qubits: int
     layers: tuple[tuple[Gate, ...], ...] = ()
     name: str = ""
+    parts: tuple[tuple["QuantumCircuit", int, bool], ...] = ()
 
     def __post_init__(self):
-        layers = tuple(tuple(layer) for layer in self.layers)
-        object.__setattr__(self, "layers", layers)
-        for layer in layers:
-            seen: set[int] = set()
-            for g in layer:
-                for q in g.qubits:
-                    if q >= self.n_qubits:
-                        raise ValueError(
-                            f"gate operand {q} out of range for "
-                            f"{self.n_qubits}-qubit circuit"
-                        )
-                    if q in seen:
-                        raise ValueError(
-                            f"qubit {q} used twice in one layer"
-                        )
-                    seen.add(q)
+        object.__setattr__(self, "layers", tuple(tuple(layer) for layer in self.layers))
+        object.__setattr__(self, "parts", tuple((p, int(o), bool(dg)) for p, o, dg in self.parts))
+        if self.parts and self.layers or any(p.parts for p, _, _ in self.parts):
+            raise ValueError("an assembled circuit has gate-level parts and no layers")
+        for p, offset, _ in self.parts:
+            if not 0 <= offset <= self.n_qubits - p.n_qubits:
+                raise ValueError(f"part at offset {offset} does not fit {self.n_qubits} qubits")
+        for layer in self.layers:
+            qs = [q for g in layer for q in g.qubits]
+            if max(qs, default=-1) >= self.n_qubits:
+                raise ValueError(f"gate operand {max(qs)} out of range for "
+                                 f"{self.n_qubits}-qubit circuit")
+            if len(set(qs)) < len(qs):
+                raise ValueError(f"a qubit is used twice in one layer: {qs}")
 
     def __hash__(self) -> int:
         # the generated hash walks every gate; frozen, so compute it once
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.n_qubits, self.layers, self.name))
+            h = hash((self.n_qubits, self.layers, self.name, self.parts))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __getstate__(self):
         # string hashes are salted per process, so a pickle keeps only the
-        # fields and drops the hash, the parts and the fused blocks
+        # fields and drops the hash and the fused blocks
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def refs(self) -> tuple[tuple["QuantumCircuit", int, bool], ...]:
+        """The parts; a gate-level circuit is its own one part."""
+        return self.parts or ((self, 0, False),)
+
+    def flat_layers(self) -> tuple[tuple[Gate, ...], ...]:
+        """The layers, each part's placed in turn."""
+        return tuple(layer for ref in self.parts for layer in placed_layers(*ref)) or self.layers
 
     @property
     def depth(self) -> int:
-        return len(self.layers)
+        return sum(len(p.layers) for p, _, _ in self.refs())
 
     def gates(self):
-        for layer in self.layers:
+        for layer in self.flat_layers():
             yield from layer
 
 
@@ -254,36 +272,22 @@ def from_gates(n_qubits: int, gates) -> QuantumCircuit:
 def adjoint(c: QuantumCircuit) -> QuantumCircuit:
     """Reverse the layer order and invert every gate."""
     layers = tuple(
-        tuple(gate_adjoint(g) for g in layer) for layer in reversed(c.layers)
+        tuple(gate_adjoint(g) for g in layer) for layer in reversed(c.flat_layers())
     )
     name = c.name + "_dag" if c.name else ""
     return QuantumCircuit(c.n_qubits, layers, name)
 
 
-def shift_qubits(c: QuantumCircuit, offset: int, n_qubits: int) -> QuantumCircuit:
-    """Embed a circuit into a larger register, shifting operands by ``offset``."""
-    layers = tuple(
-        tuple(
-            Gate(g.kind, tuple(q + offset for q in g.qubits), g.params)
-            for g in layer
-        )
-        for layer in c.layers
+def placed_layers(leaf: QuantumCircuit, offset: int, dagger: bool):
+    """The layers of one part: leaf's (dagger: its adjoint's), with every
+    operand moved up by offset."""
+    layers = adjoint(leaf).layers if dagger else leaf.layers
+    if not offset:
+        return layers
+    return tuple(
+        tuple(Gate(g.kind, tuple(q + offset for q in g.qubits), g.params) for g in layer)
+        for layer in layers
     )
-    return QuantumCircuit(n_qubits, layers, c.name)
-
-
-def concat(n_qubits: int, *circuits: QuantumCircuit, name: str = "") -> QuantumCircuit:
-    """The circuits in turn.  The result keeps them as its parts (outside
-    eq, hash and pickle, like its cached hash), so that the simulator
-    fuses a part that recurs, such as QSVT's U_A, once."""
-    layers: list[tuple[Gate, ...]] = []
-    for c in circuits:
-        if c.n_qubits != n_qubits:
-            raise ValueError("qubit-count mismatch in concat")
-        layers.extend(c.layers)
-    out = QuantumCircuit(n_qubits, tuple(layers), name)
-    object.__setattr__(out, "_parts", circuits)
-    return out
 
 
 @dataclass(frozen=True)
@@ -324,7 +328,7 @@ def validate(c: QuantumCircuit, m: CouplingMap, layout=None) -> list[str]:
     if layout is None:
         layout = {q: q for q in range(c.n_qubits)}
     violations = []
-    for i, layer in enumerate(c.layers):
+    for i, layer in enumerate(c.flat_layers()):
         for g in layer:
             if g.kind != "cnot":
                 continue
@@ -337,15 +341,16 @@ def validate(c: QuantumCircuit, m: CouplingMap, layout=None) -> list[str]:
 
 
 def gate_count(c: QuantumCircuit) -> dict[str, int]:
-    """Per-kind logical gate counts plus a ``total`` entry.
-
-    Each gate (including a CNOT) counts once."""
+    """Per-kind logical gate counts, in order of first use, plus a ``total``
+    entry.  Each gate (including a CNOT) counts once; a part counts its
+    leaf's gates (dagger: their inverses' kinds) times its recurrences."""
     counts: dict[str, int] = {}
-    total = 0
-    for g in c.gates():
-        counts[g.kind] = counts.get(g.kind, 0) + 1
-        total += 1
-    counts["total"] = total
+    for (p, dagger), k in Counter((p, dagger) for p, _, dagger in c.refs()).items():
+        for layer in reversed(p.layers) if dagger else p.layers:
+            for g in layer:
+                kind = ADJOINT_KINDS.get(g.kind, g.kind) if dagger else g.kind
+                counts[kind] = counts.get(kind, 0) + k
+    counts["total"] = sum(counts.values())
     return counts
 
 
@@ -358,7 +363,7 @@ def circuit_to_text(c: QuantumCircuit) -> str:
     lines = [_HEADER, f"QUBITS {c.n_qubits}"]
     if c.name:
         lines.append(f"NAME {c.name}")
-    for i, layer in enumerate(c.layers):
+    for i, layer in enumerate(c.flat_layers()):
         lines.append(f"LAYER {i}")
         for g in layer:
             ops = " ".join(str(q) for q in g.qubits)

@@ -12,20 +12,21 @@ density matrix rho is held as n four-level sites, site q being the pair
 statevector kernel; the readout rows then mix the measured marginal.
 Each law is computed once per (circuit, measured, input) per model, and
 a run scales its model once, so once per run.  The model also keeps the
-fused noisy blocks of each circuit part, so the laws of a run share one
-fusion of its U_A.  Nothing on a circuit refers back to a model, so a
-run's scaled model goes when the run ends.
+fused noisy blocks of each part reference, so the laws of a run share
+one fusion of U_A and one of U_A^dag.  Nothing on a circuit refers back
+to a model, so a run's scaled model goes when the run ends.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import QuantumCircuit, ONE_QUBIT_KINDS, gate_unitary
+from .gates import QuantumCircuit, ONE_QUBIT_KINDS, gate_unitary, placed_layers
 from .statevector import (
     UNITARY_QUBIT_CAP,
     CountsHistogram,
@@ -77,7 +78,7 @@ class NoiseModel:
     )
     _channels: dict = field(init=False, repr=False, compare=False)  # key -> channel superop
     _laws: dict = field(init=False, repr=False, compare=False)  # (circuit, measured, input) -> law
-    _blocks: dict = field(init=False, repr=False, compare=False)  # circuit part -> fused blocks
+    _blocks: dict = field(init=False, repr=False, compare=False)  # part reference -> fused blocks
 
     def __post_init__(self):
         checked = {}
@@ -218,9 +219,14 @@ _PAULI_SUPEROPS = {lab: _superop(functools.reduce(np.kron, (_PAULI[ch] for ch in
 
 
 def coverage(model: NoiseModel, circuits) -> float:
-    """Share of the circuits' gates that have a gate_errors entry."""
-    keys = [(g.kind, g.qubits) for c in circuits for g in c.gates()]
-    return sum(k in model.gate_errors for k in keys) / len(keys) if keys else 0.0
+    """Share of the circuits' gates that have a gate_errors entry.  Each
+    distinct part is placed once and counted as often as it recurs."""
+    covered = total = 0
+    for ref, k in Counter(r for c in circuits for r in c.refs()).items():
+        keys = [(g.kind, g.qubits) for layer in placed_layers(*ref) for g in layer]
+        covered += k * sum(key in model.gate_errors for key in keys)
+        total += k * len(keys)
+    return covered / total if total else 0.0
 
 
 def outcome_distribution(

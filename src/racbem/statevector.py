@@ -8,16 +8,16 @@ whose sites were all last touched by one block folds back into it, and
 any other gate starts a block that merges the open blocks (those no later
 block touches) on its sites, while the merged sites are two sites or a
 contiguous run of at most BLOCK_DIM_CAP = 16 amplitudes: four sites of a
-state, two of rho.  A part (a `gates.concat` operand, such as the U_A
-that a QSVT circuit repeats d times, or a whole circuit) is fused once:
-its ideal blocks are kept on it, its noisy ones on the noise model.
-The shifted U_A and U_A^dag of a QSVT circuit keep U_A's own blocks,
-moved up one site and, for U_A^dag, conjugate-transposed in reverse
-order.  Each block on sites lo..lo+k-1 is one `matmul` on a
-(d**lo, d**k, rest) view of a state, the identity, a block-encoding's
-kept columns or rho; when rest is the shorter side, one product with the
-block's axis moved to the front.  A non-adjacent pair (the t5 map) is one
-`tensordot`.
+state, two of rho.  A part is a (leaf, offset, dagger) reference, such
+as the U_A that a QSVT circuit applies d times.  A leaf is fused once
+and keeps its ideal blocks; a reference takes them moved up by its
+offset and, for dagger, conjugate-transposed in reverse order.  On rho,
+whose noise channels are keyed by absolute qubits, each distinct
+reference is fused once per noise model from its placed gates.  Each
+block on sites lo..lo+k-1 is one `matmul` on a (d**lo, d**k, rest) view
+of a state, the identity, a block-encoding's kept columns or rho; when
+rest is the shorter side, one product with the block's axis moved to the
+front.  A non-adjacent pair (the t5 map) is one `tensordot`.
 
 Sampled counts stay one vector, `CountsHistogram.draws`, in the same
 bitstring order as the outcome laws, from the draw to every reader;
@@ -26,11 +26,12 @@ only `CountsHistogram.counts` writes outcomes as bitstrings.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import QuantumCircuit, gate_unitary
+from .gates import QuantumCircuit, gate_unitary, placed_layers
 
 UNITARY_QUBIT_CAP = 12
 
@@ -64,20 +65,20 @@ class StateVector:
         return cls(n_qubits, amps)
 
 
-def _fuse(c: QuantumCircuit, d: int, mat) -> list:
+def _fuse(layers, d: int, mat) -> list:
     """The (u, sites) blocks of mat(gate) on d-level sites, in circuit
-    order, from one pass over the gates.  A gate whose sites were all last
-    touched by one block folds back into it, open or not: no later block
-    touches those sites.  Any other gate starts a block that merges the
-    open blocks (those no later block touches) that last touched its
-    sites, while the merged sites are two sites or a contiguous run of at
-    most BLOCK_DIM_CAP amplitudes: four sites of a state, two of rho.
-    Open blocks share no site and commute forward to the gate, so the
-    merged block is they and the gate in turn on the identity, with sites
-    relabelled by rank."""
+    order, from one pass over the layers' gates.  A gate whose sites were
+    all last touched by one block folds back into it, open or not: no
+    later block touches those sites.  Any other gate starts a block that
+    merges the open blocks (those no later block touches) that last
+    touched its sites, while the merged sites are two sites or a
+    contiguous run of at most BLOCK_DIM_CAP amplitudes: four sites of a
+    state, two of rho.  Open blocks share no site and commute forward to
+    the gate, so the merged block is they and the gate in turn on the
+    identity, with sites relabelled by rank."""
     blocks: list = []  # merged-away blocks become None
     last: dict[int, int] = {}  # site -> index of the block that last touched it
-    for g in c.gates():
+    for g in itertools.chain.from_iterable(layers):
         u, qs = mat(g), g.qubits
         if len(qs) == 2 and qs[0] > qs[1]:  # swap the operand order so the block reads (b, a)
             u = u.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
@@ -109,27 +110,30 @@ def _fuse(c: QuantumCircuit, d: int, mat) -> list:
 
 
 def _fused(c: QuantumCircuit, d: int, mat, kept) -> list:
-    """c's blocks: the concatenation of its parts' `_fuse` blocks, each part
-    fused once.  A circuit from `gates.concat` has its parts; any other is
-    its own one part.  kept maps a part to its blocks of mat; with None the
-    ideal blocks (mat = gate_unitary) are kept on the part itself."""
+    """c's blocks: its parts' blocks in turn.  kept maps a part reference
+    to its blocks of mat, fused once from the part's placed gates; None
+    stands for the ideal blocks (d = 2, mat = gate_unitary) of `_ideal`."""
     out: list = []
-    for p in c.__dict__.get("_parts", (c,)):
-        home, key = (p.__dict__, "_blocks") if kept is None else (kept, p)
-        if key not in home:
-            home[key] = _fuse(p, d, mat)
-        out += home[key]
+    for ref in c.refs():
+        if kept is not None and ref not in kept:
+            kept[ref] = _fuse(placed_layers(*ref), d, mat)
+        out += _ideal(*ref) if kept is None else kept[ref]
     return out
 
 
-def _keep_shifted(c: QuantumCircuit, src: QuantumCircuit, dagger: bool) -> None:
-    """Keep on c, which is src moved up one qubit (dagger: its adjoint moved
-    up), src's ideal blocks with sites + 1 (dagger: conjugate-transposed,
-    in reverse order), so c needs no fusion of its own."""
-    blocks = _fused(src, 2, gate_unitary, None)
-    if dagger:
-        blocks = [(u.conj().T, qs) for u, qs in reversed(blocks)]
-    c.__dict__["_blocks"] = [(u, tuple(q + 1 for q in qs)) for u, qs in blocks]
+def _ideal(leaf: QuantumCircuit, offset: int, dagger: bool) -> list:
+    """The ideal blocks of a part: leaf's, fused once, moved up offset
+    sites and, for dagger, conjugate-transposed in reverse order.  They
+    are kept on the leaf by placement, each derived once."""
+    kept = leaf.__dict__.setdefault("_blocks", {})
+    if (0, False) not in kept:
+        kept[0, False] = _fuse(leaf.layers, 2, gate_unitary)
+    if (offset, dagger) not in kept:
+        blocks = kept[0, False]
+        if dagger:
+            blocks = [(u.conj().T, qs) for u, qs in reversed(blocks)]
+        kept[offset, dagger] = [(u, tuple(q + offset for q in qs)) for u, qs in blocks]
+    return kept[offset, dagger]
 
 
 def _run(c: QuantumCircuit, arr: np.ndarray, mat=gate_unitary, kept=None) -> np.ndarray:

@@ -8,6 +8,7 @@ from racbem import gates as G
 from racbem.blockenc import (
     QuadraticH,
     _rotation_group,
+    alternate,
     build_canonical_hracbem,
     build_hracbem,
     condition_bound,
@@ -15,10 +16,12 @@ from racbem.blockenc import (
     phases_for_quadratic,
     quadratic_for_condition,
 )
+from racbem.generator import GeneratorConfig, generate_block_encoding, linear_coupling_map, load_coupling_map
 from racbem.phasefactors import PhaseFactors
 from racbem.qsvt import build
 from racbem.statevector import circuit_unitary
 from conftest import random_ua
+from test_gates import shifted
 
 
 def quad_coeffs(phi0, phi1):
@@ -55,6 +58,43 @@ def test_canonical_hracbem_is_a_dag_a():
     A = extract_block(ua)
     h = extract_block(build_canonical_hracbem(ua))
     assert np.abs(h - A.conj().T @ A).max() < 1e-10
+
+
+def _gate_level(n, pieces, name):
+    """The pieces' layers copied into one gate-level circuit."""
+    return G.QuantumCircuit(n, tuple(layer for p in pieces for layer in p.layers), name)
+
+
+@pytest.mark.parametrize("coupling", ["linear", "t5"])
+def test_assembled_circuits_read_as_gate_level_copies(coupling):
+    # the circuits built from (part, offset, dagger) references read gate for
+    # gate, in text and in counts, as the construction that copies U_A and
+    # its adjoint, shifted one qubit up, into every slot
+    if coupling == "t5":
+        ua = generate_block_encoding(GeneratorConfig(load_coupling_map("t5"), depth=6, seed=3), 4)
+    else:
+        ua = random_ua(3, seed=3)
+    n = ua.circuit.n_qubits + 1
+    ua_s, uad_s = shifted(ua.circuit, 1, n), shifted(G.adjoint(ua.circuit), 1, n)
+    varphi = (0.3, -1.1, 0.7, 2.0, -0.4, 0.9)
+    d = len(varphi) - 1
+    pieces = [G.from_gates(n, [G.h(0)])]
+    for j in range(d, 0, -1):
+        pieces += [G.from_gates(n, _rotation_group(varphi[j])), ua_s if (d - j) % 2 == 0 else uad_s]
+    pieces.append(G.from_gates(n, _rotation_group(varphi[0]) + [G.h(0)]))
+    canonical = [G.from_gates(n, [G.h(0), G.t(0)]), ua_s,
+                 G.from_gates(n, [G.cnot(1, 0), G.sdg(0), G.cnot(1, 0)]), uad_s,
+                 G.from_gates(n, [G.t(0), G.h(0)])]
+    line = linear_coupling_map(n)
+    for got, want in [(alternate(ua, varphi, "alt"), _gate_level(n, pieces, "alt")),
+                      (build_canonical_hracbem(ua).circuit,
+                       _gate_level(n, canonical, "canonical-hracbem"))]:
+        assert got.parts and list(got.gates()) == list(want.gates())
+        assert G.circuit_to_text(got) == G.circuit_to_text(want)
+        assert list(G.gate_count(got).items()) == list(G.gate_count(want).items())
+        assert got.depth == want.depth
+        assert G.validate(got, line) == G.validate(want, line)
+        assert (G.validate(got, line) != []) == (coupling == "t5")
 
 
 def test_canonical_equals_phased_construction():

@@ -390,3 +390,34 @@ def test_metts_echoes_degrees_used(tmp_path, monkeypatch):
         config = json.loads(out.read_text())["config"]
         params = json.loads(reports.read_text())["params"]
         assert (config["d_num"], config["d_den"]) == want == (params["d_num"], params["d_den"])
+
+
+def test_jobs_is_not_an_option(tmp_path, monkeypatch, capsys):
+    # instances run one after another in the calling process
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"jobs": 2}))
+    base = ["racbem-bench", "--n", "1", "--seed", "0", "--instances", "2", "--exact"]
+    assert run(base + ["--config", str(cfg)], monkeypatch, tmp_path) == 2
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rec["error"] == "schema" and "'jobs'" in rec["message"]
+    with pytest.raises(SystemExit) as exc:
+        run(base + ["--jobs", "2"], monkeypatch, tmp_path)
+    assert exc.value.code == 2
+
+
+def test_calls_share_the_parser_but_not_their_options(tmp_path, monkeypatch):
+    # one parser serves every call; what one call set, by --config or by
+    # flag, is back at its default in the next
+    assert cli._parser() is cli._parser()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"p_cnot": 0.3, "sigma": 0.5}))
+    base = ["linpack", "--n", "2", "--seed", "11", "--kappa", "2", "--d", "6"]
+    first, second, csv = tmp_path / "first.json", tmp_path / "second.json", tmp_path / "r.csv"
+    assert run(base + ["--config", str(cfg), "--exact", "--depth", "4", "--csv", str(csv),
+                       "--out", str(first)], monkeypatch, tmp_path) == 0
+    csv.unlink()
+    assert run(base + ["--shots", "100", "--out", str(second)], monkeypatch, tmp_path) == 0
+    a, b = (json.loads(p.read_text())["config"] for p in (first, second))
+    assert (a["p_cnot"], a["shots"], a["depth"]) == (0.3, 0, 4)
+    assert (b["p_cnot"], b["shots"], b["sigma"], b["depth"]) == (0.5, 100, 0.0, 7)
+    assert not csv.exists()

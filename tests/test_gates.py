@@ -109,14 +109,40 @@ def test_text_round_trip(seed):
     assert "_hash" not in vars(pickle.loads(pickle.dumps(c)))
 
 
+def shifted(c: G.QuantumCircuit, offset: int, n_qubits: int) -> G.QuantumCircuit:
+    """c gate by gate with every operand moved up by offset: a part's
+    placement written out without parts."""
+    layers = tuple(tuple(G.Gate(g.kind, tuple(q + offset for q in g.qubits), g.params)
+                         for g in layer) for layer in c.layers)
+    return G.QuantumCircuit(n_qubits, layers, c.name)
+
+
 def test_shift_and_concat():
-    c = G.from_gates(2, [G.h(0), G.cnot(0, 1)])
-    s = G.shift_qubits(c, 1, 3)
-    assert [g.qubits for g in s.gates()] == [(1,), (1, 2)]
-    both = G.concat(3, s, s)
-    assert both.depth == 2 * s.depth
+    # an assembled circuit reads as its parts placed in turn: operands moved
+    # up by the offset and, for dagger, the leaf's adjoint
+    c = G.from_gates(2, [G.h(0), G.t(1), G.cnot(0, 1)])
+    both = G.QuantumCircuit(3, parts=((c, 1, False), (c, 1, True)))
+    want = shifted(c, 1, 3).layers + shifted(G.adjoint(c), 1, 3).layers
+    assert both.flat_layers() == want
+    assert [g.qubits for g in both.gates()] == [(1,), (2,), (1, 2), (1, 2), (2,), (1,)]
+    assert both.depth == 2 * c.depth
+    counts = G.gate_count(both)
+    assert list(counts.items()) == [("h", 2), ("t", 1), ("cnot", 2), ("u1", 1), ("total", 6)]
+    # counted without placing, every kind's inverse keeps the kind gate_adjoint gives
+    every = G.from_gates(2, [G.Gate(k, (1, 0) if k == "cnot" else (0,), (0.4,) * n)
+                             for k, n in G.GATE_KINDS.items()])
+    thrice = G.QuantumCircuit(3, parts=((every, 1, True), (every, 0, False), (every, 1, True)))
+    flat = {}
+    for g in thrice.gates():
+        flat[g.kind] = flat.get(g.kind, 0) + 1
+    assert list(G.gate_count(thrice).items()) == list(flat.items()) + [("total", 27)]
+    assert both.refs() == both.parts and c.refs() == ((c, 0, False),)
     with pytest.raises(ValueError):
-        G.concat(2, s)
+        G.QuantumCircuit(2, parts=((c, 1, False),))  # does not fit
+    with pytest.raises(ValueError):
+        G.QuantumCircuit(3, parts=((both, 0, False),))  # parts are gate-level
+    with pytest.raises(ValueError):
+        G.QuantumCircuit(3, c.layers, parts=((c, 0, False),))
 
 
 def test_gate_count():

@@ -79,17 +79,35 @@ def test_success_probability_equals_transformed_norm():
     assert p_circ == pytest.approx(p_ref, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 4])
+def test_build_makes_only_the_phase_gates(monkeypatch, n):
+    # U_A is referred to, not copied: a degree-d circuit makes the 7(d+1) + 2
+    # gates of the non-U_A term of the budget, whatever the size of U_A
+    ua = random_ua(n, seed=33)
+    made = []
+    init = G.Gate.__post_init__
+    monkeypatch.setattr(G.Gate, "__post_init__", lambda g: made.append(g) or init(g))
+    for d in (2, 7, 12):
+        made.clear()
+        build(ua, PhaseFactors(tuple(np.linspace(0.1, 1.0, d + 1)), "varphi"), allow_odd=True)
+        ua_term = d * ua.circuit.depth * ua.circuit.n_qubits
+        assert len(made) == 7 * (d + 1) + 2 == gate_count_bound(d, ua.circuit.depth, n + 1) - ua_term
+
+
 def test_pickled_circuit_compares_equal_and_runs_alike():
-    # a pickle keeps the fields only: not the hash, the parts, their fused
-    # blocks or the instance's signal copies, so the copy fuses afresh
+    # a pickle keeps the fields only, parts included: not the hash or the
+    # fused blocks, so the copy fuses afresh
     ua = random_ua(2, seed=12)
     _, varphi = phases_for((0.3, 0.0, 0.4), "even")
     qc = build(ua, varphi)
     s = StateVector(4, _random_state(4, np.random.default_rng(12)))
     out = apply(qc.circuit, s).amplitudes
+    h = hash(qc.circuit)
     copy = pickle.loads(pickle.dumps(qc))
-    assert not {"_hash", "_parts", "_blocks"} & vars(copy.circuit).keys()
-    assert copy == qc and hash(copy.circuit) == hash(qc.circuit)
+    assert "_hash" in vars(qc.circuit) and "_blocks" in vars(ua.circuit)
+    assert not {"_hash", "_blocks"} & vars(copy.circuit).keys()
+    assert not any("_blocks" in vars(p) for p, _, _ in copy.circuit.parts)
+    assert copy == qc and hash(copy.circuit) == h
     assert np.abs(apply(copy.circuit, s).amplitudes - out).max() < 1e-12
     ua_copy = pickle.loads(pickle.dumps(ua))
-    assert ua_copy == ua and "_signal" in vars(ua) and "_signal" not in vars(ua_copy)
+    assert ua_copy == ua and "_blocks" not in vars(ua_copy.circuit)

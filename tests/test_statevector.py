@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from racbem import gates as G
 from racbem import statevector
-from racbem.blockenc import _under_signal, build_canonical_hracbem, extract_block
+from racbem.blockenc import build_canonical_hracbem, extract_block
 from racbem.generator import (
     GeneratorConfig,
     generate_block_encoding,
@@ -25,7 +25,7 @@ from racbem.statevector import (
     success_probability_exact,
 )
 from conftest import random_ua
-from test_gates import random_circuit
+from test_gates import random_circuit, shifted
 
 
 def test_zero_and_basis_states():
@@ -133,12 +133,12 @@ def test_kernel_multi_column_input():
 
 
 def test_kernel_matches_dense_reference_on_assembled_circuits(monkeypatch):
-    # concatenations run part by part from each part's kept blocks; every
-    # part is fused once however often it recurs, in one circuit or several,
-    # and the shifted U_A and U_A^dag are never fused: they keep U_A's blocks
+    # assembled circuits run part by part; every leaf is fused once however
+    # often it recurs, in one circuit or several, and U_A and U_A^dag at
+    # offset 1 take U_A's own blocks: nothing but a leaf is ever fused
     fused = []
     fuse = statevector._fuse
-    monkeypatch.setattr(statevector, "_fuse", lambda c, d, mat: fused.append(c) or fuse(c, d, mat))
+    monkeypatch.setattr(statevector, "_fuse", lambda ls, d, mat: fused.append(ls) or fuse(ls, d, mat))
     ua = random_ua(2, 21)
     rng = np.random.default_rng(21)
     circuits = [build(ua, PhaseFactors(tuple(rng.uniform(0, 2 * np.pi, k)), "varphi"),
@@ -149,10 +149,10 @@ def test_kernel_matches_dense_reference_on_assembled_circuits(monkeypatch):
         x = rng.normal(size=(2**c.n_qubits, 3)) + 1j * rng.normal(size=(2**c.n_qubits, 3))
         assert np.abs(_run(c, x) - _dense_reference(c, x)).max() < 1e-12
     extract_block(ua)
-    assert len({id(c) for c in fused}) == len(fused)
-    _, ua_s, uad_s = _under_signal(ua, "")
-    assert sum(c is ua.circuit for c in fused) == 1
-    assert not any(c is ua_s or c is uad_s for c in fused)
+    assert len({id(ls) for ls in fused}) == len(fused)
+    assert sum(ls is ua.circuit.layers for ls in fused) == 1
+    leaves = {id(p.layers) for c in circuits for p, _, _ in c.parts}
+    assert all(id(ls) in leaves for ls in fused)
 
 
 @pytest.mark.parametrize("coupling", ["linear", "t5"])
@@ -164,20 +164,21 @@ def test_shifted_blocks_are_those_of_ua(coupling):
             ua = generate_block_encoding(GeneratorConfig(load_coupling_map("t5"), depth=10, seed=seed), 4)
         else:
             ua = random_ua(5, seed)
-        n, ua_s, uad_s = _under_signal(ua, "")
+        n = ua.circuit.n_qubits + 1
         own = statevector._fused(ua.circuit, 2, G.gate_unitary, None)
         assert any(len(qs) > 1 for _, qs in own)
-        for c, fresh, want in [
-            (ua_s, G.shift_qubits(ua.circuit, 1, n), own),
-            (uad_s, G.shift_qubits(G.adjoint(ua.circuit), 1, n),
+        for dagger, fresh, want in [
+            (False, shifted(ua.circuit, 1, n), own),
+            (True, shifted(G.adjoint(ua.circuit), 1, n),
              [(u.conj().T, qs) for u, qs in reversed(own)]),
         ]:
-            kept = c.__dict__["_blocks"]
+            kept = statevector._ideal(ua.circuit, 1, dagger)
+            assert kept is statevector._ideal(ua.circuit, 1, dagger)
             assert [qs for _, qs in kept] == [tuple(q + 1 for q in qs) for _, qs in want]
             assert all(np.array_equal(u, v) for (u, _), (v, _) in zip(kept, want))
             eye = np.eye(2**n, dtype=complex)
             derived = statevector._apply(kept, eye, 2)
-            assert np.abs(derived - statevector._apply(statevector._fuse(fresh, 2, G.gate_unitary), eye, 2)).max() < 1e-12
+            assert np.abs(derived - statevector._apply(statevector._fuse(fresh.layers, 2, G.gate_unitary), eye, 2)).max() < 1e-12
             assert np.abs(derived - _dense_reference(fresh, eye)).max() < 1e-12
 
 
@@ -191,7 +192,7 @@ def _check_columns(c: G.QuantumCircuit, seed: int):
 
 
 def _sites(c: G.QuantumCircuit) -> list:
-    return [qs for _, qs in statevector._fuse(c, 2, G.gate_unitary)]
+    return [qs for _, qs in statevector._fuse(c.layers, 2, G.gate_unitary)]
 
 
 @pytest.mark.parametrize("q", range(6))
@@ -274,7 +275,7 @@ def test_kernel_matches_dense_reference_on_random_maps(coupling, count):
         depth = int(rng.integers(3, 6 if coupling == "ladder15" else 16))
         cfg = GeneratorConfig(cmap, float(rng.uniform(0.2, 0.9)), depth, int(rng.integers(10**6)))
         c = generate_block_encoding(cfg, cmap.n_qubits - 1).circuit
-        for u, qs in statevector._fuse(c, 2, G.gate_unitary):
+        for u, qs in statevector._fuse(c.layers, 2, G.gate_unitary):
             assert len(u) == 2 ** len(qs) <= statevector.BLOCK_DIM_CAP
             assert qs == tuple(range(qs[0], qs[-1] + 1)) or len(qs) == 2
         _check_columns(c, k)

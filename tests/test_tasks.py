@@ -37,6 +37,19 @@ from racbem.tasks import (
 )
 
 
+def test_exact_linpack_makes_no_gate_beyond_ua_and_phases(monkeypatch):
+    # the generator's U_A and the 7(d+1) + 2 phase gates are the only gates
+    # an exact run makes: counting, fusing and simulating place no copy
+    n, seed, d = 3, 4, 8
+    ua_gates = sum(1 for _ in generate_instance(n, seed).circuit.gates())
+    made = []
+    init = G.Gate.__post_init__
+    monkeypatch.setattr(G.Gate, "__post_init__", lambda g: made.append(g) or init(g))
+    r = linpack_run(5.0, n, d, seed)
+    assert len(made) == ua_gates + 7 * (d + 1) + 2
+    assert r.gate_counts["total"] == ua_gates * d + 7 * (d + 1) + 2
+
+
 def identity_ua(n):
     return BlockEncoding(G.QuantumCircuit(n + 1), n, m=1)
 

@@ -28,7 +28,8 @@ def main(argv=None):
     print(f"beta {args.beta}  steps {args.steps}  estimate {trace.estimate:.6f}"
           f"  exact {trace.exact:.6f}  rel err {report.relative_error:.4f}")
     print(f"resamples {trace.resamples}  flagged steps {trace.flagged}")
-    write_cma_csv(trace, args.cma)
+    with open(args.cma, "w", newline="") as fh:
+        write_cma_csv(trace, fh)
     print(f"wrote {args.cma}")
     return 0
 

@@ -5,9 +5,11 @@ A = (<0^m| x I) U (|0^m> x I), the top-left 2^n_sys x 2^n_sys block of
 the circuit unitary under the qubit-0-is-MSB ordering.  From a 1-ancilla
 block-encoding of A this module builds 2-ancilla block-encodings of the
 Hermitian matrix h(A) = a2 * A^dag A + a0 * I, where the quadratic
-h(x) = a2 x^2 + a0 is selected by two rotation phases.  That circuit is
-the degree-2 case of the alternating-phase circuit, and `alternate` is
-the one assembler for both it and `qsvt.build`.  An assembled circuit
+h(x) = a2 x^2 + a0 is selected by two rotation phases
+(`phases_for_quadratic`).  That circuit is the degree-2 case of the
+alternating-phase circuit, and `alternate` is the one assembler for both
+it and `qsvt.build`.  The quadratic as a polynomial, and the choice of
+it for a condition number, live in `chebpoly`.  An assembled circuit
 copies no gate of U_A: its parts refer to `ua.circuit` at qubit offset
 1, with dagger for U_A^dag, between gate-level phase groups.
 """
@@ -41,32 +43,6 @@ class BlockEncoding:
                 f"circuit has {self.circuit.n_qubits} qubits, "
                 f"expected n_sys + m = {self.n_sys + self.m}"
             )
-
-
-@dataclass(frozen=True)
-class QuadraticH:
-    """The quadratic h(x) = a2 x^2 + a0 with its realizing phases.
-
-    Constraints |a0| <= 1 and |a0 + a2| <= 1 keep |h| <= 1 on [-1, 1].
-    The phases satisfy a2 = -2 sin(2 phi0) sin(phi1), a0 = cos(2 phi0 - phi1).
-    """
-
-    a2: float
-    a0: float
-    phi0: float
-    phi1: float
-
-    def __post_init__(self):
-        tol = 1e-9
-        if abs(self.a0) > 1 + tol or abs(self.a0 + self.a2) > 1 + tol:
-            raise ValueError("|a0| and |a0 + a2| must be <= 1")
-        a2c = -2.0 * math.sin(2 * self.phi0) * math.sin(self.phi1)
-        a0c = math.cos(2 * self.phi0 - self.phi1)
-        if abs(a2c - self.a2) > 1e-9 or abs(a0c - self.a0) > 1e-9:
-            raise ValueError("phases do not realize (a2, a0)")
-
-    def __call__(self, x):
-        return self.a2 * np.asarray(x) ** 2 + self.a0
 
 
 def extract_block(be: BlockEncoding) -> np.ndarray:
@@ -132,6 +108,18 @@ def build_hracbem(ua: BlockEncoding, phi0: float, phi1: float) -> BlockEncoding:
     return BlockEncoding(alternate(ua, (phi0, phi1, phi0), "hracbem"), ua.n_sys, m=2)
 
 
+def phases_for_quadratic(a2: float, a0: float) -> tuple[float, float]:
+    """Phases (phi0, phi1) for which `build_hracbem` realizes h(x) = a2 x^2 + a0.
+
+    Closed form: with u = arccos(a0) and v = arccos(a0 + a2),
+    phi0 = (u + v) / 4 and phi1 = (v - u) / 2."""
+    if abs(a0) > 1 or abs(a0 + a2) > 1:
+        raise ValueError("infeasible quadratic: need |a0| <= 1 and |a0 + a2| <= 1")
+    u = math.acos(a0)
+    v = math.acos(a0 + a2)
+    return (u + v) / 4.0, (v - u) / 2.0
+
+
 def build_canonical_hracbem(ua: BlockEncoding) -> BlockEncoding:
     """2-ancilla block-encoding of A^dag A using only Clifford+T overhead.
 
@@ -148,34 +136,3 @@ def build_canonical_hracbem(ua: BlockEncoding) -> BlockEncoding:
     c = G.QuantumCircuit(n, name="canonical-hracbem", parts=parts)
     return BlockEncoding(c, ua.n_sys, m=2)
 
-
-def phases_for_quadratic(a2: float, a0: float) -> tuple[float, float]:
-    """Phases (phi0, phi1) realizing h(x) = a2 x^2 + a0.
-
-    Closed form: with u = arccos(a0) and v = arccos(a0 + a2),
-    phi0 = (u + v) / 4 and phi1 = (v - u) / 2."""
-    if abs(a0) > 1 or abs(a0 + a2) > 1:
-        raise ValueError("infeasible quadratic: need |a0| <= 1 and |a0 + a2| <= 1")
-    u = math.acos(a0)
-    v = math.acos(a0 + a2)
-    return (u + v) / 4.0, (v - u) / 2.0
-
-
-def quadratic_for_condition(kappa: float) -> QuadraticH:
-    """h_kappa(x) = (1 - 1/kappa) x^2 + 1/kappa, condition bound kappa."""
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
-    a2 = 1.0 - 1.0 / kappa
-    a0 = 1.0 / kappa
-    phi0, phi1 = phases_for_quadratic(a2, a0)
-    return QuadraticH(a2=a2, a0=a0, phi0=phi0, phi1=phi1)
-
-
-def condition_bound(q: QuadraticH) -> float:
-    """Upper bound on the condition number of h(A): (a0 + a2) / a0.
-
-    Valid when h is positive and increasing on [0, 1], i.e. a0 > 0 and
-    a2 >= 0 (h ranges over [a0, a0 + a2] as x^2 sweeps [0, 1])."""
-    if q.a0 <= 0 or q.a2 < 0:
-        raise ValueError("condition bound needs a0 > 0 and a2 >= 0")
-    return (q.a0 + q.a2) / q.a0

@@ -1,4 +1,5 @@
-"""Chebyshev polynomials, minimax (Remez) fitting, and target functions.
+"""Chebyshev polynomials, minimax (Remez) fitting, target functions and
+the quadratic h(x) = a2 x^2 + a0 that targets a condition number.
 
 Polynomials are stored as Chebyshev coefficients on [-1, 1] and must be
 bounded by 1 there (the bound a signal-processing circuit can realize);
@@ -6,20 +7,20 @@ the ``scale`` field records the divisor that was applied to the original
 target so callers can undo it.  Fitting happens on a subinterval [a, b]
 where the target is smooth, by a multi-point Remez exchange whose
 reported error is the sup of the returned polynomial's error there; the
-polynomial is then re-expanded in the global basis.
+polynomial is then re-expanded in the global basis (`_expand`, which
+`compose_fit` also uses to fold h into one even polynomial).  This
+module depends on numpy alone; h's phases live with its circuit.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
-
-from .blockenc import QuadraticH
 
 BOUND_TOL = 1e-12
 
@@ -36,14 +37,6 @@ def _max_abs(coeffs: tuple[float, ...]) -> float:
     c = np.asarray(coeffs, dtype=float)
     stationary = np.clip(C.chebroots(C.chebder(c)).real, -1.0, 1.0)
     return float(np.abs(C.chebval(np.concatenate([[-1.0, 1.0], stationary]), c)).max())
-
-
-def _fold_overshoot(coeffs: np.ndarray, parity: str, scale: float) -> "ChebPoly":
-    """ChebPoly of the coefficients with any excess of |p| over 1 folded
-    into the scale, so the stored polynomial stays realizable."""
-    m = _max_abs(tuple(coeffs))
-    bump = m * (1.0 + 10 * BOUND_TOL) if m > 1.0 else 1.0
-    return ChebPoly(tuple(coeffs / bump), parity, scale * bump)
 
 
 @dataclass(frozen=True)
@@ -78,7 +71,11 @@ class ChebPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        return eval_cheb(self, x)
+        """Clenshaw evaluation at x in [-1, 1]."""
+        arr = np.asarray(x, dtype=float)
+        if np.any(np.abs(arr) > 1 + 1e-12):
+            raise ValueError("argument outside [-1, 1]")
+        return C.chebval(arr, self.coeffs)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -91,12 +88,16 @@ class ChebPoly:
         return cls(tuple(d["cheb_coeffs"]), d["parity"], d["scale"])
 
 
-def eval_cheb(p: ChebPoly, x):
-    """Clenshaw evaluation of p at x in [-1, 1]."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1 + 1e-12):
-        raise ValueError("argument outside [-1, 1]")
-    return C.chebval(arr, p.coeffs)
+def _expand(fn: Callable, degree: int, parity: str, scale: float) -> ChebPoly:
+    """fn interpolated in the global basis at the given degree, with the
+    off-parity coefficients zeroed and any excess of |p| over 1 folded
+    into the scale, so the stored polynomial stays realizable."""
+    coeffs = C.chebinterpolate(fn, degree)
+    if parity in ("even", "odd"):
+        coeffs[(0 if parity == "odd" else 1)::2] = 0.0
+    m = _max_abs(tuple(coeffs))
+    bump = m * (1.0 + 10 * BOUND_TOL) if m > 1.0 else 1.0
+    return ChebPoly(tuple(coeffs / bump), parity, scale * bump)
 
 
 # -- target functions ---------------------------------------------------
@@ -106,10 +107,8 @@ def eval_cheb(p: ChebPoly, x):
 class TargetFunction:
     """Closed-form scalar target with its natural approximation domain."""
 
-    kind: str
-    params: tuple[tuple[str, float], ...]
+    fn: Callable[[np.ndarray], np.ndarray]
     domain: tuple[float, float]
-    fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -119,66 +118,42 @@ def inverse(kappa: float) -> TargetFunction:
     """1/x on [1/kappa, 1] (scaling applied separately)."""
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
-    return TargetFunction(
-        "inverse", (("kappa", kappa),), (1.0 / kappa, 1.0), lambda x: 1.0 / x
-    )
+    return TargetFunction(lambda x: 1.0 / x, (1.0 / kappa, 1.0))
 
 
 def cos_sqrt(t: float, eta: float) -> TargetFunction:
     """sqrt((cos(t x) + eta) / 2), real part carrier for time series."""
     if eta < 1:
         raise ValueError("eta must be >= 1")
-    return TargetFunction(
-        "cos_sqrt",
-        (("t", t), ("eta", eta)),
-        (0.0, 1.0),
-        lambda x: np.sqrt((np.cos(t * x) + eta) / 2.0),
-    )
+    return TargetFunction(lambda x: np.sqrt((np.cos(t * x) + eta) / 2.0), (0.0, 1.0))
 
 
 def sin_sqrt(t: float, eta: float) -> TargetFunction:
     """sqrt((sin(t x) + eta) / 2), imaginary part carrier for time series."""
     if eta < 1:
         raise ValueError("eta must be >= 1")
-    return TargetFunction(
-        "sin_sqrt",
-        (("t", t), ("eta", eta)),
-        (0.0, 1.0),
-        lambda x: np.sqrt((np.sin(t * x) + eta) / 2.0),
-    )
+    return TargetFunction(lambda x: np.sqrt((np.sin(t * x) + eta) / 2.0), (0.0, 1.0))
 
 
 def lorentzian_sqrt(eta: float, E: float) -> TargetFunction:
     """sqrt(eta^2 / ((x - E)^2 + eta^2)), spectral-measure carrier."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    return TargetFunction(
-        "lorentzian_sqrt",
-        (("eta", eta), ("E", E)),
-        (0.0, 1.0),
-        lambda x: np.sqrt(eta**2 / ((x - E) ** 2 + eta**2)),
-    )
+    return TargetFunction(lambda x: np.sqrt(eta**2 / ((x - E) ** 2 + eta**2)), (0.0, 1.0))
 
 
 def gibbs(beta: float) -> TargetFunction:
     """exp(-beta x / 2), imaginary-time half-evolution weight."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    return TargetFunction(
-        "gibbs", (("beta", beta),), (0.0, 1.0), lambda x: np.exp(-beta * x / 2.0)
-    )
+    return TargetFunction(lambda x: np.exp(-beta * x / 2.0), (0.0, 1.0))
 
 
 def odd_gibbs(beta: float) -> TargetFunction:
     """x exp(-beta x^2 / 2), odd on [-1, 1]."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    return TargetFunction(
-        "odd_gibbs",
-        (("beta", beta),),
-        (-1.0, 1.0),
-        lambda x: x * np.exp(-beta * x**2 / 2.0),
-    )
+    return TargetFunction(lambda x: x * np.exp(-beta * x**2 / 2.0), (-1.0, 1.0))
 
 
 # -- scaling ------------------------------------------------------------
@@ -341,7 +316,9 @@ def remez(
         a = 0.0
     if parity == "none":
         local, err = _remez_core(t, _unit_weight, degree, (a, b))
-        coeffs = C.chebinterpolate(lambda x: C.chebval(_to_unit(x, (a, b)), local), degree)
+
+        def fit(x):
+            return C.chebval(_to_unit(x, (a, b)), local)
     elif parity in ("even", "odd"):
         odd = parity == "odd"
         if degree % 2 != odd or a < 0:
@@ -353,14 +330,13 @@ def remez(
             degree // 2,
             (ua, ub),
         )
-        coeffs = C.chebinterpolate(
-            lambda x: (x if odd else 1.0) * C.chebval(_to_unit(x**2, (ua, ub)), local), degree
-        )
-        coeffs[(0 if odd else 1)::2] = 0.0  # off-parity coefficients
+
+        def fit(x):
+            return (x if odd else 1.0) * C.chebval(_to_unit(x**2, (ua, ub)), local)
     else:
         raise ValueError(f"parity must be one of {PARITIES}")
     # the fit can poke above 1 outside the fit interval
-    return _fold_overshoot(coeffs, parity, 1.0), float(err)
+    return _expand(fit, degree, parity, 1.0), float(err)
 
 
 def fit_scaled(
@@ -440,6 +416,44 @@ def project_on_interval(
     return IntervalFit(tuple(local), interval, scale, err)
 
 
+# -- the quadratic h ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class QuadraticH:
+    """The quadratic h(x) = a2 x^2 + a0.
+
+    Constraints |a0| <= 1 and |a0 + a2| <= 1 keep |h| <= 1 on [-1, 1]."""
+
+    a2: float
+    a0: float
+
+    def __post_init__(self):
+        tol = 1e-9
+        if abs(self.a0) > 1 + tol or abs(self.a0 + self.a2) > 1 + tol:
+            raise ValueError("|a0| and |a0 + a2| must be <= 1")
+
+    def __call__(self, x):
+        return self.a2 * np.asarray(x) ** 2 + self.a0
+
+
+def quadratic_for_condition(kappa: float) -> QuadraticH:
+    """h_kappa(x) = (1 - 1/kappa) x^2 + 1/kappa, condition bound kappa."""
+    if kappa < 1:
+        raise ValueError("kappa must be >= 1")
+    return QuadraticH(a2=1.0 - 1.0 / kappa, a0=1.0 / kappa)
+
+
+def condition_bound(q: QuadraticH) -> float:
+    """Upper bound on the condition number of h(A): (a0 + a2) / a0.
+
+    Valid when h is positive and increasing on [0, 1], i.e. a0 > 0 and
+    a2 >= 0 (h ranges over [a0, a0 + a2] as x^2 sweeps [0, 1])."""
+    if q.a0 <= 0 or q.a2 < 0:
+        raise ValueError("condition bound needs a0 > 0 and a2 >= 0")
+    return (q.a0 + q.a2) / q.a0
+
+
 def compose_fit(g: IntervalFit, q: QuadraticH) -> ChebPoly:
     """Even composite f(x) = g_scaled-fit(a2 x^2 + a0) as a global ChebPoly.
 
@@ -451,7 +465,4 @@ def compose_fit(g: IntervalFit, q: QuadraticH) -> ChebPoly:
     a, b = g.interval
     if lo < a - 1e-12 or hi > b + 1e-12:
         raise ValueError("quadratic range leaves the fit interval")
-    deg = 2 * g.degree
-    coeffs = C.chebinterpolate(lambda x: g(q(x)), deg)
-    coeffs[1::2] = 0.0
-    return _fold_overshoot(coeffs, "even", g.scale)
+    return _expand(lambda x: g(q(x)), 2 * g.degree, "even", g.scale)

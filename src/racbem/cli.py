@@ -63,13 +63,17 @@ def _out_dir() -> str:
     return os.environ.get(OUT_DIR_ENV, ".")
 
 
-def _atomic_write(path: str, text: str):
-    """Write via a temp file in the same directory, then rename."""
+def _atomic_write(path: str, content):
+    """Write via a temp file in the same directory, then rename.  content
+    is the text, or a function that writes it to the open file."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-racbem-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", newline="") as fh:
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -175,7 +179,7 @@ def _write_task(args, kw: dict, base: str, keys: tuple[str, ...], body: dict, re
     stream = args.reports or os.path.join(_out_dir(), base + ".reports.jsonl")
     _atomic_write(stream, "".join(json.dumps(r.to_record()) + "\n" for r in reports))
     if args.csv:
-        tasks.write_csv(list(reports), args.csv)
+        _atomic_write(args.csv, functools.partial(tasks.write_csv, list(reports)))
 
 
 # -- subcommand handlers ------------------------------------------------
@@ -193,7 +197,7 @@ def cmd_sv_stats(args) -> int:
     cfg = _generator_config(args)
     stats = sv_spread_stats(args.samples, args.n, cfg)
     echo = _effective_config(args, ("n", "seed", "p_cnot", "samples"))
-    echo["depth"] = cfg.depth
+    echo.update({"depth": cfg.depth, "coupling": args.coupling})
     out = _resolve_out(args, f"sv-stats-n{args.n}-s{args.seed}.json")
     _atomic_write(out, _echo(echo, {
         "samples": stats.samples, "mean": stats.mean, "std": stats.std,
@@ -299,13 +303,13 @@ def cmd_spectral(args) -> int:
         args.e_min + (args.e_max - args.e_min) * k / (args.points - 1)
         for k in range(args.points)
     )
-    res = tasks.spectral_run(
-        args.n, args.seed, energies=energies, eta=args.eta,
-        lengths=args.lengths or args.length, **kw,
-    )
+    if len(args.lengths) == 1:  # one length serves every point; echo what ran
+        args.lengths *= args.points
+    res = tasks.spectral_run(args.n, args.seed, energies=energies, eta=args.eta,
+                             lengths=args.lengths, **kw)
     _write_task(args, kw, f"spectral-n{args.n}-s{args.seed}",
                 ("n", "seed", "eta", "e_min", "e_max", "points",
-                 "length", "lengths", "p_cnot", "noise_model"), {
+                 "lengths", "p_cnot", "noise_model"), {
                     "E": list(res.grid),
                     "s": [v.real for v in res.values],
                     "s_exact": [v.real for v in res.exact],
@@ -332,7 +336,8 @@ def cmd_metts(args) -> int:
                     "energies": list(trace.energies),
                     "cma": list(trace.cma),
                 }, [report])
-    tasks.write_cma_csv(trace, args.cma or os.path.join(_out_dir(), base + ".cma.csv"))
+    _atomic_write(args.cma or os.path.join(_out_dir(), base + ".cma.csv"),
+                  functools.partial(tasks.write_cma_csv, trace))
     return EXIT_OK
 
 
@@ -400,8 +405,8 @@ COMMANDS = {
                      ("--e-min", {"type": float, "default": 0.0}),
                      ("--e-max", {"type": float, "default": 1.0}),
                      ("--points", {"type": int, "default": 11}),
-                     ("--length", {"type": int, "default": 11}),
-                     ("--lengths", {"type": _int_list}),
+                     ("--lengths", {"type": _int_list, "default": (11,),
+                                    "help": "phase length per point, or one for all"}),
                  ) + REPORT_FLAGS),
     "metts": (cmd_metts, "thermal energy via a typical-state chain",
               INSTANCE_FLAGS + SAMPLING_FLAGS + (

@@ -6,7 +6,8 @@ system qubits block-encodes f|>(A) = V f(Sigma) V^dag, where f is the
 real polynomial the phases encode.  Each phased rotation costs 7 logical
 gates (4 X, 2 CNOT, 1 Z-rotation); with 2 H they are the only gates a
 build makes, since `blockenc.alternate` refers to U_A and U_A^dag as
-parts.  This module adds the phase checks and gate budget.
+parts.  This module adds the phase checks and gate budget; a built
+circuit carries its budget, not the phases it came from.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ def gate_count_bound(d: int, ell: int, n: int) -> int:
 class QsvtCircuit:
     circuit: G.QuantumCircuit
     n_sys: int
-    degree: int
-    varphi: PhaseFactors
     gate_budget: int
 
     def as_block_encoding(self) -> BlockEncoding:
@@ -60,7 +59,7 @@ def build(
         raise ValueError("odd degree requires allow_odd=True")
     circuit = alternate(ua, varphi.values, f"qsvt-d{d}")
     budget = gate_count_bound(d, ua.circuit.depth, ua.circuit.n_qubits)
-    return QsvtCircuit(circuit, ua.n_sys, d, varphi, budget)
+    return QsvtCircuit(circuit, ua.n_sys, budget)
 
 
 def block_of(qc: QsvtCircuit) -> np.ndarray:

@@ -19,16 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates as G
-from .blockenc import (
-    BlockEncoding,
-    QuadraticH,
-    extract_block,
-    phases_for_quadratic,
-    quadratic_for_condition,
-)
+from .blockenc import BlockEncoding, extract_block
 from .chebpoly import (
     DEFAULT_MARGIN,
     ChebPoly,
+    QuadraticH,
     compose_fit,
     cos_sqrt,
     fit_on_interval,
@@ -37,6 +32,7 @@ from .chebpoly import (
     inverse,
     lorentzian_sqrt,
     odd_gibbs,
+    quadratic_for_condition,
     sin_sqrt,
 )
 from .generator import (
@@ -63,9 +59,8 @@ from .statevector import (
 
 
 def canonical_quadratic() -> QuadraticH:
-    """h(x) = x^2, realized by the canonical phase pair."""
-    phi0, phi1 = phases_for_quadratic(1.0, 0.0)
-    return QuadraticH(a2=1.0, a0=0.0, phi0=phi0, phi1=phi1)
+    """h(x) = x^2, the quadratic of `blockenc.build_canonical_hracbem`."""
+    return QuadraticH(a2=1.0, a0=0.0)
 
 
 # -- reports ------------------------------------------------------------
@@ -103,8 +98,9 @@ class BenchmarkReport:
         }
 
 
-def write_csv(reports: list[BenchmarkReport], path: str):
-    """Flat CSV for plotting; params and gate counts become dotted columns."""
+def write_csv(reports: list[BenchmarkReport], fh):
+    """Flat CSV for plotting, to a file opened with newline=""; params and
+    gate counts become dotted columns."""
     rows = []
     for r in reports:
         rec = r.to_record()
@@ -114,15 +110,10 @@ def write_csv(reports: list[BenchmarkReport], path: str):
         for k, v in rec["gate_counts"].items():
             flat[f"gates.{k}"] = v
         rows.append(flat)
-    cols: list[str] = []
-    for row in rows:
-        for k in row:
-            if k not in cols:
-                cols.append(k)
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=cols)
-        w.writeheader()
-        w.writerows(rows)
+    cols = list(dict.fromkeys(k for row in rows for k in row))  # first-seen order
+    w = csv.DictWriter(fh, fieldnames=cols)
+    w.writeheader()
+    w.writerows(rows)
 
 
 # -- shared plumbing ----------------------------------------------------
@@ -198,12 +189,6 @@ class _Measure:
                 raise ValueError("the noise model has no error entry for any gate of the circuit")
             params["noise_coverage"] = share
         return params
-
-
-def measure_success(circuit: G.QuantumCircuit, m_ancilla: int, shots: int,
-                    rng: np.random.Generator | None) -> float:
-    """P(all ancillas read 0) from |0...0>: analytic when shots=0, else sampled."""
-    return _Measure(shots, None, 0.0, rng).success(circuit, m_ancilla)
 
 
 def _qsvt_for(ua: BlockEncoding, f: ChebPoly, allow_odd: bool = False):
@@ -599,11 +584,12 @@ def metts_run(
     return trace, report
 
 
-def write_cma_csv(trace: MettsTrace, path: str):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "state", "energy", "next_state", "cma"])
-        for k, (s, e, nx, c) in enumerate(
-            zip(trace.states, trace.energies, trace.next_states, trace.cma), start=1
-        ):
-            w.writerow([k, s, e, nx, c])
+def write_cma_csv(trace: MettsTrace, fh):
+    """The chain step by step with its running average, to a file opened
+    with newline=""."""
+    w = csv.writer(fh)
+    w.writerow(["step", "state", "energy", "next_state", "cma"])
+    for k, (s, e, nx, c) in enumerate(
+        zip(trace.states, trace.energies, trace.next_states, trace.cma), start=1
+    ):
+        w.writerow([k, s, e, nx, c])

@@ -1,10 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as C
 
 from racbem import chebpoly
-from racbem.blockenc import quadratic_for_condition
 from racbem.chebpoly import (
     ChebPoly,
     apply_scaling,
@@ -17,6 +21,7 @@ from racbem.chebpoly import (
     lorentzian_sqrt,
     odd_gibbs,
     project_on_interval,
+    quadratic_for_condition,
     remez,
     sin_sqrt,
 )
@@ -188,3 +193,15 @@ def test_compose_fit_rejects_range_mismatch():
     g = fit_on_interval(gibbs(1.0), 2, (0.6, 1.0))  # quadratic dips to 0.5
     with pytest.raises(ValueError):
         compose_fit(g, q)
+
+
+@pytest.mark.parametrize("module", ["racbem.chebpoly", "racbem.phasefactors"])
+def test_fit_layer_loads_no_circuit_code(module):
+    # the fit layer and the phase solver stand alone: no gate model or simulator
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
+    loaded = json.loads(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                       text=True, check=True).stdout)
+    assert module in loaded
+    assert not {"racbem.blockenc", "racbem.gates", "racbem.statevector"} & set(loaded)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -95,7 +96,7 @@ def test_config_file_with_flag_override(tmp_path, monkeypatch):
 def test_config_file_overrides_flag_defaults(tmp_path, monkeypatch):
     # keys whose flag has a non-None default must still take effect
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"eta": 0.5, "points": 2, "length": 3}))
+    cfg.write_text(json.dumps({"eta": 0.5, "points": 2, "lengths": 3}))
     out = tmp_path / "s.json"
     code = run(
         ["spectral", "--n", "1", "--seed", "1", "--exact", "--config", str(cfg),
@@ -106,11 +107,13 @@ def test_config_file_overrides_flag_defaults(tmp_path, monkeypatch):
     body = json.loads(out.read_text())
     assert body["config"]["eta"] == 0.5
     assert body["config"]["points"] == 2
-    assert body["config"]["length"] == 3
+    assert body["config"]["lengths"] == [3, 3]  # one length serves both points
     assert body["E"] == [0.0, 1.0]
     bad = tmp_path / "bad.json"
-    bad.write_text('{"func": 1}')
-    assert run(["spectral", "--config", str(bad), "--n", "1", "--seed", "1"], monkeypatch, tmp_path) == 2
+    for key in ("func", "length"):
+        bad.write_text(json.dumps({key: 1}))
+        assert run(["spectral", "--config", str(bad), "--n", "1", "--seed", "1"],
+                   monkeypatch, tmp_path) == 2
 
 
 def test_top_level_config_flag(tmp_path, monkeypatch):
@@ -201,24 +204,54 @@ def test_sv_stats(tmp_path, monkeypatch):
     assert 0 < body["mean"]
 
 
+def test_sv_stats_echoes_coupling(tmp_path, monkeypatch):
+    # the map changes the statistics, so the artifact must say which ran
+    base = ["sv-stats", "--n", "4", "--seed", "1", "--samples", "3"]
+    line, t5 = tmp_path / "line.json", tmp_path / "t5.json"
+    assert run(base + ["--out", str(line)], monkeypatch, tmp_path) == 0
+    assert run(base + ["--coupling", "t5", "--out", str(t5)], monkeypatch, tmp_path) == 0
+    a, b = json.loads(line.read_text()), json.loads(t5.read_text())
+    assert a["config"]["coupling"] is None and b["config"]["coupling"] == "t5"
+    assert a["mean"] != b["mean"]
+
+
+def test_csv_write_failure_leaves_no_file(tmp_path, monkeypatch):
+    # the CSV goes through the same temp-file-and-rename as the JSON artifacts
+    def fail(self, rows):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(csv.DictWriter, "writerows", fail)
+    out, target = tmp_path / "lp.json", tmp_path / "lp.csv"
+    code = run(["linpack", "--n", "1", "--seed", "0", "--kappa", "2", "--d", "2", "--exact",
+                "--out", str(out), "--csv", str(target)], monkeypatch, tmp_path)
+    assert code == 3
+    assert out.exists() and not target.exists()
+    assert not list(tmp_path.glob(".tmp-racbem-*"))
+
+
 def test_spectral_artifact(tmp_path, monkeypatch):
     out = tmp_path / "sp.json"
     code = run(
         ["spectral", "--n", "2", "--seed", "3", "--exact", "--points", "3",
-         "--length", "5", "--out", str(out)],
+         "--lengths", "5", "--out", str(out)],
         monkeypatch, tmp_path,
     )
     assert code == 0
     body = json.loads(out.read_text())
     assert body["E"] == [0.0, 0.5, 1.0]
     assert all(s >= 0 for s in body["s"])
+    # one length serves every point, and the echo states what ran
+    assert body["config"]["lengths"] == [5, 5, 5] and "length" not in body["config"]
+    with pytest.raises(SystemExit) as exc:
+        run(["spectral", "--n", "2", "--seed", "3", "--length", "5"], monkeypatch, tmp_path)
+    assert exc.value.code == 2
 
 
 def test_spectral_symmetric_point_at_even_degree(tmp_path, monkeypatch):
     # E = 0.5 is the middle of the fit interval [0, 1]; length 13 is degree 12,
     # a degree-6 fit of the Lorentzian carrier
     reports = tmp_path / "sp.jsonl"
-    code = run(["spectral", "--n", "2", "--seed", "1", "--exact", "--length", "13",
+    code = run(["spectral", "--n", "2", "--seed", "1", "--exact", "--lengths", "13",
                 "--out", str(tmp_path / "sp.json"), "--reports", str(reports)],
                monkeypatch, tmp_path)
     assert code == 0

@@ -3,13 +3,13 @@ import numpy.polynomial.chebyshev as C
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from racbem.blockenc import quadratic_for_condition
 from racbem.chebpoly import (
     ChebPoly,
     compose_fit,
     fit_on_interval,
     inverse,
     lorentzian_sqrt,
+    quadratic_for_condition,
 )
 from racbem.phasefactors import (
     CONVERGED_L,

@@ -27,7 +27,6 @@ from racbem.tasks import (
     canonical_quadratic,
     generate_instance,
     linpack_run,
-    measure_success,
     metts_run,
     racbem_benchmark,
     spectral_run,
@@ -72,7 +71,8 @@ def test_report_relative_error():
 def test_writers(tmp_path):
     r = BenchmarkReport("t", 3, {"n": 2}, 0.5, 0.5, {"total": 4}, 0.01)
     cv = tmp_path / "r.csv"
-    write_csv([r], str(cv))
+    with cv.open("w", newline="") as fh:
+        write_csv([r], fh)
     rows = list(csv.DictReader(cv.open()))
     assert rows[0]["params.n"] == "2"
     assert rows[0]["gates.total"] == "4"
@@ -87,20 +87,20 @@ def test_generate_instance_deterministic():
 
 def test_measure_success_modes():
     ua = generate_instance(2, 5)
-    p_exact = measure_success(ua.circuit, 1, 0, None)
+    p_exact = tasks._Measure(0, None, 0.0, None).success(ua.circuit, 1)
     assert 0.0 <= p_exact <= 1.0
-    p_sampled = measure_success(ua.circuit, 1, 8192, np.random.default_rng(0))
+    p_sampled = tasks._Measure(8192, None, 0.0, np.random.default_rng(0)).success(ua.circuit, 1)
     assert abs(p_sampled - p_exact) < 5 * np.sqrt(p_exact * (1 - p_exact) / 8192) + 1e-3
     with pytest.raises(ValueError):
-        measure_success(ua.circuit, 1, 100, None)
+        tasks._Measure(100, None, 0.0, None).success(ua.circuit, 1)
     with pytest.raises(ValueError):
-        measure_success(ua.circuit, 1, -5, np.random.default_rng(0))
+        tasks._Measure(-5, None, 0.0, np.random.default_rng(0)).success(ua.circuit, 1)
 
 
 def test_measure_success_matches_born_distribution(rng):
     c = G.from_gates(1, [G.h(0)])
     shots = 8192
-    p0 = measure_success(c, 1, shots, rng)
+    p0 = tasks._Measure(shots, None, 0.0, rng).success(c, 1)
     # 5 sigma MC band around 0.5
     assert abs(p0 - 0.5) < 5 * 0.5 / np.sqrt(shots)
 
@@ -479,7 +479,8 @@ def test_metts_validation():
 def test_write_cma_csv(tmp_path):
     trace, _ = metts_run(1.0, 10, 2, seed=15, shots=0)
     path = tmp_path / "cma.csv"
-    write_cma_csv(trace, str(path))
+    with path.open("w", newline="") as fh:
+        write_cma_csv(trace, fh)
     rows = list(csv.DictReader(path.open()))
     assert len(rows) == 10
     assert float(rows[-1]["cma"]) == pytest.approx(trace.estimate)

@@ -323,6 +323,11 @@ def remez(
         odd = parity == "odd"
         if degree % 2 != odd or a < 0:
             raise ValueError(f"{parity} fit needs {parity} degree and interval in [0, 1]")
+        # an odd p has p(0) = 0, so from 0 its error is at least |t(0)|, and
+        # the sqrt(u) weight cannot level it; 1e-12 is the round-off floor
+        if odd and a == 0.0 and abs(float(t(0.0))) > 1e-12:
+            raise ValueError("an odd fit on an interval from 0 needs a target that "
+                             "vanishes at 0, where every odd polynomial is 0")
         ua, ub = a * a, b * b
         local, err = _remez_core(
             lambda u: t(np.sqrt(np.asarray(u, float))),

@@ -5,11 +5,15 @@ The subcommands are declared once, in the COMMANDS table of (handler,
 help, flags); the flags come from shared instance, sampling and report
 groups.  --config (a JSON file of flag defaults) goes before or after the
 subcommand; explicit flags override the file.  The five task commands
-share one preamble (`_task_kwargs`) and one writer (`_write_task`), and
-the effective configuration is echoed into every artifact for
-provenance.  Exit codes: 0 success, 2 usage or schema error (also used
-by argparse itself), 3 file I/O error, 4 module error.  Errors print one
-machine-parsable JSON line on stderr.
+share one preamble (`_task_kwargs`) and one writer (`_write_task`).  The
+instance flags are resolved in one place (`_generator_config`), and the
+sampling settings by `tasks.sampling`, the rule the tasks themselves
+apply.  Every JSON artifact echoes the command's row of the flag table:
+each input flag with the value the run used, which a handler writes back
+where it resolved one (depth, shots, sigma, the metts degrees, the
+spectral lengths).  Exit codes: 0 success, 2 usage or schema error (also
+used by argparse itself), 3 file I/O error, 4 module error.  Errors print
+one machine-parsable JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ def _resolve_out(args, default_name: str) -> str:
 
 
 def _coupling_for(args, n_total: int):
-    name = getattr(args, "coupling", None)
+    name = args.coupling
     if name is None:
         return linear_coupling_map(n_total)
     if os.path.exists(name):
@@ -98,29 +102,27 @@ def _coupling_for(args, n_total: int):
 
 
 def _noise_for(args) -> NoiseModel | None:
-    path = getattr(args, "noise_model", None)
+    path = args.noise_model
     if path is None:
         return None
     with open(path) as fh:
         return NoiseModel.from_json(fh.read())
 
 
-def _sampling(args) -> tuple[int, float]:
-    """(shots, sigma) after defaults: --exact or --shots 0 forces (0, 0),
-    an exact run being noiseless; sigma defaults to 1 when a noise model
-    is supplied, else 0."""
-    if getattr(args, "exact", False) or args.shots == 0:
-        return 0, 0.0
-    shots = args.shots if args.shots is not None else tasks.DEFAULT_SHOTS
-    if args.sigma is not None:
-        sigma = args.sigma
-    else:
-        sigma = 1.0 if getattr(args, "noise_model", None) else 0.0
-    return shots, sigma
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
-def _effective_config(args, keys: tuple[str, ...]) -> dict:
-    return {"command": args.command, **{k: getattr(args, k, None) for k in keys}}
+# flags the echo leaves out: the output paths, and --exact, which the
+# echo states as shots 0
+NOT_ECHOED = ("--exact", "--out", "--reports", "--csv", "--cma")
+
+
+def _effective_config(args) -> dict:
+    """The command and each of its input flags, in the order of its
+    COMMANDS row, with the value the run used."""
+    flags = (flag for flag, _ in COMMANDS[args.command][2] if flag not in NOT_ECHOED)
+    return {"command": args.command, **{_dest(f): getattr(args, _dest(f)) for f in flags}}
 
 
 def _echo(cfg: dict, payload: dict) -> str:
@@ -135,12 +137,6 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
-def _resolve_depth(args, n: int) -> int:
-    if args.depth is None or args.depth == "auto":
-        return default_depth(n)
-    return int(args.depth)
-
-
 def _require(args, *names):
     """Options that must be set by flag or config file."""
     missing = [m for m in names if getattr(args, m, None) is None]
@@ -150,32 +146,33 @@ def _require(args, *names):
 
 
 def _generator_config(args) -> GeneratorConfig:
+    """The instance flags resolved; the depth, given or chosen by the depth
+    rule ('auto' or unset), is written back for the echo."""
     _require(args, "n", "seed")
-    depth = _resolve_depth(args, args.n)
+    args.depth = default_depth(args.n) if args.depth in (None, "auto") else int(args.depth)
     coupling = _coupling_for(args, args.n + 1)
-    return GeneratorConfig(coupling, args.p_cnot, depth, args.seed)
+    return GeneratorConfig(coupling, args.p_cnot, args.depth, args.seed)
 
 
 def _task_kwargs(args, *required) -> dict:
     """The preamble every task shares: check the required options, then
-    resolve sampling mode, noise model, depth and coupling map into the
-    task keyword arguments."""
+    resolve the instance flags, noise model and sampling settings into the
+    task keyword arguments.  --exact is shots 0 and an unset --shots is
+    DEFAULT_SHOTS; the shots and sigma the run applies are written back
+    for the echo."""
     _require(args, "n", "seed", *required)
-    shots, sigma = _sampling(args)
-    return {
-        "shots": shots, "sigma": sigma, "noise_model": _noise_for(args),
-        "p_cnot": args.p_cnot, "depth": _resolve_depth(args, args.n),
-        "coupling": _coupling_for(args, args.n + 1),
-    }
+    cfg = _generator_config(args)
+    noise_model = _noise_for(args)
+    shots = 0 if args.exact else tasks.DEFAULT_SHOTS if args.shots is None else args.shots
+    args.shots, args.sigma = tasks.sampling(shots, noise_model, args.sigma)
+    return {"shots": args.shots, "sigma": args.sigma, "noise_model": noise_model,
+            "p_cnot": cfg.p_cnot, "depth": cfg.depth, "coupling": cfg.coupling}
 
 
-def _write_task(args, kw: dict, base: str, keys: tuple[str, ...], body: dict, reports):
+def _write_task(args, base: str, body: dict, reports):
     """Write the artifact (config echo plus body), the JSONL report
     stream, and the CSV when --csv is given; file names derive from base."""
-    echo = _effective_config(args, keys)
-    echo.update({"shots": kw["shots"], "sigma": kw["sigma"], "depth": kw["depth"],
-                 "coupling": args.coupling})
-    _atomic_write(_resolve_out(args, base + ".json"), _echo(echo, body))
+    _atomic_write(_resolve_out(args, base + ".json"), _echo(_effective_config(args), body))
     stream = args.reports or os.path.join(_out_dir(), base + ".reports.jsonl")
     _atomic_write(stream, "".join(json.dumps(r.to_record()) + "\n" for r in reports))
     if args.csv:
@@ -196,10 +193,8 @@ def cmd_generate(args) -> int:
 def cmd_sv_stats(args) -> int:
     cfg = _generator_config(args)
     stats = sv_spread_stats(args.samples, args.n, cfg)
-    echo = _effective_config(args, ("n", "seed", "p_cnot", "samples"))
-    echo.update({"depth": cfg.depth, "coupling": args.coupling})
     out = _resolve_out(args, f"sv-stats-n{args.n}-s{args.seed}.json")
-    _atomic_write(out, _echo(echo, {
+    _atomic_write(out, _echo(_effective_config(args), {
         "samples": stats.samples, "mean": stats.mean, "std": stats.std,
         "min": stats.min, "max": stats.max,
     }))
@@ -227,11 +222,8 @@ def cmd_remez(args) -> int:
         raise SchemaError(f"{args.target} target needs {flags}")
     target = make(*(getattr(args, k) for k in needs))
     poly, err = fit_scaled(target, args.degree, args.parity)
-    echo = _effective_config(
-        args, ("target", "degree", "parity", "kappa", "t", "eta", "energy", "beta")
-    )
     out = _resolve_out(args, f"remez-{args.target}-d{args.degree}.json")
-    _atomic_write(out, _echo(echo, {
+    _atomic_write(out, _echo(_effective_config(args), {
         "poly": json.loads(poly.to_json()), "sup_error": err,
     }))
     return EXIT_OK
@@ -244,9 +236,8 @@ def cmd_phase_factors(args) -> int:
     poly = ChebPoly.from_json(json.dumps(body.get("poly", body)))
     phases, residual = optimize(poly)
     varphi = to_varphi(phases)
-    echo = _effective_config(args, ("poly",))
     out = _resolve_out(args, "phase-factors.json")
-    _atomic_write(out, _echo(echo, {
+    _atomic_write(out, _echo(_effective_config(args), {
         "phi": list(phases.values),
         "varphi": list(varphi.values),
         "residual": residual,
@@ -257,8 +248,7 @@ def cmd_phase_factors(args) -> int:
 def cmd_racbem_bench(args) -> int:
     kw = _task_kwargs(args)
     reports = [tasks.racbem_benchmark(args.n, args.seed + k, **kw) for k in range(args.instances)]
-    _write_task(args, kw, f"racbem-bench-n{args.n}-s{args.seed}",
-                ("n", "seed", "instances", "p_cnot", "noise_model"),
+    _write_task(args, f"racbem-bench-n{args.n}-s{args.seed}",
                 {"reports": [r.to_record() for r in reports]}, reports)
     return EXIT_OK
 
@@ -266,32 +256,20 @@ def cmd_racbem_bench(args) -> int:
 def cmd_linpack(args) -> int:
     kw = _task_kwargs(args, "kappa", "d")
     report = tasks.linpack_run(args.kappa, args.n, args.d, args.seed, **kw)
-    _write_task(args, kw, f"linpack-k{args.kappa}-n{args.n}-s{args.seed}",
-                ("kappa", "n", "d", "seed", "p_cnot", "noise_model"),
+    _write_task(args, f"linpack-k{args.kappa}-n{args.n}-s{args.seed}",
                 {"report": report.to_record()}, [report])
     return EXIT_OK
 
 
-# timeseries grid flags, in time_series_run's order -> the default each replaces
-SERIES_GRIDS = {
-    "t_grid": tasks.TS_GRID, "lengths_real": tasks.TS_LENGTHS_REAL,
-    "lengths_imag": tasks.TS_LENGTHS_IMAG, "etas_real": tasks.TS_ETAS_REAL,
-    "etas_imag": tasks.TS_ETAS_IMAG,
-}
-
-
 def cmd_timeseries(args) -> int:
     kw = _task_kwargs(args)
-    # echo the grid and lists the run used, also where the defaults ran
-    for k, default in SERIES_GRIDS.items():
-        setattr(args, k, getattr(args, k) or default)
-    res = tasks.time_series_run(args.n, args.seed, *(getattr(args, k) for k in SERIES_GRIDS), **kw)
-    _write_task(args, kw, f"timeseries-n{args.n}-s{args.seed}",
-                ("n", "seed", "p_cnot", "noise_model", *SERIES_GRIDS), {
-                    "t": list(res.grid),
-                    "s": [[v.real, v.imag] for v in res.values],
-                    "s_exact": [[v.real, v.imag] for v in res.exact],
-                }, res.reports)
+    res = tasks.time_series_run(args.n, args.seed, args.t_grid, args.lengths_real,
+                                args.lengths_imag, args.etas_real, args.etas_imag, **kw)
+    _write_task(args, f"timeseries-n{args.n}-s{args.seed}", {
+        "t": list(res.grid),
+        "s": [[v.real, v.imag] for v in res.values],
+        "s_exact": [[v.real, v.imag] for v in res.exact],
+    }, res.reports)
     return EXIT_OK
 
 
@@ -307,13 +285,11 @@ def cmd_spectral(args) -> int:
         args.lengths *= args.points
     res = tasks.spectral_run(args.n, args.seed, energies=energies, eta=args.eta,
                              lengths=args.lengths, **kw)
-    _write_task(args, kw, f"spectral-n{args.n}-s{args.seed}",
-                ("n", "seed", "eta", "e_min", "e_max", "points",
-                 "lengths", "p_cnot", "noise_model"), {
-                    "E": list(res.grid),
-                    "s": [v.real for v in res.values],
-                    "s_exact": [v.real for v in res.exact],
-                }, res.reports)
+    _write_task(args, f"spectral-n{args.n}-s{args.seed}", {
+        "E": list(res.grid),
+        "s": [v.real for v in res.values],
+        "s_exact": [v.real for v in res.exact],
+    }, res.reports)
     return EXIT_OK
 
 
@@ -326,16 +302,15 @@ def cmd_metts(args) -> int:
     # echo the degrees the run used, also when the beta rule chose them
     args.d_num, args.d_den = report.params["d_num"], report.params["d_den"]
     base = f"metts-b{args.beta}-n{args.n}-s{args.seed}"
-    _write_task(args, kw, base,
-                ("beta", "steps", "n", "seed", "d_num", "d_den", "p_cnot", "noise_model"), {
-                    "estimate": trace.estimate,
-                    "exact": trace.exact,
-                    "resamples": trace.resamples,
-                    "flagged": trace.flagged,
-                    "states": list(trace.states),
-                    "energies": list(trace.energies),
-                    "cma": list(trace.cma),
-                }, [report])
+    _write_task(args, base, {
+        "estimate": trace.estimate,
+        "exact": trace.exact,
+        "resamples": trace.resamples,
+        "flagged": trace.flagged,
+        "states": list(trace.states),
+        "energies": list(trace.energies),
+        "cma": list(trace.cma),
+    }, [report])
     _atomic_write(args.cma or os.path.join(_out_dir(), base + ".cma.csv"),
                   functools.partial(tasks.write_cma_csv, trace))
     return EXIT_OK
@@ -393,11 +368,11 @@ COMMANDS = {
                 INSTANCE_FLAGS + SAMPLING_FLAGS + (("--kappa", FLOAT), ("--d", INT)) + REPORT_FLAGS),
     "timeseries": (cmd_timeseries, "Hamiltonian time series",
                    INSTANCE_FLAGS + SAMPLING_FLAGS + (
-                       ("--t-grid", {"type": _float_list}),
-                       ("--lengths-real", {"type": _int_list}),
-                       ("--lengths-imag", {"type": _int_list}),
-                       ("--etas-real", {"type": _float_list}),
-                       ("--etas-imag", {"type": _float_list}),
+                       ("--t-grid", {"type": _float_list, "default": tasks.TS_GRID}),
+                       ("--lengths-real", {"type": _int_list, "default": tasks.TS_LENGTHS_REAL}),
+                       ("--lengths-imag", {"type": _int_list, "default": tasks.TS_LENGTHS_IMAG}),
+                       ("--etas-real", {"type": _float_list, "default": tasks.TS_ETAS_REAL}),
+                       ("--etas-imag", {"type": _float_list, "default": tasks.TS_ETAS_IMAG}),
                    ) + REPORT_FLAGS),
     "spectral": (cmd_spectral, "broadened spectral measure",
                  INSTANCE_FLAGS + SAMPLING_FLAGS + (
@@ -479,7 +454,7 @@ def _apply_config_file(args, argv):
             raise SchemaError(f"config file is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise SchemaError("config file must hold a JSON object")
-    flags = {flag[2:].replace("-", "_"): kw for flag, kw in COMMANDS[args.command][2]}
+    flags = {_dest(flag): kw for flag, kw in COMMANDS[args.command][2]}
     explicit = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
     for key, value in cfg.items():
         dest = key.replace("-", "_")

@@ -180,15 +180,6 @@ def circuit_unitary(c: QuantumCircuit) -> np.ndarray:
     return _run(c, np.eye(2**q, dtype=complex))
 
 
-def success_probability_exact(
-    c: QuantumCircuit, m_ancilla: int, input_state: StateVector
-) -> float:
-    """Probability of reading |0^m> on the m lowest-indexed (ancilla) qubits."""
-    out = apply(c, input_state)
-    keep = 2 ** (c.n_qubits - m_ancilla)
-    return float(np.sum(np.abs(out.amplitudes[:keep]) ** 2))
-
-
 @dataclass
 class CountsHistogram:
     """Measurement counts as one int vector: draws[i] is how often outcome

@@ -6,7 +6,9 @@ measured success probability against the dense-linear-algebra reference.
 Every outcome is read through one per-run `_Measure`: "exact mode"
 (shots=0) reads the ideal outcome law, computed once per (circuit,
 measured qubits, input) from the statevector; "sampled mode" draws shots
-from that law, or through a noise model scaled by sigma.
+from that law, or through a noise model scaled by sigma.  One function,
+`sampling`, decides a run's shots and sigma, for the tasks and for the
+command line's config echo alike.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .statevector import (
     apply,
     marginal_probabilities,
     sample_from_probs,
-    success_probability_exact,
 )
 
 
@@ -134,24 +135,44 @@ def generate_instance(
     return generate_block_encoding(GeneratorConfig(coupling, p_cnot, depth, seed), n)
 
 
+def sampling(shots: int, noise_model: NoiseModel | None,
+             sigma: float | None) -> tuple[int, float]:
+    """(shots, sigma) of a run: shots 0 is exact mode, and negative shots
+    raise.  A sigma of None means 1 with a noise model and 0 without.  The
+    sigma returned is the one applied: 0 in exact mode, with no model, or
+    at sigma 0."""
+    if shots < 0:
+        raise ValueError("shots must be >= 0 (0 is exact mode)")
+    if not shots or noise_model is None:
+        return shots, 0.0
+    return shots, 1.0 if sigma is None else sigma
+
+
 class _Measure:
     """How one run reads its outcomes.  `weights` gives, in bitstring
     order, the ideal outcome law at shots 0, else the count vector
-    (`CountsHistogram.draws`) of one draw from the run's generator: from
-    that law, or through the noise model scaled once by sigma.  Each ideal
-    law is computed once per run; the noisy sampler is looked up in this
-    module at call time."""
+    (`CountsHistogram.draws`) of one draw from the run's generator, seeded
+    by the run's seed: from that law, or through the noise model scaled
+    once by sigma.  Each ideal law is computed once per run; the noisy
+    sampler is looked up in this module at call time."""
 
-    def __init__(self, shots: int, noise_model: NoiseModel | None, sigma: float,
-                 rng: np.random.Generator | None):
-        if shots < 0:
-            raise ValueError("shots must be >= 0 (0 is exact mode)")
-        if shots and rng is None:
-            raise ValueError("sampled mode needs an rng")
-        self.shots, self.model, self.sigma, self.rng = shots, noise_model, sigma, rng
-        noisy = shots and noise_model is not None and sigma != 0.0
-        self.noise = scale_noise(noise_model, sigma) if noisy else None
+    def __init__(self, shots: int, noise_model: NoiseModel | None, sigma: float | None,
+                 seed: int):
+        self.shots, self.sigma = sampling(shots, noise_model, sigma)
+        self.model, self.rng = noise_model, np.random.default_rng(seed)
+        self.noise = scale_noise(noise_model, self.sigma) if self.sigma else None
         self.laws: dict = {}  # (circuit, measured, input bytes) -> ideal law
+
+    def law(self, circuit: G.QuantumCircuit, measured: list[int],
+            input_state: StateVector) -> np.ndarray:
+        """The ideal outcome law on the measured qubits, read-only, computed
+        once per run."""
+        key = (circuit, tuple(measured), input_state.amplitudes.tobytes())
+        law = self.laws.get(key)
+        if law is None:
+            law = self.laws[key] = marginal_probabilities(apply(circuit, input_state), measured)
+            law.setflags(write=False)  # handed to every later caller
+        return law
 
     def weights(self, circuit: G.QuantumCircuit, shots: int, measured: list[int],
                 input_state: StateVector) -> np.ndarray:
@@ -161,11 +182,7 @@ class _Measure:
         if self.noise is not None:
             return sample_noisy_counts(circuit, self.noise, shots, measured, self.rng,
                                        input_state).draws
-        key = (circuit, tuple(measured), input_state.amplitudes.tobytes())
-        law = self.laws.get(key)
-        if law is None:
-            law = self.laws[key] = marginal_probabilities(apply(circuit, input_state), measured)
-            law.setflags(write=False)  # handed to every later caller
+        law = self.law(circuit, measured, input_state)
         return law if self.shots == 0 else sample_from_probs(law, shots, self.rng).draws
 
     def success(self, circuit: G.QuantumCircuit, m: int,
@@ -179,10 +196,10 @@ class _Measure:
     def params(self, circuits) -> dict:
         """The report's shots and sigma and, on a noisy sampled run,
         `noise_coverage`: the share of the sampled gates that have an error
-        entry.  sigma reads 0 on a run that applied no noise.  A model that
-        covers no gate, say one built for another register size, would pass
-        an ideal run off as noisy, so it raises."""
-        params = {"shots": self.shots, "sigma": self.sigma if self.noise is not None else 0.0}
+        entry.  sigma is the one applied (`sampling`).  A model that covers
+        no gate, say one built for another register size, would pass an
+        ideal run off as noisy, so it raises."""
+        params = {"shots": self.shots, "sigma": self.sigma}
         if self.noise is not None:
             share = coverage(self.model, circuits)
             if share == 0.0:
@@ -247,7 +264,7 @@ def racbem_benchmark(
     seed: int,
     shots: int = DEFAULT_SHOTS,
     noise_model: NoiseModel | None = None,
-    sigma: float = 0.0,
+    sigma: float | None = None,
     p_cnot: float = 0.5,
     depth: int | None = None,
     coupling=None,
@@ -255,9 +272,9 @@ def racbem_benchmark(
     """Success probability of A|0^n> against its exact norm squared."""
     t0 = time.perf_counter()
     ua = generate_instance(n, seed, p_cnot, depth, coupling)
+    run = _Measure(shots, noise_model, sigma, seed)
     # ||A|0^n>||^2 is the weight of U|0> on the ancilla-0 half
-    p_exact = success_probability_exact(ua.circuit, 1, StateVector.zero(n + 1))
-    run = _Measure(shots, noise_model, sigma, np.random.default_rng(seed))
+    p_exact = float(run.law(ua.circuit, [0], StateVector.zero(n + 1))[0])
     params = {"n": n, **run.params([ua.circuit]), "p_cnot": p_cnot, "depth": ua.circuit.depth}
     return _report("racbem-bench", seed, params, run.success(ua.circuit, 1), p_exact,
                    ua.circuit, t0)
@@ -273,7 +290,7 @@ def linpack_run(
     seed: int,
     shots: int = 0,
     noise_model: NoiseModel | None = None,
-    sigma: float = 0.0,
+    sigma: float | None = None,
     p_cnot: float = 0.5,
     depth: int | None = None,
     coupling=None,
@@ -299,14 +316,14 @@ def linpack_run(
     qc, point = _point(ua, q, inverse(kappa), d, margin=0.0)
     alpha = point["scale"]
     eps = point["fit_error"] / alpha
-    run = _Measure(shots, noise_model, sigma, np.random.default_rng(seed))
-    sampling = run.params([qc.circuit])
+    run = _Measure(shots, noise_model, sigma, seed)
+    run_params = run.params([qc.circuit])
     p_measured = run.success(qc.circuit, 2)
     x = np.linalg.solve(_hermitian_matrix(ua, q), StateVector.basis(n, 0).amplitudes)
     p_exact = float(np.linalg.norm(x / alpha) ** 2)
     bound_floor = (1 / kappa - eps) ** 2
     params = {
-        "kappa": kappa, "n": n, "d": d, **sampling, "p_cnot": p_cnot,
+        "kappa": kappa, "n": n, "d": d, **run_params, "p_cnot": p_cnot,
         "depth": ua.circuit.depth, "alpha": alpha, "epsilon": eps,
         "residual": point["residual"], "converged": point["converged"],
         "relative_error_bound": (2 * kappa * eps / (1 - kappa * eps)
@@ -349,7 +366,7 @@ def time_series_run(
     etas_imag: tuple[float, ...] = TS_ETAS_IMAG,
     shots: int = 0,
     noise_model: NoiseModel | None = None,
-    sigma: float = 0.0,
+    sigma: float | None = None,
     p_cnot: float = 0.5,
     depth: int | None = None,
     coupling=None,
@@ -366,7 +383,7 @@ def time_series_run(
     if any(e < 1.0 for e in etas_real + etas_imag):
         raise ValueError("eta must be >= 1 at every point")
     ua, q, hmat, psi = _canonical_instance(n, seed, p_cnot, depth, coupling, ua)
-    run = _Measure(shots, noise_model, sigma, np.random.default_rng(seed))
+    run = _Measure(shots, noise_model, sigma, seed)
     values, exact, reports = [], [], []
     for t, dr, di, er, ei in zip(ts, lengths_real, lengths_imag, etas_real, etas_imag):
         s_ref = exact_time_series(hmat, psi, t)
@@ -403,7 +420,7 @@ def spectral_run(
     lengths: tuple[int, ...] | int = 11,
     shots: int = 0,
     noise_model: NoiseModel | None = None,
-    sigma: float = 0.0,
+    sigma: float | None = None,
     p_cnot: float = 0.5,
     depth: int | None = None,
     coupling=None,
@@ -421,7 +438,7 @@ def spectral_run(
     if len(lengths) != len(energies):
         raise ValueError("need one phase length per energy point")
     ua, q, hmat, psi = _canonical_instance(n, seed, p_cnot, depth, coupling, ua)
-    run = _Measure(shots, noise_model, sigma, np.random.default_rng(seed))
+    run = _Measure(shots, noise_model, sigma, seed)
     values, exact, reports = [], [], []
     for E, length in zip(energies, lengths):
         t0 = time.perf_counter()
@@ -493,7 +510,7 @@ def metts_run(
     seed: int,
     shots: int = 0,
     noise_model: NoiseModel | None = None,
-    sigma: float = 0.0,
+    sigma: float | None = None,
     d_num: int | None = None,
     d_den: int | None = None,
     p_cnot: float = 0.5,
@@ -533,11 +550,11 @@ def metts_run(
     qc_num, res_num = _qsvt_for(ua, f_num, allow_odd=True)
     qc_den, den = _point(ua, q, gibbs(beta), d_den)
 
-    run = _Measure(shots, noise_model, sigma, np.random.default_rng(seed))
+    run = _Measure(shots, noise_model, sigma, seed)
     rng = run.rng
     dim = 2**n
     n_tot = qc_den.circuit.n_qubits
-    sampling = run.params([qc_num.circuit, qc_den.circuit])
+    run_params = run.params([qc_num.circuit, qc_den.circuit])
     states, energies, nexts = [], [], []
     resamples = 0
     flagged = 0
@@ -575,7 +592,7 @@ def metts_run(
     trace = MettsTrace(tuple(states), tuple(energies), tuple(nexts),
                        float(exact_thermal_energy(hmat, beta)), resamples, flagged)
     params = {"beta": beta, "steps": steps, "n": n, "d_num": d_num, "d_den": d_den,
-              **sampling, "scale_num": f_num.scale, "scale_den": den["scale"],
+              **run_params, "scale_num": f_num.scale, "scale_den": den["scale"],
               "fit_error_num": err_num, "fit_error_den": den["fit_error"],
               "residual_num": res_num, "residual_den": den["residual"],
               "converged": bool(max(res_num, den["residual"]) <= CONVERGED_L),

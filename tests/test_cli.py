@@ -9,6 +9,7 @@ import pytest
 
 from racbem import cli
 from racbem.chebpoly import ChebPoly, fit_on_interval, lorentzian_sqrt, odd_gibbs
+from racbem.generator import default_depth
 
 
 def run(args, monkeypatch, tmp_path):
@@ -454,3 +455,59 @@ def test_calls_share_the_parser_but_not_their_options(tmp_path, monkeypatch):
     assert (a["p_cnot"], a["shots"], a["depth"]) == (0.3, 0, 4)
     assert (b["p_cnot"], b["shots"], b["sigma"], b["depth"]) == (0.5, 100, 0.0, 7)
     assert not csv.exists()
+
+
+def test_sigma_echo_is_the_sigma_applied(tmp_path, monkeypatch):
+    # with no noise model no noise is applied, so the echo and the report
+    # both give sigma 0, whatever --sigma says
+    out = tmp_path / "lp.json"
+    assert run(["linpack", "--n", "2", "--seed", "11", "--kappa", "2", "--d", "6",
+                "--shots", "100", "--sigma", "0.5", "--out", str(out)], monkeypatch, tmp_path) == 0
+    body = json.loads(out.read_text())
+    assert body["config"]["sigma"] == body["report"]["params"]["sigma"] == 0.0
+
+
+# one call per command that writes a JSON artifact; `generate` writes a circuit file
+ECHO_CALLS = {
+    "sv-stats": ["--n", "2", "--seed", "1", "--samples", "2"],
+    "remez": ["--target", "inverse", "--kappa", "2", "--degree", "6", "--parity", "even"],
+    "phase-factors": ["--poly", "poly.json"],
+    "racbem-bench": ["--n", "1", "--seed", "0", "--exact"],
+    "linpack": ["--n", "1", "--seed", "0", "--kappa", "2", "--d", "2", "--exact"],
+    "timeseries": ["--n", "1", "--seed", "0", "--exact", "--t-grid", "1", "--lengths-real", "3",
+                   "--lengths-imag", "3", "--etas-real", "1", "--etas-imag", "1"],
+    "spectral": ["--n", "1", "--seed", "0", "--exact", "--points", "2", "--lengths", "3"],
+    "metts": ["--n", "1", "--seed", "0", "--beta", "1", "--steps", "2", "--exact"],
+}
+
+
+def test_echo_is_the_flag_table(tmp_path, monkeypatch):
+    # the config echo holds the command and every input flag of its row of
+    # the flag table, in order: all but --exact and the output paths
+    assert set(ECHO_CALLS) == set(cli.COMMANDS) - {"generate"}
+    monkeypatch.chdir(tmp_path)
+    assert run(["remez", *ECHO_CALLS["remez"], "--out", "poly.json"], monkeypatch, tmp_path) == 0
+    for command, argv in ECHO_CALLS.items():
+        out = tmp_path / f"{command}.json"
+        assert run([command, *argv, "--out", str(out)], monkeypatch, tmp_path) == 0
+        config = json.loads(out.read_text())["config"]
+        flags = [flag[2:].replace("-", "_") for flag, _ in cli.COMMANDS[command][2]
+                 if flag not in ("--exact", "--out", "--reports", "--csv", "--cma")]
+        assert list(config) == ["command", *flags], command
+        if "depth" in config:  # the depth rule's choice, not the unset flag
+            assert config["depth"] == default_depth(config["n"])
+
+
+def test_remez_odd_fit_of_a_target_nonzero_at_0(tmp_path, monkeypatch, capsys):
+    # an odd polynomial is 0 at 0, so an odd fit from 0 of a target that is
+    # not is a wrong request, said as such, not a solver stall
+    out = tmp_path / "odd.json"
+    argv = ["remez", "--target", "cos-sqrt", "--t", "3", "--eta", "1.5", "--degree", "9",
+            "--parity", "odd", "--out", str(out)]
+    assert run(argv, monkeypatch, tmp_path) == 4
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rec["error"] == "module" and "vanishes at 0" in rec["message"]
+    assert not out.exists()
+    for target in (["odd-gibbs", "--beta", "2"], ["inverse", "--kappa", "2"]):
+        assert run(["remez", "--target", *target, "--degree", "9", "--parity", "odd",
+                    "--out", str(out)], monkeypatch, tmp_path) == 0

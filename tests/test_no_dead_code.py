@@ -1,11 +1,14 @@
-"""Every module-level function of the package has a caller.
+"""Every module-level function of the package has a caller, and every
+module-level constant a reader.
 
 A public function counts as used when src/, scripts/ or bench/ refer to
 it other than at its own `def`: as a name, an attribute or an import.  A
 string does not count, so a name that only the bench tracer's tables
 list keeps nothing alive.  A private function counts as used when src/
-refers to it outside its own `def`.  Prose in docstrings and error
-messages does not count.  bench/ is only read here.
+refers to it outside its own `def`.  An UPPER_CASE module-level constant
+counts as read when src/, scripts/ or bench/ refer to it outside the
+statement that assigns it.  Prose in docstrings and error messages does
+not count.  bench/ is only read here.
 """
 
 import ast
@@ -61,6 +64,15 @@ def _references() -> set[str]:
     return names
 
 
+def _statement_references(tops: tuple[str, ...]) -> dict[tuple[pathlib.Path, int], set[str]]:
+    """The names each top-level statement under the given directories
+    refers to, keyed by (file, line), so a definition can be left out."""
+    return {(path, node.lineno): _names(node)
+            for top in tops
+            for path in sorted((ROOT / top).rglob("*.py"))
+            for node in ast.parse(path.read_text()).body}
+
+
 def test_every_public_function_is_used():
     public = {node.name: mod for mod, node in _module_functions(private=False)}
     assert set(TEST_ONLY) <= set(public), "exempt name no longer defined"
@@ -71,14 +83,25 @@ def test_every_public_function_is_used():
 
 
 def test_every_private_function_is_used():
-    # names each top-level statement of src/ refers to, keyed by the
-    # statement's position, so a function's own body can be left out
-    refs = {(path.name, node.lineno): _names(node)
-            for path in sorted((ROOT / "src").rglob("*.py"))
-            for node in ast.parse(path.read_text()).body}
+    refs = _statement_references(("src",))
     private = _module_functions(private=True)
     assert private, "no private functions found"
     dead = sorted(f"{mod}:{node.name}" for mod, node in private
                   if not any(node.name in names for key, names in refs.items()
-                             if key != (mod, node.lineno)))
+                             if key != (PACKAGE / mod, node.lineno)))
     assert not dead, f"private functions nothing in src/ calls: {dead}"
+
+
+def test_every_module_constant_is_read():
+    constants = [(path, name.id, node.lineno)
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.parse(path.read_text()).body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 for name in ast.walk(target)
+                 if isinstance(name, ast.Name) and name.id.isupper()]
+    assert constants, "no module constants found"
+    refs = _statement_references(("src", "scripts", "bench"))
+    dead = sorted(f"{path.name}:{name}" for path, name, line in constants
+                  if not any(name in names for key, names in refs.items() if key != (path, line)))
+    assert not dead, f"module constants nothing reads: {dead}"

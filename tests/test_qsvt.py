@@ -67,14 +67,13 @@ def test_circuit_is_unitary_and_within_budget():
 
 def test_success_probability_equals_transformed_norm():
     from racbem.oracle import exact_success_prob
-    from racbem.statevector import StateVector, success_probability_exact
+    from racbem.statevector import StateVector, apply, marginal_probabilities
 
     ua = random_ua(2, seed=12)
     f, varphi = phases_for((0.3, 0.0, 0.4), "even")
     qc = build(ua, varphi)
-    p_circ = success_probability_exact(
-        qc.circuit, 2, StateVector.zero(qc.circuit.n_qubits)
-    )
+    s = apply(qc.circuit, StateVector.zero(qc.circuit.n_qubits))
+    p_circ = marginal_probabilities(s, [0, 1])[0]
     p_ref = exact_success_prob(extract_block(ua), f, StateVector.zero(2))
     assert p_circ == pytest.approx(p_ref, abs=1e-10)
 

@@ -22,7 +22,6 @@ from racbem.statevector import (
     circuit_unitary,
     marginal_probabilities,
     sample_from_probs,
-    success_probability_exact,
 )
 from conftest import random_ua
 from test_gates import random_circuit, shifted
@@ -306,13 +305,6 @@ def test_qubit0_is_msb():
 def test_unitary_cap():
     with pytest.raises(ValueError):
         circuit_unitary(G.QuantumCircuit(13))
-
-
-def test_success_probability_and_postselect_agree():
-    c = random_circuit(7)
-    s = apply(c, StateVector.zero(3))
-    p = success_probability_exact(c, 1, StateVector.zero(3))
-    assert marginal_probabilities(s, [0])[0] == pytest.approx(p)
 
 
 def test_marginal_probabilities_order():

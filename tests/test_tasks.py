@@ -87,20 +87,18 @@ def test_generate_instance_deterministic():
 
 def test_measure_success_modes():
     ua = generate_instance(2, 5)
-    p_exact = tasks._Measure(0, None, 0.0, None).success(ua.circuit, 1)
+    p_exact = tasks._Measure(0, None, 0.0, 0).success(ua.circuit, 1)
     assert 0.0 <= p_exact <= 1.0
-    p_sampled = tasks._Measure(8192, None, 0.0, np.random.default_rng(0)).success(ua.circuit, 1)
+    p_sampled = tasks._Measure(8192, None, 0.0, 0).success(ua.circuit, 1)
     assert abs(p_sampled - p_exact) < 5 * np.sqrt(p_exact * (1 - p_exact) / 8192) + 1e-3
     with pytest.raises(ValueError):
-        tasks._Measure(100, None, 0.0, None).success(ua.circuit, 1)
-    with pytest.raises(ValueError):
-        tasks._Measure(-5, None, 0.0, np.random.default_rng(0)).success(ua.circuit, 1)
+        tasks._Measure(-5, None, 0.0, 0).success(ua.circuit, 1)
 
 
-def test_measure_success_matches_born_distribution(rng):
+def test_measure_success_matches_born_distribution():
     c = G.from_gates(1, [G.h(0)])
     shots = 8192
-    p0 = tasks._Measure(shots, None, 0.0, rng).success(c, 1)
+    p0 = tasks._Measure(shots, None, 0.0, 12345).success(c, 1)
     # 5 sigma MC band around 0.5
     assert abs(p0 - 0.5) < 5 * 0.5 / np.sqrt(shots)
 
@@ -108,18 +106,18 @@ def test_measure_success_matches_born_distribution(rng):
 def test_sampled_weights_are_one_draw_from_the_cached_law():
     c = generate_instance(2, 5).circuit
     inp = StateVector.basis(3, 6)
-    run = tasks._Measure(64, None, 0.0, np.random.default_rng(3))
+    run = tasks._Measure(64, None, 0.0, 3)
     law = marginal_probabilities(apply(c, inp), [2, 0])
     ref = sample_from_probs(law, 64, np.random.default_rng(3))
     assert np.array_equal(run.weights(c, 64, [2, 0], inp), ref.draws)
     # a noisy run's weights are the counts of one noisy sampler call
     model = synth_model(linear_coupling_map(3), 0.01, 0.05, 0.02, np.random.default_rng(2))
-    noisy = tasks._Measure(64, model, 0.5, np.random.default_rng(4))
+    noisy = tasks._Measure(64, model, 0.5, 4)
     ref = noise.sample_noisy_counts(c, noise.scale(model, 0.5), 64, [2, 0],
                                     np.random.default_rng(4), inp)
     assert np.array_equal(noisy.weights(c, 64, [2, 0], inp), ref.draws)
     # exact mode reads the law itself, kept once per key
-    exact = tasks._Measure(0, None, 0.0, None)
+    exact = tasks._Measure(0, None, 0.0, 0)
     assert np.array_equal(exact.weights(c, 0, [2, 0], inp), law)
     assert exact.weights(c, 0, [2, 0], inp) is exact.weights(c, 0, [2, 0], inp)
     with pytest.raises(ValueError):
@@ -133,6 +131,45 @@ def test_racbem_benchmark_exact_mode_is_exact():
     A = extract_block(generate_instance(2, 11))
     assert r.p_exact == pytest.approx(float(np.linalg.norm(A[:, 0]) ** 2))
     assert r.gate_counts["total"] > 0
+
+
+def test_racbem_benchmark_reads_p_exact_from_the_run_law(monkeypatch):
+    # one statevector pass per instance: the law that p_exact reads is the
+    # one the exact mode reads and the sampled mode draws from
+    from racbem import statevector
+
+    passes = []
+    real = statevector._run
+    monkeypatch.setattr(statevector, "_run", lambda *a: passes.append(1) or real(*a))
+    for shots in (0, 256):
+        passes.clear()
+        r = racbem_benchmark(2, 11, shots=shots)
+        assert len(passes) == 1
+    assert r.p_exact == racbem_benchmark(2, 11, shots=0).p_measured
+
+
+def test_sampling_rules():
+    nm = _metts_noise_model()
+    with pytest.raises(ValueError, match="shots must be >= 0"):
+        tasks.sampling(-1, None, None)
+    for shots, model, sigma, want in (
+        (0, nm, 0.5, (0, 0.0)),  # exact mode applies no noise
+        (100, None, 0.5, (100, 0.0)),  # nor does a run with no model
+        (100, nm, None, (100, 1.0)),  # a model without sigma runs at 1
+        (100, nm, 0.0, (100, 0.0)),
+        (100, nm, 0.3, (100, 0.3)),
+        (0, None, None, (0, 0.0)),
+    ):
+        assert tasks.sampling(shots, model, sigma) == want
+
+
+def test_noise_model_without_sigma_runs_noisy(monkeypatch):
+    # as on the command line, a model given without sigma is applied at 1
+    noisy_calls, ideal_runs = _noisy_seam(monkeypatch)
+    res = spectral_run(2, 3, energies=(0.5,), lengths=7, shots=256,
+                       noise_model=_metts_noise_model())
+    assert len(noisy_calls) == 1 and not ideal_runs
+    assert res.reports[0].params["sigma"] == 1.0
 
 
 def test_linpack_exact_bound_holds():
@@ -271,31 +308,33 @@ def test_metts_sigma_zero_matches_ideal_sampled():
     assert _chain(quiet) == _chain(ideal)
 
 
-def _noisy_seam(monkeypatch) -> list:
-    """Record every call of the noisy sampler as tasks looks it up, and
-    fail any ideal simulation; returns the (shots, measured, counts dict)
-    of each call."""
-    real = tasks.sample_noisy_counts
-    noisy_calls = []
+def _noisy_seam(monkeypatch) -> tuple[list, list]:
+    """Record every call of the noisy sampler and of the ideal simulator
+    as tasks looks them up; returns the (shots, measured, counts dict) of
+    each noisy call and the circuit of each ideal one."""
+    real, real_apply = tasks.sample_noisy_counts, tasks.apply
+    noisy_calls, ideal_runs = [], []
 
     def counting(c, model, shots, measured, *rest):
         counts = real(c, model, shots, measured, *rest)
         noisy_calls.append((shots, list(measured), counts.counts))
         return counts
 
-    def ideal(*args):
-        raise AssertionError("ideal simulation in a noisy run")
+    def ideal(c, state):
+        ideal_runs.append(c)
+        return real_apply(c, state)
 
     monkeypatch.setattr(tasks, "sample_noisy_counts", counting)
     monkeypatch.setattr(tasks, "apply", ideal)
-    return noisy_calls
+    return noisy_calls, ideal_runs
 
 
 def test_metts_noisy_collapse_uses_noisy_sampler(monkeypatch):
-    noisy_calls = _noisy_seam(monkeypatch)
+    noisy_calls, ideal_runs = _noisy_seam(monkeypatch)
     steps = 20
     trace, _ = metts_run(1.0, steps, 2, seed=6, shots=64,
                          noise_model=_metts_noise_model(), sigma=0.5)
+    assert not ideal_runs
     assert sum(1 for shots, m, _ in noisy_calls if (shots, m) == (64, [0, 1])) == 2 * steps
     # one all-qubit call per step; the next state is the system bits of
     # one of its draws whose ancillas read 00, or a resample when none does
@@ -319,12 +358,15 @@ NOISY_RUNS = {  # task -> (run at n = 2 under a noise model, register width, mea
 
 @pytest.mark.parametrize("task", NOISY_RUNS)
 def test_noisy_task_reads_through_noisy_sampler(task, monkeypatch):
-    # one noisy sampler call per measured circuit, none through the ideal
-    # simulator, and each point's probability is its call's ancilla-zero count
+    # one noisy sampler call per measured circuit, and each point's
+    # probability is its call's ancilla-zero count; the ideal simulator
+    # runs only for racbem-bench's reference p_exact, the ideal law of the
+    # circuit it samples
     run, width, measured = NOISY_RUNS[task]
-    noisy_calls = _noisy_seam(monkeypatch)
+    noisy_calls, ideal_runs = _noisy_seam(monkeypatch)
     nm = synth_model(linear_coupling_map(width), 0.01, 0.05, 0.02, np.random.default_rng(2))
     reports = run(nm)
+    assert len(ideal_runs) == (len(reports) if task == "racbem-bench" else 0)
     assert [(shots, m) for shots, m, _ in noisy_calls] == [(64, measured)] * len(reports)
     zeros = "0" * len(measured)
     assert [r.p_measured for r in reports] == [c.get(zeros, 0) / 64 for _, _, c in noisy_calls]

@@ -11,7 +11,8 @@ alternating-phase circuit, and `alternate` is the one assembler for both
 it and `qsvt.build`.  The quadratic as a polynomial, and the choice of
 it for a condition number, live in `chebpoly`.  An assembled circuit
 copies no gate of U_A: its parts refer to `ua.circuit` at qubit offset
-1, with dagger for U_A^dag, between gate-level phase groups.
+1, with dagger for U_A^dag, and each phase group is three parts: one
+shared open-controlled NOT, a one-gate rz, and that NOT again.
 """
 
 from __future__ import annotations
@@ -62,40 +63,32 @@ def _under_signal(ua: BlockEncoding, who: str):
     return ua.circuit.n_qubits + 1, (ua.circuit, 1, False), (ua.circuit, 1, True)
 
 
-def _rotation_group(varphi: float) -> list[G.Gate]:
-    """Open-controlled-NOT sandwich around exp(-i varphi Z) on signal q0.
-
-    Ancilla q1 controls.  On (q0, q1) the sandwich is
-    diag(e^{i varphi}, e^{-i varphi}, e^{-i varphi}, e^{i varphi}) =
-    exp(i varphi Z0 Z1): the signal gets exp(i varphi Z) while the ancilla
-    reads 0 and exp(-i varphi Z) otherwise, the projector-controlled
-    phase.  It is kept verbatim from the reference construction so gate
-    counts match the 7-gate budget."""
-    return [
-        G.x(1),
-        G.cnot(1, 0),
-        G.x(1),
-        G.rz(0, 2.0 * varphi),
-        G.x(1),
-        G.cnot(1, 0),
-        G.x(1),
-    ]
-
-
 def alternate(ua: BlockEncoding, varphi, name: str) -> G.QuantumCircuit:
     """The alternating-phase circuit for circuit-convention phases varphi.
 
     Layout: signal qubit q0, block-encoding ancilla q1, system q2..  With
     d = len(varphi) - 1 the circuit is H(q0), then for j = d .. 1 the
-    rotation group of varphi_j followed by U_A and U_A^dag in turn
-    (starting with U_A), then the rotation group of varphi_0 and H(q0)."""
+    phase group of varphi_j followed by U_A and U_A^dag in turn (starting
+    with U_A), then the phase group of varphi_0 and H(q0).
+
+    A phase group is the NOT of q0 open-controlled by q1 (X, CNOT, X),
+    exp(-i varphi_j Z) on q0, and that NOT again.  On (q0, q1) it is
+    diag(e^{i varphi}, e^{-i varphi}, e^{-i varphi}, e^{i varphi}) =
+    exp(i varphi Z0 Z1): the signal gets exp(i varphi Z) while the
+    ancilla reads 0 and exp(-i varphi Z) otherwise, the projector-
+    controlled phase, in the 7 gates of the reference construction.  The
+    NOT is one leaf that every group shares, and H one leaf at both ends,
+    so a build makes d + 5 gates: one rz per phase, X, CNOT, X and H."""
     n, ua_s, uad_s = _under_signal(ua, "the alternating circuit")
     d = len(varphi) - 1
-    parts = [(G.from_gates(n, [G.h(0)]), 0, False)]
-    for j in range(d, 0, -1):
-        parts.append((G.from_gates(n, _rotation_group(varphi[j])), 0, False))
-        parts.append(ua_s if (d - j) % 2 == 0 else uad_s)
-    parts.append((G.from_gates(n, _rotation_group(varphi[0]) + [G.h(0)]), 0, False))
+    h = (G.from_gates(n, [G.h(0)]), 0, False)
+    nots = (G.from_gates(n, [G.x(1), G.cnot(1, 0), G.x(1)]), 0, False)
+    parts = [h]
+    for j in range(d, -1, -1):
+        parts += [nots, (G.from_gates(n, [G.rz(0, 2.0 * varphi[j])]), 0, False), nots]
+        if j:
+            parts.append(ua_s if (d - j) % 2 == 0 else uad_s)
+    parts.append(h)
     return G.QuantumCircuit(n, name=name, parts=tuple(parts))
 
 
@@ -103,8 +96,8 @@ def build_hracbem(ua: BlockEncoding, phi0: float, phi1: float) -> BlockEncoding:
     """2-ancilla block-encoding of a2 * A^dag A + a0 * I from a 1-ancilla one.
 
     The degree-2 alternating circuit with phases (phi0, phi1, phi0): H(q0),
-    rotation group (phi0), U_A, rotation group (phi1), U_A^dag, rotation
-    group (phi0), H(q0)."""
+    phase group (phi0), U_A, phase group (phi1), U_A^dag, phase group
+    (phi0), H(q0)."""
     return BlockEncoding(alternate(ua, (phi0, phi1, phi0), "hracbem"), ua.n_sys, m=2)
 
 

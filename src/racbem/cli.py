@@ -137,6 +137,10 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
+def _depth(text: str) -> int | str:
+    return text if text == "auto" else int(text)
+
+
 def _require(args, *names):
     """Options that must be set by flag or config file."""
     missing = [m for m in names if getattr(args, m, None) is None]
@@ -149,7 +153,7 @@ def _generator_config(args) -> GeneratorConfig:
     """The instance flags resolved; the depth, given or chosen by the depth
     rule ('auto' or unset), is written back for the echo."""
     _require(args, "n", "seed")
-    args.depth = default_depth(args.n) if args.depth in (None, "auto") else int(args.depth)
+    args.depth = default_depth(args.n) if args.depth in (None, "auto") else args.depth
     coupling = _coupling_for(args, args.n + 1)
     return GeneratorConfig(coupling, args.p_cnot, args.depth, args.seed)
 
@@ -327,7 +331,7 @@ INSTANCE_FLAGS = (
     ("--n", {"type": int, "help": "system qubit count"}),
     ("--seed", INT),
     ("--p-cnot", {"type": float, "default": 0.5}),
-    ("--depth", {"help": "layer count, or 'auto' for the depth rule"}),
+    ("--depth", {"type": _depth, "help": "layer count, or 'auto' for the depth rule"}),
     ("--coupling", {"help": "bundled map name (t5, ladder15) or a JSON file path"}),
 )
 

@@ -130,16 +130,16 @@ class NoiseModel:
         return cls(ge, ro)
 
 
+def _scaled(p: float, correct: bool, sigma: float) -> float:
+    """The sigma rule: a correct entry becomes 1 - sigma (1 - p), any
+    other sigma p."""
+    return 1.0 - sigma * (1.0 - p) if correct else sigma * p
+
+
 def scale_dist(dist: dict[str, float], sigma: float, n_ops: int) -> dict[str, float]:
     ident = "i" * n_ops
-    out = {}
-    for k, v in dist.items():
-        if k == ident:
-            out[k] = 1.0 - sigma * (1.0 - v)
-        else:
-            out[k] = sigma * v
-    if ident not in out:
-        out[ident] = 1.0 - sigma
+    out = {k: _scaled(v, k == ident, sigma) for k, v in dist.items()}
+    out.setdefault(ident, 1.0 - sigma)
     return out
 
 
@@ -151,17 +151,9 @@ def scale(m: NoiseModel, sigma: float) -> NoiseModel:
         key: scale_dist(dist, sigma, len(key[1]))
         for key, dist in m.gate_errors.items()
     }
-    ro = {}
-    for q, rows in m.readout.items():
-        new_rows = []
-        for b, row in enumerate(rows):
-            correct = row[b]
-            wrong = row[1 - b]
-            r = [0.0, 0.0]
-            r[b] = 1.0 - sigma * (1.0 - correct)
-            r[1 - b] = sigma * wrong
-            new_rows.append(tuple(r))
-        ro[q] = tuple(new_rows)
+    ro = {q: tuple(tuple(_scaled(p, read == b, sigma) for read, p in enumerate(row))
+                   for b, row in enumerate(rows))
+          for q, rows in m.readout.items()}
     return NoiseModel(ge, ro)
 
 

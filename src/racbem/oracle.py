@@ -53,11 +53,16 @@ def _check_hermitian(H: np.ndarray) -> np.ndarray:
     return H
 
 
+def _spectrum(H: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of Hermitian H and psi's weights |V^dag psi|^2 on its
+    eigenvectors."""
+    lam, V = np.linalg.eigh(_check_hermitian(H))
+    return lam, np.abs(V.conj().T @ np.asarray(psi, dtype=complex)) ** 2
+
+
 def exact_time_series(H: np.ndarray, psi: np.ndarray, t: float) -> complex:
     """<psi| exp(i H t) |psi> via eigendecomposition."""
-    H = _check_hermitian(H)
-    lam, V = np.linalg.eigh(H)
-    w = np.abs(V.conj().T @ np.asarray(psi, dtype=complex)) ** 2
+    lam, w = _spectrum(H, psi)
     return complex(np.sum(w * np.exp(1j * lam * t)))
 
 
@@ -67,9 +72,7 @@ def exact_spectral_measure(
     """Lorentzian-broadened local density of states at energy E."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    H = _check_hermitian(H)
-    lam, V = np.linalg.eigh(H)
-    w = np.abs(V.conj().T @ np.asarray(psi, dtype=complex)) ** 2
+    lam, w = _spectrum(H, psi)
     return float((eta / np.pi) * np.sum(w / ((lam - E) ** 2 + eta**2)))
 
 

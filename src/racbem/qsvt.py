@@ -4,10 +4,11 @@ Given a 1-ancilla block-encoding U_A and circuit-convention phases
 (varphi_0 .. varphi_d), the assembled circuit on signal + ancilla +
 system qubits block-encodes f|>(A) = V f(Sigma) V^dag, where f is the
 real polynomial the phases encode.  Each phased rotation costs 7 logical
-gates (4 X, 2 CNOT, 1 Z-rotation); with 2 H they are the only gates a
-build makes, since `blockenc.alternate` refers to U_A and U_A^dag as
-parts.  This module adds the phase checks and gate budget; a built
-circuit carries its budget, not the phases it came from.
+gates (4 X, 2 CNOT, 1 Z-rotation), so with 2 H the count beside U_A is
+7(d+1) + 2.  A build makes only d + 5 gates, since `blockenc.alternate`
+refers to U_A, U_A^dag and one shared open-controlled NOT as parts.
+This module adds the phase checks and gate budget; a built circuit
+carries its budget, not the phases it came from.
 """
 
 from __future__ import annotations

@@ -223,10 +223,13 @@ def _point(
     margin: float = DEFAULT_MARGIN,
 ) -> tuple[QsvtCircuit, dict]:
     """One QSVT point: fit the target on h's range, compose with h, solve
-    the phases and build the circuit of even degree `degree`.
+    the phases and build the circuit of even degree `degree` >= 2 (phase
+    length degree + 1); any other degree raises.
 
     Returns (circuit, report params: scale, fit error in target units,
     phase residual and its convergence flag)."""
+    if degree < 2 or degree % 2:
+        raise ValueError(f"need an even degree >= 2 (an odd phase length >= 3), got {degree}")
     g = fit_on_interval(target, degree // 2, (q.a0, q.a0 + q.a2), margin)
     f = compose_fit(g, q)
     qc, residual = _qsvt_for(ua, f)
@@ -305,8 +308,6 @@ def linpack_run(
     floor (1/kappa - eps)^2."""
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
-    if d < 2 or d % 2:
-        raise ValueError("need even degree d >= 2")
     t0 = time.perf_counter()
     ua = generate_instance(n, seed, p_cnot, depth, coupling)
     q = quadratic_for_condition(kappa)
@@ -542,8 +543,8 @@ def metts_run(
     auto_num, auto_den = _default_metts_lengths(beta)
     d_num = auto_num if d_num is None else d_num
     d_den = auto_den if d_den is None else d_den
-    if d_num % 2 == 0 or d_den % 2:
-        raise ValueError("numerator degree must be odd, denominator even")
+    if d_num % 2 == 0:
+        raise ValueError(f"numerator degree must be odd, got {d_num}")
     t0 = time.perf_counter()
     ua, q, hmat, _ = _canonical_instance(n, seed, p_cnot, depth, coupling, ua)
     f_num, err_num = fit_scaled(odd_gibbs(beta), d_num, "odd", (0.0, 1.0))

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from racbem import gates as G
 from racbem.blockenc import (
-    _rotation_group,
     alternate,
     build_canonical_hracbem,
     build_hracbem,
@@ -30,10 +29,29 @@ def quad_coeffs(phi0, phi1):
 
 @pytest.mark.parametrize("varphi", [0.0, 0.37, -1.2])
 def test_rotation_group_is_the_projector_controlled_phase(varphi):
+    # parts 1-3 of a built circuit are the phase group of varphi_d:
     # exp(i varphi Z0 Z1) on signal q0 and ancilla q1, the system left alone
-    u = circuit_unitary(G.from_gates(3, _rotation_group(varphi)))
+    c = alternate(random_ua(1, seed=2), (0.5, -0.8, varphi), "g")
+    u = circuit_unitary(G.QuantumCircuit(3, parts=c.parts[1:4]))
     phase = np.exp(1j * varphi * np.array([1, -1, -1, 1]))
     assert np.abs(u - np.diag(np.repeat(phase, 2))).max() < 1e-14
+
+
+@pytest.mark.parametrize("d", [0, 1, 6])
+def test_phase_groups_share_one_not_leaf(d):
+    # each group is (NOT, rz, NOT) around one shared open-controlled-NOT
+    # leaf, with one H leaf at both ends: d + 3 distinct leaves beside U_A,
+    # even when phases repeat
+    ua = random_ua(2, seed=4)
+    c = alternate(ua, (0.4,) * (d + 1), "g")
+    leaves = [p for p, _, _ in c.parts if p is not ua.circuit]
+    assert len({id(p) for p in leaves}) == d + 3
+    h, nots = leaves[0], leaves[1]
+    assert leaves[-1] is h and list(h.gates()) == [G.h(0)]
+    assert list(nots.gates()) == [G.x(1), G.cnot(1, 0), G.x(1)]
+    groups = [leaves[1 + 3 * k: 4 + 3 * k] for k in range(d + 1)]
+    assert all(g[0] is nots and g[2] is nots and list(g[1].gates()) == [G.rz(0, 0.8)]
+               for g in groups)
 
 
 def test_hracbem_block_matches_formula():
@@ -76,10 +94,14 @@ def test_assembled_circuits_read_as_gate_level_copies(coupling):
     ua_s, uad_s = shifted(ua.circuit, 1, n), shifted(G.adjoint(ua.circuit), 1, n)
     varphi = (0.3, -1.1, 0.7, 2.0, -0.4, 0.9)
     d = len(varphi) - 1
+    def group(v):
+        return G.from_gates(n, [G.x(1), G.cnot(1, 0), G.x(1), G.rz(0, 2.0 * v),
+                                G.x(1), G.cnot(1, 0), G.x(1)])
+
     pieces = [G.from_gates(n, [G.h(0)])]
     for j in range(d, 0, -1):
-        pieces += [G.from_gates(n, _rotation_group(varphi[j])), ua_s if (d - j) % 2 == 0 else uad_s]
-    pieces.append(G.from_gates(n, _rotation_group(varphi[0]) + [G.h(0)]))
+        pieces += [group(varphi[j]), ua_s if (d - j) % 2 == 0 else uad_s]
+    pieces.append(G.from_gates(n, list(group(varphi[0]).gates()) + [G.h(0)]))
     canonical = [G.from_gates(n, [G.h(0), G.t(0)]), ua_s,
                  G.from_gates(n, [G.cnot(1, 0), G.sdg(0), G.cnot(1, 0)]), uad_s,
                  G.from_gates(n, [G.t(0), G.h(0)])]

@@ -131,7 +131,7 @@ def test_top_level_config_flag(tmp_path, monkeypatch):
     assert a["report"]["p_exact"] == b["report"]["p_exact"]
 
 
-def test_exit_codes(tmp_path, monkeypatch):
+def test_exit_codes(tmp_path, monkeypatch, capsys):
     # missing required option -> schema (2)
     assert run(["generate", "--n", "2"], monkeypatch, tmp_path) == 2
     # unreadable input file -> io (3)
@@ -141,6 +141,13 @@ def test_exit_codes(tmp_path, monkeypatch):
         ["linpack", "--n", "2", "--seed", "1", "--kappa", "2", "--d", "5", "--exact"],
         monkeypatch, tmp_path,
     ) == 4
+    # phase length 12 is degree 11, which would run one phase short -> 4,
+    # naming the degree, and no artifact
+    out = tmp_path / "s.json"
+    assert run(["spectral", "--n", "2", "--seed", "13", "--exact", "--points", "2",
+                "--lengths", "12", "--out", str(out)], monkeypatch, tmp_path) == 4
+    assert "got 11" in json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+    assert not out.exists()
     # unknown config key -> schema (2)
     bad = tmp_path / "bad.json"
     bad.write_text('{"wat": 1}')
@@ -377,7 +384,7 @@ def test_config_values_parse_with_flag_type(tmp_path, monkeypatch, capsys):
     assert outs[1]["config"]["n"] == 2
     assert outs[0]["report"]["p_exact"] == outs[1]["report"]["p_exact"]
     bad = tmp_path / "bad.json"
-    for body, cmd in (({"n": "two"}, base), ({"exact": "yes"}, base),
+    for body, cmd in (({"n": "two"}, base), ({"exact": "yes"}, base), ({"depth": "two"}, base),
                       ({"lengths_real": [3, 3.5]}, ["timeseries", "--n", "1", "--seed", "1"]),
                       ({"parity": "neither"}, ["remez", "--target", "inverse", "--kappa", "2",
                                                "--degree", "6"])):
@@ -385,6 +392,10 @@ def test_config_values_parse_with_flag_type(tmp_path, monkeypatch, capsys):
         assert run(cmd + ["--config", str(bad)], monkeypatch, tmp_path) == 2
         rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert rec["error"] == "schema" and repr(next(iter(body))) in rec["message"]
+    # the command line parses --depth as the config file does: 'auto' or an int
+    with pytest.raises(SystemExit) as exc:
+        run(["generate", "--n", "2", "--seed", "1", "--depth", "two"], monkeypatch, tmp_path)
+    assert exc.value.code == 2 and "--depth" in capsys.readouterr().err
 
 
 def test_explicit_flag_wins_over_config(tmp_path, monkeypatch):

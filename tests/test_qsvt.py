@@ -80,17 +80,23 @@ def test_success_probability_equals_transformed_norm():
 
 @pytest.mark.parametrize("n", [1, 4])
 def test_build_makes_only_the_phase_gates(monkeypatch, n):
-    # U_A is referred to, not copied: a degree-d circuit makes the 7(d+1) + 2
-    # gates of the non-U_A term of the budget, whatever the size of U_A
+    # U_A and the open-controlled NOT are referred to, not copied: a
+    # degree-d circuit makes d + 5 gates (d + 1 rz, X, CNOT, X and H) and
+    # counts the 7(d+1) + 2 of the non-U_A term of the budget, whatever the
+    # size of U_A
     ua = random_ua(n, seed=33)
+    ua_gates = G.gate_count(ua.circuit)["total"]
     made = []
     init = G.Gate.__post_init__
     monkeypatch.setattr(G.Gate, "__post_init__", lambda g: made.append(g) or init(g))
     for d in (2, 7, 12):
         made.clear()
-        build(ua, PhaseFactors(tuple(np.linspace(0.1, 1.0, d + 1)), "varphi"), allow_odd=True)
+        qc = build(ua, PhaseFactors(tuple(np.linspace(0.1, 1.0, d + 1)), "varphi"),
+                   allow_odd=True)
+        assert len(made) == d + 5
         ua_term = d * ua.circuit.depth * ua.circuit.n_qubits
-        assert len(made) == 7 * (d + 1) + 2 == gate_count_bound(d, ua.circuit.depth, n + 1) - ua_term
+        assert (G.gate_count(qc.circuit)["total"] - d * ua_gates == 7 * (d + 1) + 2
+                == gate_count_bound(d, ua.circuit.depth, n + 1) - ua_term)
 
 
 def test_pickled_circuit_compares_equal_and_runs_alike():

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from racbem import gates as G
-from racbem import noise, tasks
+from racbem import noise, statevector, tasks
 from racbem.blockenc import BlockEncoding, extract_block
 from racbem.chebpoly import compose_fit, fit_on_interval, fit_scaled, gibbs, odd_gibbs
 from racbem.generator import linear_coupling_map
@@ -37,15 +37,16 @@ from racbem.tasks import (
 
 
 def test_exact_linpack_makes_no_gate_beyond_ua_and_phases(monkeypatch):
-    # the generator's U_A and the 7(d+1) + 2 phase gates are the only gates
-    # an exact run makes: counting, fusing and simulating place no copy
+    # the generator's U_A and the d + 5 phase gates (d + 1 rz, X, CNOT, X
+    # and H) are the only gates an exact run makes: counting, fusing and
+    # simulating place no copy, and the logical count is 7(d+1) + 2 beside U_A
     n, seed, d = 3, 4, 8
     ua_gates = sum(1 for _ in generate_instance(n, seed).circuit.gates())
     made = []
     init = G.Gate.__post_init__
     monkeypatch.setattr(G.Gate, "__post_init__", lambda g: made.append(g) or init(g))
     r = linpack_run(5.0, n, d, seed)
-    assert len(made) == ua_gates + 7 * (d + 1) + 2
+    assert len(made) == ua_gates + d + 5
     assert r.gate_counts["total"] == ua_gates * d + 7 * (d + 1) + 2
 
 
@@ -210,6 +211,21 @@ def test_time_series_parameter_validation():
     with pytest.raises(ValueError):
         time_series_run(2, 0, ts=(1.0,), lengths_real=(3,), lengths_imag=(3,),
                         etas_real=(0.5,), etas_imag=(1.0,))
+    # an even phase length is an odd degree, which would run one phase short
+    with pytest.raises(ValueError, match="got 3"):
+        time_series_run(2, 3, (1.0,), (4,), (3,), (1.0,), (1.0,))
+    with pytest.raises(ValueError, match="got 0"):
+        time_series_run(2, 3, (1.0,), (3,), (1,), (1.0,), (1.0,))
+
+
+def test_spectral_run_validation():
+    with pytest.raises(ValueError, match="eta"):
+        spectral_run(2, 13, energies=(0.3,), eta=0.0)
+    with pytest.raises(ValueError, match="one phase length per energy"):
+        spectral_run(2, 13, energies=(0.3, 0.5), lengths=(5, 5, 5))
+    # length 12 is degree 11, which would build 11 phases under a report of length 12
+    with pytest.raises(ValueError, match="got 11"):
+        spectral_run(2, 13, energies=(0.3,), lengths=12)
 
 
 def test_spectral_run_basics():
@@ -382,6 +398,28 @@ def test_metts_noisy_law_computed_once_per_key(monkeypatch):
     assert 0 < len(passes) <= 2 * 4 + 4
 
 
+def test_not_leaf_fused_once_per_circuit_exact_and_once_per_model_noisy(monkeypatch):
+    # the open-controlled NOT that every phase group shares is fused once per
+    # circuit in exact mode, where its blocks are kept on the leaf, and once
+    # per noise model on rho across all of a run's circuits, since the model
+    # keeps blocks by part value
+    nots = ((G.x(1),), (G.cnot(1, 0),), (G.x(1),))
+    real = statevector._fuse
+    fused = []
+
+    def counting(layers, *a):
+        fused.append(layers := tuple(layers))
+        return real(layers, *a)
+
+    monkeypatch.setattr(statevector, "_fuse", counting)
+    kw = dict(energies=(0.3, 0.5, 0.7), lengths=5)
+    assert len(spectral_run(2, 3, **kw).reports) == 3
+    assert fused.count(nots) == 3
+    fused.clear()
+    spectral_run(2, 3, **kw, shots=16, noise_model=_metts_noise_model())
+    assert fused.count(nots) == 1
+
+
 def test_metts_ideal_sampled_law_computed_once_per_key(monkeypatch):
     calls = []
     monkeypatch.setattr(tasks, "apply", lambda *a: calls.append(1) or apply(*a))
@@ -516,6 +554,8 @@ def test_metts_validation():
         metts_run(1.0, 0, 2, 0)
     with pytest.raises(ValueError):
         metts_run(1.0, 10, 2, 0, d_num=4)  # even numerator degree
+    with pytest.raises(ValueError, match="even degree >= 2"):
+        metts_run(1.0, 10, 2, 0, d_den=3)  # odd denominator degree
 
 
 def test_write_cma_csv(tmp_path):

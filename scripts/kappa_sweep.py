@@ -2,15 +2,19 @@
 
 For each (kappa, degree) pair, runs a batch of seeded instances in exact
 mode and reports the worst relative error against its analytic bound
-2*kappa*eps / (1 - kappa*eps), plus the gate count against its budget.
+2*kappa*eps / (1 - kappa*eps), plus the gate count against its budget,
+the batch's wall time in seconds (fit, phase solve, simulation and
+reference together) and its worst phase residual.
 
 Usage:
     python3 scripts/kappa_sweep.py --n 2 --instances 25 --csv kappa.csv
+    python3 scripts/kappa_sweep.py --n 2 --instances 1 --pairs 100:120,200:240,400:480,1000:1200
 """
 
 import argparse
 import csv
 import sys
+import time
 
 from racbem.tasks import linpack_run
 
@@ -36,18 +40,23 @@ def main(argv=None):
 
     rows = []
     for kappa, d in pairs:
-        worst_rel, worst_ratio, worst_gates = 0.0, 0.0, 0
+        worst_rel, worst_ratio, worst_gates, worst_res = 0.0, 0.0, 0, 0.0
+        start = time.perf_counter()
         for seed in range(args.instances):
             r = linpack_run(kappa, args.n, d, seed, shots=args.shots)
             bound = r.params["relative_error_bound"]
             worst_rel = max(worst_rel, r.relative_error)
             worst_ratio = max(worst_ratio, r.relative_error / bound)
             worst_gates = max(worst_gates, r.gate_counts["total"])
+            worst_res = max(worst_res, r.params["residual"])
+        seconds = time.perf_counter() - start
         rows.append({"kappa": kappa, "d": d, "worst_rel_error": worst_rel,
                      "worst_error_over_bound": worst_ratio,
-                     "worst_gates": worst_gates})
+                     "worst_gates": worst_gates, "seconds": seconds,
+                     "worst_residual": worst_res})
         print(f"kappa {kappa:5.1f}  d {d:3d}  worst rel err {worst_rel:.3e}"
-              f"  err/bound {worst_ratio:.3f}  gates {worst_gates}")
+              f"  err/bound {worst_ratio:.3f}  gates {worst_gates}"
+              f"  {seconds:.2f} s  worst residual {worst_res:.1e}")
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:

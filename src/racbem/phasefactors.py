@@ -5,8 +5,11 @@ U_Phi(x) = e^{i phi_0 Z} prod_{j=1..d} [e^{i arccos(x) X} e^{i phi_j Z}],
 whose upper-left real part is a degree-d polynomial in x with the parity
 of d.  Given a target polynomial, symmetric phases are found by damped
 Newton iteration on the square system of residuals at Chebyshev nodes,
-starting from the flat sequence.  Each SU(2) product is carried as its
-first row (a, b), and the symmetric Jacobian folds by slicing.  The
+starting from the flat sequence, one square solve per step, until L
+reaches its round-off floor.  Each SU(2) product is carried as its first
+row (a, b); one evaluation makes a single chunked log-depth pass over
+the prefix products and reads every suffix off them by unitarity, and
+the symmetric Jacobian folds by slicing.  The
 optimization ("phi") and circuit ("varphi") phase conventions differ by
 fixed shifts (pi/4 at the ends, pi/2 inside).
 """
@@ -83,26 +86,47 @@ def _mul(a1, b1, a2, b2):
     return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
 
 
+# row count of one chunk of the prefix scan: a scan over all d + 1 rows
+# at once is faster at low degree but moves far more memory at high degree
+SCAN_ROWS = 32
+
+
+def _prefix_products(a, b):
+    """Turn factor first rows (a, b), shape (d+1, n_nodes), into prefix
+    product first rows in place, chunk by chunk: each chunk's first row
+    takes the previous chunk's last prefix on its left, then the chunk is
+    scanned in log2(SCAN_ROWS) steps, each replacing row i >= s by
+    (row i - s) @ (row i) for s = 1, 2, 4, ..."""
+    for lo in range(0, len(a), SCAN_ROWS):
+        ca, cb = a[lo : lo + SCAN_ROWS], b[lo : lo + SCAN_ROWS]
+        if lo:
+            ca[0], cb[0] = _mul(a[lo - 1], b[lo - 1], ca[0], cb[0])
+        s = 1
+        while s < len(ca):
+            ca[s:], cb[s:] = _mul(ca[:-s], cb[:-s], ca[s:], cb[s:])
+            s *= 2
+
+
 def _residuals_and_derivs(values: np.ndarray, xs: np.ndarray, targets: np.ndarray):
     """Residuals Re U00 - target on the nodes, and d(Re U00)/d phi_k.
 
     Prefix products L_k = e^{i phi_0 Z} W e^{i phi_1 Z} ... W e^{i phi_k Z}
-    and suffix products R_k (the remaining right factors) are kept as
-    first rows (a, b) of shape (d+1, n_nodes); the factor W e^{i phi Z}
-    has first row (x e^{i phi}, i sqrt(1-x^2) e^{-i phi}).  The
+    are kept as first rows (a, b) of shape (d+1, n_nodes), found by one
+    chunked log-depth scan (`_prefix_products`); the factor W e^{i phi Z}
+    has first row (x e^{i phi}, i sqrt(1-x^2) e^{-i phi}).  The suffix
+    R_k (the remaining right factors) needs no second pass: with
+    U = L_d = L_k R_k, R_k = L_k^dag U, whose first row is
+    (a* A + b B*, a* B - b A*) for U's first row (A, B).  The
     derivatives have shape (d+1, n_nodes): d(Re U00)/d phi_k =
-    Re[i (L_k Z R_k)_00] = -Im(a_L a_R + b_L b_R*)."""
-    d = len(values) - 1
+    Re[i (L_k Z R_k)_00] = -Im(a a_R + b b_R*)."""
     e = np.exp(1j * values)[:, None]
-    fa, fb = xs * e, 1j * np.sqrt(1 - xs**2) * np.conj(e)
-    pa, pb, sa, sb = np.zeros((4, d + 1, len(xs)), dtype=complex)
-    pa[0], sa[d] = e[0], 1
-    for k in range(1, d + 1):
-        pa[k], pb[k] = _mul(pa[k - 1], pb[k - 1], fa[k], fb[k])
-        j = d - k
-        sa[j], sb[j] = _mul(fa[j + 1], fb[j + 1], sa[j + 1], sb[j + 1])
-    res = pa[d].real - targets
-    return res, -(pa * sa + pb * np.conj(sb)).imag
+    a, b = xs * e, 1j * np.sqrt(1 - xs**2) * np.conj(e)
+    a[0], b[0] = e[0], 0
+    _prefix_products(a, b)
+    A, B = a[-1], b[-1]
+    ra, rb = np.conj(a) * A + b * np.conj(B), np.conj(a) * B - b * np.conj(A)
+    res = A.real - targets
+    return res, -(a * ra + b * np.conj(rb)).imag
 
 
 def objective(phases: PhaseFactors, f: ChebPoly) -> float:
@@ -135,12 +159,17 @@ def _check_pair(phases: PhaseFactors, f: ChebPoly):
 CONVERGED_L = 1e-24
 
 # Newton stops below NEWTON_L (machine precision), when no step length
-# down to MIN_STEP lowers L, or after NEWTON_ITERS iterations
+# down to MIN_STEP lowers L, after NEWTON_ITERS iterations, or when a step
+# below CONVERGED_L lowers L by less than a factor FLOOR_FALL: at high
+# degree L's round-off floor lies above NEWTON_L, and steps past it only
+# move round-off
 NEWTON_L = 1e-31
 
 MIN_STEP = 1e-4
 
 NEWTON_ITERS = 100
+
+FLOOR_FALL = 10.0
 
 
 def optimize(f: ChebPoly) -> tuple[PhaseFactors, float]:
@@ -150,11 +179,14 @@ def optimize(f: ChebPoly) -> tuple[PhaseFactors, float]:
     half of the sequence, the rest their mirror image, with one Chebyshev
     node per free phase; the Jacobian folds onto the free half by adding
     mirrored rows (the middle one once at even d), so it is square.  From
-    the flat start (pi/4, 0, ..., 0, pi/4) each iteration takes the
-    least-squares step and halves it until the mean squared residual L
-    drops.  Returns (phases, L); raises only on malformed input.  A
-    target with no phases (|f| > 1 somewhere on [-1, 1]) or a stall is
-    reported via L, which then exceeds CONVERGED_L."""
+    the flat start (pi/4, 0, ..., 0, pi/4) each iteration solves J step =
+    res (one square `np.linalg.solve`) and halves the step until the mean
+    squared residual L drops.  It stops at the round-off floor, once an
+    accepted step leaves L below CONVERGED_L but lowers it by less than a
+    factor FLOOR_FALL.  Returns (phases, L); raises only on malformed
+    input.  A target with no phases (|f| > 1 somewhere on [-1, 1]) or a
+    stall, a singular J among them, is reported via L, which then
+    exceeds CONVERGED_L."""
     d = f.degree
     if d < 1:
         raise ValueError("need degree >= 1")
@@ -178,7 +210,10 @@ def optimize(f: ChebPoly) -> tuple[PhaseFactors, float]:
     for _ in range(NEWTON_ITERS):
         if L < NEWTON_L:
             break
-        step = np.linalg.lstsq(J, res, rcond=None)[0]
+        try:
+            step = np.linalg.solve(J, res)
+        except np.linalg.LinAlgError:  # singular J: a stall
+            break
         t = 1.0
         while t >= MIN_STEP:
             trial = state(v - t * step)
@@ -187,7 +222,10 @@ def optimize(f: ChebPoly) -> tuple[PhaseFactors, float]:
             t /= 2
         else:
             break
+        prev = L
         v, res, J, L = trial
+        if L < CONVERGED_L and L * FLOOR_FALL > prev:
+            break
     phases = PhaseFactors(tuple(full(v)), "phi", symmetric=True)
     return phases, L
 

@@ -11,10 +11,13 @@ from racbem.chebpoly import (
     lorentzian_sqrt,
     quadratic_for_condition,
 )
+from racbem import phasefactors
 from racbem.phasefactors import (
     CONVERGED_L,
+    SCAN_ROWS,
     PhaseFactors,
     _nodes,
+    _residuals_and_derivs,
     gradient,
     objective,
     optimize,
@@ -87,13 +90,24 @@ def test_optimize_spectral_target_that_stalled_lbfgs():
     assert np.abs(qsp_value(xs, phases) - f(xs)).max() < 1e-9
 
 
-def test_optimize_linpack_target_at_degree_240():
-    # the linpack target at (kappa, d) = (200, 240), as linpack_run fits it
+def test_optimize_linpack_target_at_degree_240(monkeypatch):
+    # the linpack target at (kappa, d) = (200, 240), as linpack_run fits it;
+    # the solve stops at L's round-off floor (about 1e-31 here) instead of
+    # halving steps that only move round-off (61 evaluations without)
     q = quadratic_for_condition(200)
     f = compose_fit(fit_on_interval(inverse(200), 120, (q.a0, q.a0 + q.a2), 0.0), q)
     assert f.degree == 240
+    calls = []
+    evaluate = phasefactors._residuals_and_derivs
+
+    def counted(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(phasefactors, "_residuals_and_derivs", counted)
     phases, L = optimize(f)
     assert L <= CONVERGED_L
+    assert len(calls) <= 25
     xs = np.linspace(-1, 1, 41)
     assert np.abs(qsp_value(xs, phases) - f(xs)).max() < 1e-9
 
@@ -119,8 +133,31 @@ def test_optimize_reports_infeasible_target():
     assert phases.symmetric
 
 
-@given(st.integers(0, 10**6), st.integers(2, 8))
-@settings(max_examples=20, deadline=None)
+def test_singular_jacobian_is_a_stall(monkeypatch):
+    # a Newton solve that finds J singular ends the loop and reports
+    # the last state through L; it does not raise
+    f = cheb_target(6, amp=0.7)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    phases, L = optimize(f)
+    flat = PhaseFactors((np.pi / 4,) + (0.0,) * 5 + (np.pi / 4,))
+    assert phases == PhaseFactors(flat.values, symmetric=True)
+    assert L == objective(flat, f) > CONVERGED_L
+
+
+# degrees inside one chunk of the prefix scan and around its boundaries
+DEGREES = st.one_of(
+    st.integers(2, 8),
+    st.integers(SCAN_ROWS - 1, SCAN_ROWS + 2),
+    st.integers(2 * SCAN_ROWS - 1, 2 * SCAN_ROWS + 2),
+)
+
+
+@given(st.integers(0, 10**6), DEGREES)
+@settings(max_examples=30, deadline=None)
 def test_gradient_matches_finite_differences(seed, d):
     rng = np.random.default_rng(seed)
     f = cheb_target(d, amp=0.7)
@@ -137,15 +174,18 @@ def test_gradient_matches_finite_differences(seed, d):
         assert g[k] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
-@pytest.mark.parametrize("d", [1, 2, 7, 40])
+@pytest.mark.parametrize("d", [1, 2, 7, 32, 33, 40, 64, 65, 130])
 def test_objective_matches_independent_evaluator(d):
-    # the solver kernel against the 2x2 matrix products of qsp_value
+    # the solver kernel against the sequential 2x2 matrix products of
+    # qsp_value, at degrees that end a chunk of the prefix scan or start one
     rng = np.random.default_rng(d)
     f = cheb_target(d, amp=0.7)
     p = PhaseFactors(tuple(rng.uniform(-np.pi, np.pi, d + 1)))
     xs = _nodes(d)
-    want = np.mean((qsp_value(xs, p) - f(xs)) ** 2)
-    assert objective(p, f) == pytest.approx(want, rel=0, abs=1e-14)
+    want = qsp_value(xs, p) - f(xs)
+    res, _ = _residuals_and_derivs(np.asarray(p.values), xs, f(xs))
+    assert np.abs(res - want).max() < 1e-13
+    assert objective(p, f) == pytest.approx(np.mean(want**2), rel=0, abs=1e-14)
 
 
 def test_objective_parity_check():

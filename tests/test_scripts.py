@@ -1,14 +1,17 @@
 """Each script in scripts/ runs end to end at tiny sizes."""
 
+import csv
 import importlib.util
 import pathlib
 
 import pytest
 
+from racbem.phasefactors import CONVERGED_L
+
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 CASES = {
-    "kappa_sweep": ["--n", "2", "--instances", "1", "--pairs", "2:4"],
+    "kappa_sweep": ["--n", "2", "--instances", "1", "--pairs", "2:4", "--csv", "kappa.csv"],
     "metts_trace": ["--steps", "10", "--shots", "16"],
     "noise_sweep": ["--n", "2", "--instances", "1", "--shots", "64", "--sigmas", "0,1"],
     "spectral_depth": ["--n", "2", "--shots", "64"],
@@ -28,3 +31,8 @@ def test_script_runs(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # metts_trace writes its CSV to the working directory
     assert module.main(CASES[name]) in (None, 0)
     assert capsys.readouterr().out
+    if name == "kappa_sweep":
+        with open(tmp_path / "kappa.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["seconds"]) > 0
+        assert float(row["worst_residual"]) <= CONVERGED_L

@@ -86,17 +86,28 @@ def _mul(a1, b1, a2, b2):
     return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
 
 
-# row count of one chunk of the prefix scan: a scan over all d + 1 rows
-# at once is faster at low degree but moves far more memory at high degree
+# rows per chunk of the prefix scan: one scan over all d + 1 rows is
+# faster at low degree but moves far more memory at high degree
 SCAN_ROWS = 32
 
 
-def _prefix_products(a, b):
-    """Turn factor first rows (a, b), shape (d+1, n_nodes), into prefix
-    product first rows in place, chunk by chunk: each chunk's first row
-    takes the previous chunk's last prefix on its left, then the chunk is
-    scanned in log2(SCAN_ROWS) steps, each replacing row i >= s by
-    (row i - s) @ (row i) for s = 1, 2, 4, ..."""
+def _residuals_and_derivs(values: np.ndarray, xs: np.ndarray, targets: np.ndarray):
+    """Residuals Re U00 - target on the nodes, and d(Re U00)/d phi_k.
+
+    Prefix products L_k = e^{i phi_0 Z} W e^{i phi_1 Z} ... W e^{i phi_k Z}
+    are kept as first rows (a, b) of shape (d+1, n_nodes); the factor
+    W e^{i phi Z} has first row (x e^{i phi}, i sqrt(1-x^2) e^{-i phi}).
+    They come from one scan in chunks of SCAN_ROWS rows: a chunk's first
+    row takes the previous chunk's last prefix on its left, then log2
+    steps replace row i >= s by (row i - s) @ (row i), s = 1, 2, 4, ...
+    The suffix R_k (the remaining right factors) needs no second pass:
+    U = L_d = L_k R_k, so R_k = L_k^dag U, whose first row is
+    (a* A + b B*, a* B - b A*) for U's first row (A, B).  The
+    derivatives have shape (d+1, n_nodes): d(Re U00)/d phi_k =
+    Re[i (L_k Z R_k)_00] = -Im(a a_R + b b_R*)."""
+    e = np.exp(1j * values)[:, None]
+    a, b = xs * e, 1j * np.sqrt(1 - xs**2) * np.conj(e)
+    a[0], b[0] = e[0], 0
     for lo in range(0, len(a), SCAN_ROWS):
         ca, cb = a[lo : lo + SCAN_ROWS], b[lo : lo + SCAN_ROWS]
         if lo:
@@ -105,24 +116,6 @@ def _prefix_products(a, b):
         while s < len(ca):
             ca[s:], cb[s:] = _mul(ca[:-s], cb[:-s], ca[s:], cb[s:])
             s *= 2
-
-
-def _residuals_and_derivs(values: np.ndarray, xs: np.ndarray, targets: np.ndarray):
-    """Residuals Re U00 - target on the nodes, and d(Re U00)/d phi_k.
-
-    Prefix products L_k = e^{i phi_0 Z} W e^{i phi_1 Z} ... W e^{i phi_k Z}
-    are kept as first rows (a, b) of shape (d+1, n_nodes), found by one
-    chunked log-depth scan (`_prefix_products`); the factor W e^{i phi Z}
-    has first row (x e^{i phi}, i sqrt(1-x^2) e^{-i phi}).  The suffix
-    R_k (the remaining right factors) needs no second pass: with
-    U = L_d = L_k R_k, R_k = L_k^dag U, whose first row is
-    (a* A + b B*, a* B - b A*) for U's first row (A, B).  The
-    derivatives have shape (d+1, n_nodes): d(Re U00)/d phi_k =
-    Re[i (L_k Z R_k)_00] = -Im(a a_R + b b_R*)."""
-    e = np.exp(1j * values)[:, None]
-    a, b = xs * e, 1j * np.sqrt(1 - xs**2) * np.conj(e)
-    a[0], b[0] = e[0], 0
-    _prefix_products(a, b)
     A, B = a[-1], b[-1]
     ra, rb = np.conj(a) * A + b * np.conj(B), np.conj(a) * B - b * np.conj(A)
     res = A.real - targets

@@ -93,7 +93,7 @@ def test_optimize_spectral_target_that_stalled_lbfgs():
 def test_optimize_linpack_target_at_degree_240(monkeypatch):
     # the linpack target at (kappa, d) = (200, 240), as linpack_run fits it;
     # the solve stops at L's round-off floor (about 1e-31 here) instead of
-    # halving steps that only move round-off (61 evaluations without)
+    # taking and halving steps that only move round-off
     q = quadratic_for_condition(200)
     f = compose_fit(fit_on_interval(inverse(200), 120, (q.a0, q.a0 + q.a2), 0.0), q)
     assert f.degree == 240

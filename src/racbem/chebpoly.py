@@ -32,8 +32,11 @@ def _max_abs(coeffs: tuple[float, ...]) -> float:
     """Exact max |p| on [-1, 1]: at the ends or where p' vanishes inside.
     Every root of p' is tried at its real part clipped to [-1, 1], so a
     real root that the eigenvalue solve moves off the axis still counts.
-    Cached, since a fit and each ChebPoly built from it check the same
-    coefficients."""
+    An even p is sum c_2k T_k(T_2(x)) and T_2 maps [-1, 1] onto itself,
+    so its max is that of the half-degree sum c_2k T_k.  Cached, since a
+    fit and each ChebPoly built from it check the same coefficients."""
+    if len(coeffs) > 1 and not any(coeffs[1::2]):
+        return _max_abs(coeffs[::2])
     c = np.asarray(coeffs, dtype=float)
     stationary = np.clip(C.chebroots(C.chebder(c)).real, -1.0, 1.0)
     return float(np.abs(C.chebval(np.concatenate([[-1.0, 1.0], stationary]), c)).max())

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import QuantumCircuit, ONE_QUBIT_KINDS, gate_unitary, placed_layers
+from .gates import ADJOINT_KINDS, ONE_QUBIT_KINDS, QuantumCircuit, gate_unitary
 from .statevector import (
     UNITARY_QUBIT_CAP,
     CountsHistogram,
@@ -211,11 +211,12 @@ _PAULI_SUPEROPS = {lab: _superop(functools.reduce(np.kron, (_PAULI[ch] for ch in
 
 
 def coverage(model: NoiseModel, circuits) -> float:
-    """Share of the circuits' gates that have a gate_errors entry.  Each
-    distinct part is placed once and counted as often as it recurs."""
+    """Share of the circuits' gates that have a gate_errors entry, read off
+    each distinct part's leaf: kinds as `gate_count` maps them, offset added."""
     covered = total = 0
-    for ref, k in Counter(r for c in circuits for r in c.refs()).items():
-        keys = [(g.kind, g.qubits) for layer in placed_layers(*ref) for g in layer]
+    for (leaf, offset, dagger), k in Counter(r for c in circuits for r in c.refs()).items():
+        keys = [(ADJOINT_KINDS.get(g.kind, g.kind) if dagger else g.kind,
+                 tuple(q + offset for q in g.qubits)) for layer in leaf.layers for g in layer]
         covered += k * sum(key in model.gate_errors for key in keys)
         total += k * len(keys)
     return covered / total if total else 0.0

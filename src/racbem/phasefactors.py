@@ -102,9 +102,10 @@ def _residuals_and_derivs(values: np.ndarray, xs: np.ndarray, targets: np.ndarra
     steps replace row i >= s by (row i - s) @ (row i), s = 1, 2, 4, ...
     The suffix R_k (the remaining right factors) needs no second pass:
     U = L_d = L_k R_k, so R_k = L_k^dag U, whose first row is
-    (a* A + b B*, a* B - b A*) for U's first row (A, B).  The
-    derivatives have shape (d+1, n_nodes): d(Re U00)/d phi_k =
-    Re[i (L_k Z R_k)_00] = -Im(a a_R + b b_R*)."""
+    (a_R, b_R) = (a* A + b B*, a* B - b A*) for U's first row (A, B).
+    The derivatives have shape (d+1, n_nodes): d(Re U00)/d phi_k =
+    Re[i (L_k Z R_k)_00] = -Im(a a_R + b b_R*), which with R_k
+    substituted is -Im[(|a|^2 - |b|^2) A + 2 a b B*]."""
     e = np.exp(1j * values)[:, None]
     a, b = xs * e, 1j * np.sqrt(1 - xs**2) * np.conj(e)
     a[0], b[0] = e[0], 0
@@ -117,9 +118,9 @@ def _residuals_and_derivs(values: np.ndarray, xs: np.ndarray, targets: np.ndarra
             ca[s:], cb[s:] = _mul(ca[:-s], cb[:-s], ca[s:], cb[s:])
             s *= 2
     A, B = a[-1], b[-1]
-    ra, rb = np.conj(a) * A + b * np.conj(B), np.conj(a) * B - b * np.conj(A)
     res = A.real - targets
-    return res, -(a * ra + b * np.conj(rb)).imag
+    gain = a.real**2 + a.imag**2 - b.real**2 - b.imag**2  # |a|^2 - |b|^2
+    return res, -(gain * A.imag + 2 * (a * b * np.conj(B)).imag)
 
 
 def objective(phases: PhaseFactors, f: ChebPoly) -> float:

@@ -8,7 +8,8 @@ Every outcome is read through one per-run `_Measure`: "exact mode"
 measured qubits, input) from the statevector; "sampled mode" draws shots
 from that law, or through a noise model scaled by sigma.  One function,
 `sampling`, decides a run's shots and sigma, for the tasks and for the
-command line's config echo alike.
+command line's config echo alike.  `_Measure.point` makes the report of
+every measured point; only MeTTS, valued by its chain, builds its own.
 """
 
 from __future__ import annotations
@@ -207,6 +208,15 @@ class _Measure:
             params["noise_coverage"] = share
         return params
 
+    def point(self, task: str, seed: int, params: dict, circuit: G.QuantumCircuit, m: int,
+              p_exact: float, t0: float) -> BenchmarkReport:
+        """The report of one measured point, timed from t0: the point's own
+        params and then the run's (`params`, so a bad model raises before
+        any draw), P(all m ancillas read 0) and the circuit's gate counts."""
+        params = {**params, **self.params([circuit])}
+        return BenchmarkReport(task, seed, params, self.success(circuit, m), p_exact,
+                               G.gate_count(circuit), time.perf_counter() - t0)
+
 
 def _qsvt_for(ua: BlockEncoding, f: ChebPoly, allow_odd: bool = False):
     """Phases for f, then the assembled circuit; returns (qsvt, residual)."""
@@ -250,13 +260,6 @@ def _canonical_instance(n, seed, p_cnot, depth, coupling, ua):
     return ua, q, _hermitian_matrix(ua, q), StateVector.basis(n, 0).amplitudes
 
 
-def _report(task: str, seed: int, params: dict, p_measured: float, p_exact: float,
-            circuit: G.QuantumCircuit, t0: float) -> BenchmarkReport:
-    """The report of one measured point, timed from t0."""
-    return BenchmarkReport(task, seed, params, p_measured, p_exact,
-                           G.gate_count(circuit), time.perf_counter() - t0)
-
-
 # -- RACBEM application benchmark ---------------------------------------
 
 DEFAULT_SHOTS = 8192
@@ -278,9 +281,8 @@ def racbem_benchmark(
     run = _Measure(shots, noise_model, sigma, seed)
     # ||A|0^n>||^2 is the weight of U|0> on the ancilla-0 half
     p_exact = float(run.law(ua.circuit, [0], StateVector.zero(n + 1))[0])
-    params = {"n": n, **run.params([ua.circuit]), "p_cnot": p_cnot, "depth": ua.circuit.depth}
-    return _report("racbem-bench", seed, params, run.success(ua.circuit, 1), p_exact,
-                   ua.circuit, t0)
+    params = {"n": n, "p_cnot": p_cnot, "depth": ua.circuit.depth}
+    return run.point("racbem-bench", seed, params, ua.circuit, 1, p_exact, t0)
 
 
 # -- linear-solve success-probability benchmark -------------------------
@@ -318,13 +320,11 @@ def linpack_run(
     alpha = point["scale"]
     eps = point["fit_error"] / alpha
     run = _Measure(shots, noise_model, sigma, seed)
-    run_params = run.params([qc.circuit])
-    p_measured = run.success(qc.circuit, 2)
     x = np.linalg.solve(_hermitian_matrix(ua, q), StateVector.basis(n, 0).amplitudes)
     p_exact = float(np.linalg.norm(x / alpha) ** 2)
     bound_floor = (1 / kappa - eps) ** 2
     params = {
-        "kappa": kappa, "n": n, "d": d, **run_params, "p_cnot": p_cnot,
+        "kappa": kappa, "n": n, "d": d, "p_cnot": p_cnot,
         "depth": ua.circuit.depth, "alpha": alpha, "epsilon": eps,
         "residual": point["residual"], "converged": point["converged"],
         "relative_error_bound": (2 * kappa * eps / (1 - kappa * eps)
@@ -333,7 +333,7 @@ def linpack_run(
         "p_exact_above_floor": bool(p_exact >= bound_floor),
         "gate_budget": qc.gate_budget,
     }
-    return _report("linpack", seed, params, p_measured, p_exact, qc.circuit, t0)
+    return run.point("linpack", seed, params, qc.circuit, 2, p_exact, t0)
 
 
 # -- time series --------------------------------------------------------
@@ -395,14 +395,11 @@ def time_series_run(
         ):
             t0 = time.perf_counter()
             qc, par = _point(ua, q, target, length - 1)
-            par.update(run.params([qc.circuit]))
-            p = run.success(qc.circuit, 2)
-            parts.append(2 * par["scale"]**2 * p - eta)
-            reports.append(_report(
-                f"timeseries-{part}", seed,
-                {"n": n, "t": t, "eta": eta, "length": length, **par},
-                p, (ref + eta) / 2 / par["scale"]**2, qc.circuit, t0,
-            ))
+            r = run.point(f"timeseries-{part}", seed,
+                          {"n": n, "t": t, "eta": eta, "length": length, **par},
+                          qc.circuit, 2, (ref + eta) / 2 / par["scale"]**2, t0)
+            parts.append(2 * par["scale"]**2 * r.p_measured - eta)
+            reports.append(r)
         values.append(complex(*parts))
         exact.append(s_ref)
     return SeriesResult(tuple(ts), tuple(values), tuple(exact), tuple(reports))
@@ -444,15 +441,12 @@ def spectral_run(
     for E, length in zip(energies, lengths):
         t0 = time.perf_counter()
         qc, par = _point(ua, q, lorentzian_sqrt(eta, E), length - 1)
-        par.update(run.params([qc.circuit]))
-        p = run.success(qc.circuit, 2)
         s_ref = exact_spectral_measure(hmat, psi, E, eta)
-        values.append(complex(par["scale"]**2 * p / (eta * math.pi)))
+        r = run.point("spectral", seed, {"n": n, "E": E, "eta": eta, "length": length, **par},
+                      qc.circuit, 2, s_ref * eta * math.pi / par["scale"]**2, t0)
+        values.append(complex(par["scale"]**2 * r.p_measured / (eta * math.pi)))
         exact.append(complex(s_ref))
-        reports.append(_report(
-            "spectral", seed, {"n": n, "E": E, "eta": eta, "length": length, **par},
-            p, s_ref * eta * math.pi / par["scale"]**2, qc.circuit, t0,
-        ))
+        reports.append(r)
     return SeriesResult(tuple(energies), tuple(values), tuple(exact), tuple(reports))
 
 
@@ -598,8 +592,8 @@ def metts_run(
               "residual_num": res_num, "residual_den": den["residual"],
               "converged": bool(max(res_num, den["residual"]) <= CONVERGED_L),
               "resamples": resamples, "flagged": flagged}
-    report = _report("metts", seed, params, trace.estimate, trace.exact, qc_den.circuit, t0)
-    return trace, report
+    return trace, BenchmarkReport("metts", seed, params, trace.estimate, trace.exact,
+                                  G.gate_count(qc_den.circuit), time.perf_counter() - t0)
 
 
 def write_cma_csv(trace: MettsTrace, fh):

@@ -178,6 +178,39 @@ def test_exact_bound_once_per_fit(monkeypatch):
     assert ChebPoly.from_json(f.to_json()) == f and len(solves) == 2
 
 
+def _full_degree_max(coeffs):
+    c = np.asarray(coeffs, dtype=float)
+    stationary = np.clip(C.chebroots(C.chebder(c)).real, -1.0, 1.0)
+    return float(np.abs(C.chebval(np.concatenate([[-1.0, 1.0], stationary]), c)).max())
+
+
+def test_even_bound_solves_at_half_degree(monkeypatch):
+    d = 40
+    coeffs = np.zeros(d + 1)
+    coeffs[::2] = np.random.default_rng(1).normal(size=d // 2 + 1) / d
+    companions = []
+    roots = chebpoly.C.chebroots
+    monkeypatch.setattr(chebpoly.C, "chebroots", lambda c: companions.append(len(c) - 1) or roots(c))
+    chebpoly._max_abs.cache_clear()
+    chebpoly._max_abs(tuple(coeffs))
+    assert companions and max(companions) <= d // 2 - 1
+
+
+def test_even_bound_matches_full_degree():
+    rng = np.random.default_rng(7)
+    chebpoly._max_abs.cache_clear()
+    for d in (2, 4, 10, 30, 86):
+        for _ in range(5):
+            coeffs = np.zeros(d + 1)
+            coeffs[::2] = rng.normal(size=d // 2 + 1)
+            want = _full_degree_max(coeffs)
+            assert chebpoly._max_abs(tuple(coeffs)) == pytest.approx(want, rel=1e-12)
+    # a constant does not recurse; T4 alone reduces twice, to T1
+    assert chebpoly._max_abs((-0.3,)) == 0.3
+    assert chebpoly._max_abs((-0.3, 0.0)) == 0.3
+    assert chebpoly._max_abs((0.0, 0.0, 0.0, 0.0, -0.7)) == pytest.approx(0.7, rel=1e-15)
+
+
 def test_compose_fit_matches_direct_evaluation():
     q = quadratic_for_condition(2.0)
     g = fit_on_interval(inverse(2.0), 3, (q.a0, q.a0 + q.a2), margin=0.0)

@@ -299,3 +299,20 @@ def test_coverage_share():
     c = G.from_gates(2, [G.h(0), G.h(1), G.cnot(0, 1), G.h(0)])
     assert coverage(m, [c]) == pytest.approx(0.5)
     assert coverage(m, [c, G.from_gates(2, [G.x(1)])]) == pytest.approx(0.4)
+
+
+def test_coverage_counts_parts_from_their_leaves(monkeypatch):
+    # offsets and dagger kinds are read off each leaf, so no gate is placed;
+    # the share equals the one over the placed gates
+    ua = random_ua(2, 3)
+    c = build(ua, phases_for((0.1, 0.0, 0.5), "even")[1]).circuit
+    model = synth_model(linear_coupling_map(4), 0.01, 0.05, 0.02, np.random.default_rng(2))
+    model = NoiseModel({k: v for i, (k, v) in enumerate(model.gate_errors.items()) if i % 3},
+                       model.readout)
+    keys = [(g.kind, g.qubits) for g in c.gates()]
+    want = sum(k in model.gate_errors for k in keys) / len(keys)
+    made = []
+    init = G.Gate.__post_init__
+    monkeypatch.setattr(G.Gate, "__post_init__", lambda g: made.append(g) or init(g))
+    assert coverage(model, [c]) == want
+    assert 0 < want < 1 and not made

@@ -11,7 +11,8 @@ from racbem.phasefactors import CONVERGED_L
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 CASES = {
-    "kappa_sweep": ["--n", "2", "--instances", "1", "--pairs", "2:4", "--csv", "kappa.csv"],
+    # 100:120 is a deep cell: a degree-120 fit, bound and phase solve
+    "kappa_sweep": ["--n", "2", "--instances", "1", "--pairs", "2:4,100:120", "--csv", "kappa.csv"],
     "metts_trace": ["--steps", "10", "--shots", "16"],
     "noise_sweep": ["--n", "2", "--instances", "1", "--shots", "64", "--sigmas", "0,1"],
     "spectral_depth": ["--n", "2", "--shots", "64"],
@@ -33,6 +34,9 @@ def test_script_runs(name, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out
     if name == "kappa_sweep":
         with open(tmp_path / "kappa.csv", newline="") as fh:
-            (row,) = csv.DictReader(fh)
-        assert float(row["seconds"]) > 0
-        assert float(row["worst_residual"]) <= CONVERGED_L
+            rows = list(csv.DictReader(fh))
+        assert [(row["kappa"], row["d"]) for row in rows] == [("2.0", "4"), ("100.0", "120")]
+        for row in rows:
+            assert float(row["seconds"]) > 0
+            assert float(row["worst_residual"]) <= CONVERGED_L
+            assert float(row["worst_error_over_bound"]) <= 1

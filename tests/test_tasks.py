@@ -388,6 +388,33 @@ def test_noisy_task_reads_through_noisy_sampler(task, monkeypatch):
     assert [r.p_measured for r in reports] == [c.get(zeros, 0) / 64 for _, _, c in noisy_calls]
 
 
+POINT_RUNS = {  # task -> its reports at n = 2 under the given sampling settings
+    "racbem-bench": lambda **kw: [racbem_benchmark(2, 11, **kw)],
+    "linpack": lambda **kw: [linpack_run(2.0, 2, 6, 11, **kw)],
+    "spectral": lambda **kw: spectral_run(2, 13, (0.2, 0.5), lengths=5, **kw).reports,
+    "timeseries": lambda **kw: time_series_run(2, 3, (1.0, 2.0), (3, 5), (3, 3), (1.0, 1.5),
+                                               (1.0, 1.0), **kw).reports,
+}
+MODES = {"exact": {"shots": 0}, "sampled": {"shots": 64}, "noisy": {"shots": 64, "sigma": 0.5}}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("task", POINT_RUNS)
+def test_every_point_report_comes_from_one_point_call(task, mode, monkeypatch):
+    made = []
+    point = tasks._Measure.point
+    monkeypatch.setattr(tasks._Measure, "point",
+                        lambda self, *a: made.append(point(self, *a)) or made[-1])
+    model = _metts_noise_model() if mode == "noisy" else None
+    reports = POINT_RUNS[task](noise_model=model, **MODES[mode])
+    assert len(made) == len(reports) and all(r is m for r, m in zip(reports, made))
+    # the run's settings come last, after the point's own params
+    run_keys = ["shots", "sigma"] + (["noise_coverage"] if model else [])
+    for r in reports:
+        assert list(r.params)[-len(run_keys):] == run_keys
+        assert r.params["shots"] == MODES[mode]["shots"]
+
+
 def test_metts_noisy_law_computed_once_per_key(monkeypatch):
     real = noise._run
     passes = []

@@ -13,6 +13,9 @@ it for a condition number, live in `chebpoly`.  An assembled circuit
 copies no gate of U_A: its parts refer to `ua.circuit` at qubit offset
 1, with dagger for U_A^dag, and each phase group is three parts: one
 shared open-controlled NOT, a one-gate rz, and that NOT again.
+`inverse_weight` is LINPACK's exact reference ||h(A)^-1 |0^n>||^2, read
+off the ancilla's light cone in U_A's fused blocks, not off the full
+2^n block.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates as G
-from .statevector import UNITARY_QUBIT_CAP, _run
+from .chebpoly import QuadraticH
+from .statevector import UNITARY_QUBIT_CAP, _apply, _ideal, _run
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,46 @@ def extract_block(be: BlockEncoding) -> np.ndarray:
         raise ValueError(f"{q} qubits exceeds unitary cap {UNITARY_QUBIT_CAP}")
     k = 2**be.n_sys  # only the kept columns go through the circuit
     return _run(be.circuit, np.eye(2**q, k, dtype=complex))[:k]
+
+
+def inverse_weight(ua: BlockEncoding, q: QuadraticH) -> float:
+    """||h(A)^-1 |0^n>||^2 for h(x) = a2 x^2 + a0, from the ancilla's light
+    cone in U_A's fused blocks.  A block that meets no site of the cone
+    grown forward from site 0 commutes back past the cone's blocks, and
+    one that meets none of the cone grown backward from site 0 commutes
+    on past them; neither touches site 0.  So U_A = Post Mid Pre, where
+    Pre and Post act on the system alone and Mid is the cone's blocks on
+    its sites S, and A = Post A_mid Pre: A^dag A drops Post, and
+    h(A)^-1 = Pre^dag h(A_mid)^-1 Pre, where Pre moves |0^n> only and
+    the norm drops Pre^dag.  Mid runs on S relabelled by rank, where
+    A_mid = a x I, so the solve is one LU of size 2^(|S|-1) with the
+    moved vector as many right-hand sides."""
+    if ua.m != 1:
+        raise ValueError("inverse_weight needs a 1-ancilla block-encoding")
+    n = ua.circuit.n_qubits
+    if n > UNITARY_QUBIT_CAP:
+        raise ValueError(f"{n} qubits exceeds unitary cap {UNITARY_QUBIT_CAP}")
+    pre, ahead, cone = [], [], {0}
+    for u, qs in _ideal(ua.circuit, 0, False):
+        if cone.isdisjoint(qs):
+            pre.append((u, qs))
+        else:
+            cone.update(qs)
+            ahead.append((u, qs))
+    mid, cone = [], {0}
+    for u, qs in reversed(ahead):
+        if not cone.isdisjoint(qs):
+            cone.update(qs)
+            mid.insert(0, (u, qs))
+    sites = sorted(cone)
+    k = 2 ** (len(sites) - 1)
+    mid = [(u, tuple(map(sites.index, qs))) for u, qs in mid]
+    a = _apply(mid, np.eye(2 * k, k, dtype=complex), 2)[:k]
+    v = _apply(pre, np.eye(2**n, 1, dtype=complex), 2)[: 2 ** (n - 1)]
+    rhs = np.moveaxis(v.reshape((2,) * (n - 1)), [s - 1 for s in sites[1:]],
+                      range(len(sites) - 1)).reshape(k, -1)
+    h = q.a2 * (a.conj().T @ a) + q.a0 * np.eye(k)
+    return float(np.linalg.norm(np.linalg.solve(h, rhs)) ** 2)
 
 
 def _under_signal(ua: BlockEncoding, who: str):

@@ -130,9 +130,28 @@ def cnot(control: int, target: int) -> Gate:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def _fixed(rows) -> np.ndarray:
+    m = np.array(rows, dtype=complex)
+    m.setflags(write=False)  # shared by every gate of its kind
+    return m
+
+
+# the unitaries of the kinds without angles, built once
+FIXED_UNITARIES = {
+    "x": _fixed([[0.0, 1.0], [1.0, 0.0]]),
+    "h": _fixed(_INV_SQRT2 * np.array([[1.0, 1.0], [1.0, -1.0]])),
+    "t": _fixed([[1.0, 0.0], [0.0, np.exp(1j * math.pi / 4.0)]]),
+    "sdg": _fixed([[1.0, 0.0], [0.0, -1j]]),
+    "cnot": _fixed([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+}
+
+
 def gate_unitary(g: Gate) -> np.ndarray:
-    """Return the 2x2 (or 4x4 for cnot) unitary of a gate."""
+    """Return the 2x2 (or 4x4 for cnot) unitary of a gate; the kinds without
+    angles return one read-only array each."""
     k = g.kind
+    if k in FIXED_UNITARIES:
+        return FIXED_UNITARIES[k]
     if k == "u1":
         (lam,) = g.params
         return np.array([[1.0, 0.0], [0.0, np.exp(1j * lam)]])
@@ -153,23 +172,11 @@ def gate_unitary(g: Gate) -> np.ndarray:
                 [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
             ]
         )
-    if k == "x":
-        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    if k == "h":
-        return _INV_SQRT2 * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-    if k == "t":
-        return np.array([[1.0, 0.0], [0.0, np.exp(1j * math.pi / 4.0)]])
-    if k == "sdg":
-        return np.array([[1.0, 0.0], [0.0, -1j]])
     if k == "rz":
         (theta,) = g.params
         return np.array(
             [[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]]
         )
-    if k == "cnot":
-        m = np.eye(4, dtype=complex)
-        m[[2, 3]] = m[[3, 2]]
-        return m
     raise AssertionError(k)
 
 

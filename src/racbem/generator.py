@@ -84,7 +84,7 @@ def _one_layer(cfg: GeneratorConfig, rng: np.random.Generator) -> tuple[G.Gate, 
             gates.append(G.Gate(kind, (q,), tuple(angles)))
             used = {q}
         vertices -= used
-        edges = [e for e in edges if not (set(e) & used) and set(e) <= vertices]
+        edges = [(c, t) for c, t in edges if c in vertices and t in vertices]
     return tuple(gates)
 
 

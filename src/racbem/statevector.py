@@ -73,7 +73,9 @@ def _fuse(layers, d: int, mat) -> list:
     merges the open blocks (those no later block touches) that last
     touched its sites, while the merged sites are two sites or a
     contiguous run of at most BLOCK_DIM_CAP amplitudes: four sites of a
-    state, two of rho.  Open blocks share no site and commute forward to
+    state, two of rho.  An owner refused is tried again once another has
+    merged, since the grown span may make it contiguous (a non-adjacent
+    pair of the t5 map).  Open blocks share no site and commute forward to
     the gate, so the merged block is they and the gate in turn on the
     identity, with sites relabelled by rank."""
     blocks: list = []  # merged-away blocks become None
@@ -89,16 +91,21 @@ def _fuse(layers, d: int, mat) -> list:
             v, ps = blocks[i]
             blocks[i] = (u @ v if ps == qs else _apply([(u, tuple(map(ps.index, qs)))], v, d)), ps
             continue
-        span, olds = set(qs), []
-        for i in sorted(owners - {None}):
-            ps = blocks[i][1]
-            s = span.union(ps)
-            if all(last[p] == i for p in ps) and (
-                len(s) == 2 or max(s) - min(s) < len(s) and d ** len(s) <= BLOCK_DIM_CAP
-            ):
-                span = s
-                olds.append(blocks[i])
-                blocks[i] = None
+        span, olds, todo = set(qs), [], sorted(owners - {None})
+        while todo:  # the refused owners again, until none merges
+            refused = []
+            for i in todo:
+                ps = blocks[i][1]
+                s = span.union(ps)
+                if all(last[p] == i for p in ps) and (
+                    len(s) == 2 or max(s) - min(s) < len(s) and d ** len(s) <= BLOCK_DIM_CAP
+                ):
+                    span = s
+                    olds.append(blocks[i])
+                    blocks[i] = None
+                else:
+                    refused.append(i)
+            todo = refused if len(refused) < len(todo) else []
         if olds:
             span = tuple(sorted(span))
             moved = [(v, tuple(map(span.index, ps))) for v, ps in olds + [(u, qs)]]

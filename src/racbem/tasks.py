@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates as G
-from .blockenc import BlockEncoding, extract_block
+from .blockenc import BlockEncoding, extract_block, inverse_weight
 from .chebpoly import (
     DEFAULT_MARGIN,
     ChebPoly,
@@ -320,8 +320,7 @@ def linpack_run(
     alpha = point["scale"]
     eps = point["fit_error"] / alpha
     run = _Measure(shots, noise_model, sigma, seed)
-    x = np.linalg.solve(_hermitian_matrix(ua, q), StateVector.basis(n, 0).amplitudes)
-    p_exact = float(np.linalg.norm(x / alpha) ** 2)
+    p_exact = inverse_weight(ua, q) / alpha**2
     bound_floor = (1 / kappa - eps) ** 2
     params = {
         "kappa": kappa, "n": n, "d": d, "p_cnot": p_cnot,

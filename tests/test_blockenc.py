@@ -6,17 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from racbem import gates as G
 from racbem.blockenc import (
+    BlockEncoding,
     alternate,
     build_canonical_hracbem,
     build_hracbem,
     extract_block,
+    inverse_weight,
     phases_for_quadratic,
 )
 from racbem.chebpoly import QuadraticH, condition_bound, quadratic_for_condition
 from racbem.generator import GeneratorConfig, generate_block_encoding, linear_coupling_map, load_coupling_map
 from racbem.phasefactors import PhaseFactors
 from racbem.qsvt import build
-from racbem.statevector import circuit_unitary
+from racbem.statevector import _ideal, circuit_unitary
+from racbem.tasks import _hermitian_matrix, generate_instance
 from conftest import random_ua
 from test_gates import shifted
 
@@ -175,3 +178,84 @@ def test_build_rejects_multi_ancilla_input():
     two = build_canonical_hracbem(ua)
     with pytest.raises(ValueError):
         build_hracbem(two, 0.1, 0.2)
+
+
+def _dense_weight(ua, q):
+    e0 = np.eye(2**ua.n_sys)[0]
+    return np.linalg.norm(np.linalg.solve(_hermitian_matrix(ua, q), e0)) ** 2
+
+
+def _weight_and_solves(monkeypatch, ua, q):
+    """inverse_weight, and the size of each system it solves."""
+    sizes, solve = [], np.linalg.solve
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "solve", lambda a, b: sizes.append(len(a)) or solve(a, b))
+        w = inverse_weight(ua, q)
+    return w, sizes
+
+
+@pytest.mark.parametrize("n, coupling", [(1, None), (2, None), (3, None), (4, "t5"),
+                                         (5, None), (8, None)])
+def test_inverse_weight_is_the_dense_solve(n, coupling, monkeypatch):
+    cmap = load_coupling_map(coupling) if coupling else None
+    sizes = set()
+    for seed in range(20):
+        ua = generate_instance(n, seed, coupling=cmap)
+        for kappa in (2.0, 20.0, 1000.0):
+            q = quadratic_for_condition(kappa)
+            ref = _dense_weight(ua, q)
+            w, solves = _weight_and_solves(monkeypatch, ua, q)
+            assert abs(w - ref) <= 1e-12 * ref, (seed, kappa)
+            sizes.update(solves)
+    if n >= 4:  # the seeds cover cones smaller than the register and the whole register
+        assert min(sizes) < 2**n == max(sizes)
+
+
+def test_inverse_weight_without_an_ancilla_gate():
+    # A is unitary, so h(A) = (a2 + a0) I
+    q = QuadraticH(0.6, 0.3)
+    for n in (1, 3):
+        ua = BlockEncoding(G.QuantumCircuit(n + 1), n, m=1)
+        assert inverse_weight(ua, q) == pytest.approx(1 / 0.9**2, rel=1e-14)
+        ua = BlockEncoding(G.from_gates(n + 1, [G.h(n), G.u3(1, 0.2, 0.3, 0.4)]), n, m=1)
+        assert inverse_weight(ua, q) == pytest.approx(1 / 0.9**2, rel=1e-14)
+
+
+def test_inverse_weight_drops_system_blocks_around_a_non_prefix_cone(monkeypatch):
+    # the block on (3, 4) before the ancilla's blocks moves |0^n>, the one
+    # on 1..4 after them cancels out of A^dag A; the cone's sites {0, 1, 3}
+    # are not a prefix, so they are relabelled by rank
+    gates = [G.u3(3, 0.7, 0.2, 1.3), G.h(4), G.cnot(3, 4), G.u2(4, 0.4, 1.1),
+             G.u3(2, 0.3, 0.9, 0.1), G.cnot(0, 1), G.u3(1, 1.1, 0.5, 0.9), G.cnot(1, 3),
+             G.u3(3, 2.2, 0.3, 0.6), G.cnot(0, 1), G.t(0), G.u3(0, 0.8, 1.4, 0.2),
+             G.cnot(3, 1), G.cnot(2, 3), G.u3(2, 0.3, 1.7, 0.2), G.cnot(4, 3),
+             G.u3(1, 2.1, 0.4, 0.6)]
+    ua = BlockEncoding(G.from_gates(5, gates), 4, m=1)
+    assert [qs for _, qs in _ideal(ua.circuit, 0, False)] == [
+        (3, 4), (0, 1), (1, 3), (0, 1), (1, 2, 3, 4)]
+    for kappa in (2.0, 50.0):
+        q = quadratic_for_condition(kappa)
+        ref = _dense_weight(ua, q)
+        w, solves = _weight_and_solves(monkeypatch, ua, q)
+        assert abs(w - ref) <= 1e-12 * ref and solves == [4]
+
+
+def test_inverse_weight_solves_on_the_cone_only(monkeypatch):
+    # generate_instance(8, 0)'s cone is sites 0-3, so the one solve is 8 x 8.
+    # The ancilla blocks of seed 1 reach all 9 sites from the first to the
+    # last, but only 6 lie on the cone grown both ways, so its solve is 32 x 32
+    q = quadratic_for_condition(10.0)
+    assert _weight_and_solves(monkeypatch, generate_instance(8, 0), q)[1] == [8]
+    ua = generate_instance(8, 1)
+    blocks = _ideal(ua.circuit, 0, False)
+    at = [i for i, (_, qs) in enumerate(blocks) if 0 in qs]
+    assert {p for _, qs in blocks[at[0]:at[-1] + 1] for p in qs} == set(range(9))
+    assert _weight_and_solves(monkeypatch, ua, q)[1] == [32]
+
+
+def test_inverse_weight_keeps_the_qubit_cap():
+    ua = BlockEncoding(G.QuantumCircuit(14), 13, m=1)
+    with pytest.raises(ValueError, match="exceeds unitary cap"):
+        inverse_weight(ua, quadratic_for_condition(2.0))
+    with pytest.raises(ValueError, match="1-ancilla"):
+        inverse_weight(build_canonical_hracbem(random_ua(1, seed=0)), quadratic_for_condition(2.0))

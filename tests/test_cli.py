@@ -154,6 +154,16 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert run(["generate", "--config", str(bad), "--n", "2", "--seed", "1"], monkeypatch, tmp_path) == 2
 
 
+def test_linpack_past_the_qubit_cap_exits_4(tmp_path, monkeypatch, capsys):
+    # the exact reference keeps the unitary cap of 12 qubits, light cone or not
+    out = tmp_path / "l.json"
+    assert run(["linpack", "--n", "12", "--seed", "0", "--kappa", "2", "--d", "2", "--exact",
+                "--out", str(out)], monkeypatch, tmp_path) == 4
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rec == {"error": "module", "message": "13 qubits exceeds unitary cap 12"}
+    assert not out.exists()
+
+
 def test_error_line_is_machine_parsable(tmp_path, monkeypatch, capsys):
     run(["generate", "--n", "2"], monkeypatch, tmp_path)
     err = capsys.readouterr().err.strip().splitlines()

@@ -60,6 +60,20 @@ def test_circuit_adjoint_inverts(seed):
     assert np.allclose(prod, phase * np.eye(8), atol=1e-10)
 
 
+def test_fixed_unitaries_are_shared_read_only_constants():
+    s = 1 / math.sqrt(2)
+    formulas = {"x": [[0, 1], [1, 0]], "h": [[s, s], [s, -s]],
+                "t": [[1, 0], [0, np.exp(1j * math.pi / 4)]], "sdg": [[1, 0], [0, -1j]],
+                "cnot": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]}
+    for kind, m in formulas.items():
+        u = G.gate_unitary(G.Gate(kind, (1, 0) if kind == "cnot" else (0,)))
+        assert u is G.gate_unitary(G.Gate(kind, (0, 2) if kind == "cnot" else (3,)))
+        assert u.dtype == complex and not u.flags.writeable
+        assert np.array_equal(u, np.array(m))
+        with pytest.raises(ValueError):
+            u[0, 0] = 0
+
+
 def test_rz_period_is_4pi():
     theta = 1.234
     a = G.gate_unitary(G.rz(0, theta))

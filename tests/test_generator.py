@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,3 +100,16 @@ def test_sv_spread_stats_reproducible_and_positive():
     assert a.min > 0
     assert a.max <= 1 + 1e-12
     assert a.samples == 20
+
+
+@pytest.mark.parametrize("coupling, depth, digest", [
+    ("linear", 25, "026186320b9496b36b0f490b7a7a2f81f3e863c624b1a22f06748f8a0da07d8f"),
+    ("t5", 17, "6cd8cdb69ab925de56023f18b5aa4756366346f300fd1af6b078231d479846b0"),
+])
+def test_generated_text_is_fixed(coupling, depth, digest):
+    # the texts of seeds 0-9, as an earlier edge filter (one set per edge)
+    # wrote them: the random stream and every gate stay as they were
+    cmap = linear_coupling_map(9) if coupling == "linear" else load_coupling_map(coupling)
+    text = "".join(G.circuit_to_text(generate(GeneratorConfig(cmap, depth=depth, seed=s)))
+                   for s in range(10))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

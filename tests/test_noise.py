@@ -237,6 +237,21 @@ def test_noisy_blocks_span_at_most_two_sites():
     assert np.abs(law - _dense_law(c, model, [0, 1, 3], v)).max() < 1e-12
 
 
+def test_fusion_leaves_the_fixed_unitaries_alone():
+    # the angle-free kinds share one read-only array each: fusing on states
+    # and on rho reads them, kept blocks included, and writes none of them
+    kept = {k: u.copy() for k, u in G.FIXED_UNITARIES.items()}
+    c = G.from_gates(4, [G.h(0), G.cnot(1, 0), G.x(3), G.t(2), G.cnot(2, 3), G.sdg(1),
+                         G.cnot(0, 1), G.h(3), G.x(1), G.cnot(3, 2), G.t(0)])
+    model = synth_model(linear_coupling_map(4), 0.05, 0.15, 0.05, np.random.default_rng(3))
+    v = _random_state(4, np.random.default_rng(4))
+    law = outcome_distribution(c, model, [0, 2], StateVector(4, v))
+    assert np.abs(law - _dense_law(c, model, [0, 2], v)).max() < 1e-12
+    ideal = marginal_probabilities(apply(c, StateVector(4, v)), [0, 2])
+    assert np.abs(ideal - _dense_law(c, NoiseModel(), [0, 2], v)).max() < 1e-12
+    assert all(np.array_equal(G.FIXED_UNITARIES[k], u) for k, u in kept.items())
+
+
 def test_noiseless_law_is_ideal_marginal_on_qsvt_circuit():
     _, varphi = phases_for((0.2, 0.0, 0.5, 0.0, 0.2), "even")
     c = build(random_ua(2, seed=33), varphi).circuit

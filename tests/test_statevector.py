@@ -261,6 +261,16 @@ def test_kernel_non_adjacent_pair_joins_a_block():
         _check_columns(t5, seed)
 
 
+def test_kernel_retries_an_owner_after_another_merges():
+    # (3, 1) first refuses the open (0, 1) block, since {0, 1, 3} is not
+    # contiguous; once (2, 3) has merged, (0, 1) makes 0..3 and joins it
+    c = G.from_gates(5, [G.h(0), G.cnot(0, 1), G.cnot(2, 3), G.cnot(3, 1), G.t(2),
+                         G.cnot(1, 0), G.u2(3, 0.5, 0.6)])
+    assert _sites(c) == [(0, 1, 2, 3)]
+    _check_against_reference(c, 8)
+    _check_columns(c, 8)
+
+
 @pytest.mark.parametrize("coupling, count", [("linear", 20), ("t5", 20), ("ladder15", 10)])
 def test_kernel_matches_dense_reference_on_random_maps(coupling, count):
     # seeded circuits of random depth and CNOT share; every fused block is

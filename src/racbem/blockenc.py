@@ -29,6 +29,10 @@ from . import gates as G
 from .chebpoly import QuadraticH
 from .statevector import UNITARY_QUBIT_CAP, _apply, _ideal, _run
 
+# rows in the pieces inverse_weight works in: the slabs of A_mid^T and of
+# h(A_mid) that it builds, and the steps of its elimination
+BLOCK = 32
+
 
 @dataclass(frozen=True)
 class BlockEncoding:
@@ -69,13 +73,20 @@ def inverse_weight(ua: BlockEncoding, q: QuadraticH) -> float:
     its sites S, and A = Post A_mid Pre: A^dag A drops Post, and
     h(A)^-1 = Pre^dag h(A_mid)^-1 Pre, where Pre moves |0^n> only and
     the norm drops Pre^dag.  Mid runs on S relabelled by rank, where
-    A_mid = a x I, so the solve is one LU of size 2^(|S|-1) with the
-    moved vector as many right-hand sides."""
+    A_mid = a x I, so the solve is one system of size 2^(|S|-1) with
+    the moved vector as many right-hand sides.  h(a) is built BLOCK rows
+    at a time in place of a^T (row slab j of a^dag a needs the rows of a^T
+    from j on, and Hermitian symmetry gives the rest) and solved in place
+    by `_block_solve`, so no other array is as large as h(a) and no BLAS
+    or LAPACK call sees more than BLOCK rows of it: the reference's peak
+    memory stays close to one 2^(|S|-1)-square array, whatever the cone."""
     if ua.m != 1:
         raise ValueError("inverse_weight needs a 1-ancilla block-encoding")
     n = ua.circuit.n_qubits
     if n > UNITARY_QUBIT_CAP:
         raise ValueError(f"{n} qubits exceeds unitary cap {UNITARY_QUBIT_CAP}")
+    if q.a0 <= 0 or q.a0 + q.a2 <= 0:
+        raise ValueError("inverse_weight needs h > 0 on [-1, 1]: a0 > 0 and a0 + a2 > 0")
     pre, ahead, cone = [], [], {0}
     for u, qs in _ideal(ua.circuit, 0, False):
         if cone.isdisjoint(qs):
@@ -91,12 +102,38 @@ def inverse_weight(ua: BlockEncoding, q: QuadraticH) -> float:
     sites = sorted(cone)
     k = 2 ** (len(sites) - 1)
     mid = [(u, tuple(map(sites.index, qs))) for u, qs in mid]
-    a = _apply(mid, np.eye(2 * k, k, dtype=complex), 2)[:k]
     v = _apply(pre, np.eye(2**n, 1, dtype=complex), 2)[: 2 ** (n - 1)]
     rhs = np.moveaxis(v.reshape((2,) * (n - 1)), [s - 1 for s in sites[1:]],
                       range(len(sites) - 1)).reshape(k, -1)
-    h = q.a2 * (a.conj().T @ a) + q.a0 * np.eye(k)
-    return float(np.linalg.norm(np.linalg.solve(h, rhs)) ** 2)
+    hb = np.empty((k, k + rhs.shape[1]), dtype=complex)  # [h(a) | rhs]
+    h = hb[:, :k]
+    for j in range(0, k, BLOCK):  # a^T, BLOCK rows at a time
+        h[j : j + BLOCK] = _apply(mid, np.eye(2 * k, min(BLOCK, k - j), -j, dtype=complex), 2)[:k].T
+    for j in range(0, k, BLOCK):  # a^dag a over a^T's rows j on, which no later step reads
+        h[j : j + BLOCK, j:] = h[j : j + BLOCK].conj() @ h[j:].T
+        h[j : j + BLOCK, :j] = h[:j, j : j + BLOCK].conj().T
+    h *= q.a2
+    h[range(k), range(k)] += q.a0
+    hb[:, k:] = rhs
+    return float(np.linalg.norm(_block_solve(hb, k)) ** 2)
+
+
+def _block_solve(hb: np.ndarray, k: int) -> np.ndarray:
+    """h^-1 b from hb = [h | b], which it overwrites, for a Hermitian positive
+    definite h of size k: block Gaussian elimination BLOCK rows at a time,
+    pivoting only within a block, since every Schur complement of such an
+    h is Hermitian positive definite too.  For k <= BLOCK it is one
+    np.linalg.solve."""
+    for j in range(0, k, BLOCK):
+        e = min(j + BLOCK, k)
+        hb[j:e, e:] = np.linalg.solve(hb[j:e, j:e], hb[j:e, e:])
+        for i in range(e, k, BLOCK):
+            hb[i : i + BLOCK, e:] -= hb[i : i + BLOCK, j:e] @ hb[j:e, e:]
+    x = hb[:, k:]
+    for j in reversed(range(0, k, BLOCK)):
+        e = min(j + BLOCK, k)
+        x[j:e] -= hb[j:e, e:k] @ x[e:]
+    return x
 
 
 def _under_signal(ua: BlockEncoding, who: str):

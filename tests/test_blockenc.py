@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from racbem import gates as G
+from racbem import blockenc, gates as G
 from racbem.blockenc import (
+    BLOCK,
     BlockEncoding,
     alternate,
     build_canonical_hracbem,
@@ -186,11 +188,14 @@ def _dense_weight(ua, q):
 
 
 def _weight_and_solves(monkeypatch, ua, q):
-    """inverse_weight, and the size of each system it solves."""
-    sizes, solve = [], np.linalg.solve
+    """inverse_weight, and the size of each system it solves; no
+    np.linalg.solve inside it sees more than BLOCK rows."""
+    sizes, rows, solve, block_solve = [], [], np.linalg.solve, blockenc._block_solve
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "solve", lambda a, b: sizes.append(len(a)) or solve(a, b))
+        m.setattr(np.linalg, "solve", lambda a, b: rows.append(len(a)) or solve(a, b))
+        m.setattr(blockenc, "_block_solve", lambda hb, k: sizes.append(k) or block_solve(hb, k))
         w = inverse_weight(ua, q)
+    assert max(rows) <= BLOCK
     return w, sizes
 
 
@@ -251,6 +256,37 @@ def test_inverse_weight_solves_on_the_cone_only(monkeypatch):
     at = [i for i, (_, qs) in enumerate(blocks) if 0 in qs]
     assert {p for _, qs in blocks[at[0]:at[-1] + 1] for p in qs} == set(range(9))
     assert _weight_and_solves(monkeypatch, ua, q)[1] == [32]
+
+
+def test_block_solve_is_the_dense_solve():
+    # sizes below, at, between and above multiples of BLOCK
+    rng = np.random.default_rng(7)
+    for k, cols in ((5, 1), (BLOCK, 3), (3 * BLOCK + 8, 2), (8 * BLOCK, 1)):
+        m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        h = m.conj().T @ m / k + 0.01 * np.eye(k)
+        b = rng.normal(size=(k, cols)) + 1j * rng.normal(size=(k, cols))
+        x = blockenc._block_solve(np.hstack([h, b]), k)
+        assert np.allclose(h @ x, b, rtol=0, atol=1e-10)
+
+
+def test_inverse_weight_holds_no_array_beyond_h():
+    # generate_instance(8, 3000001)'s cone is all 9 sites, so h is 256 x 256
+    # (1 MB); building all 512 x 256 columns of the cone at once held 4 MB
+    ua, q = generate_instance(8, 3000001), quadratic_for_condition(20.0)
+    inverse_weight(ua, q)  # U_A's blocks are fused once, outside the count
+    tracemalloc.start()
+    try:
+        inverse_weight(ua, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256**2 * 16 + 2**20
+
+
+def test_inverse_weight_needs_a_positive_h():
+    ua = generate_instance(2, 0)
+    with pytest.raises(ValueError, match="h > 0"):
+        inverse_weight(ua, QuadraticH(1.0, -0.5))
 
 
 def test_inverse_weight_keeps_the_qubit_cap():

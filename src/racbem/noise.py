@@ -6,10 +6,15 @@ measured qubit carries a 2x2 readout confusion matrix.  A parameter
 sigma in [0, 1] interpolates between noiseless (0) and the full model
 (1) by scaling every non-correct probability.  Shots are independent,
 so the counts are one multinomial draw from the exact outcome law.  The
-density matrix rho is held as n four-level sites, site q being the pair
-(row bit q, column bit q), so a gate and its Pauli channel act as one
-4^k x 4^k block on the gate's sites and rho passes once through the
-statevector kernel; the readout rows then mix the measured marginal.
+density matrix rho is held as its real Pauli coefficients c_P = Tr(P rho)
+on n four-level sites, site q holding qubit q's factor of P (I, X, Y or
+Z).  A gate acts on them as its real Pauli-transfer block (Chow et al.,
+PRL 109, 060501 (2012)), and its Pauli channel as one scaling lambda_P
+per Pauli, so the two are one real 4^k x 4^k block on the gate's sites,
+and rho passes once through the statevector kernel.  The diagonal of rho
+is read off the I and Z coefficients; the readout rows then mix the
+measured marginal.  The transfer blocks of the angle-free kinds are
+built once, at import.
 Each law is computed once per (circuit, measured, input) per model, and
 a run scales its model once, so once per run.  The model also keeps the
 fused noisy blocks of each part reference, so the laws of a run share
@@ -19,18 +24,24 @@ to a model, so a run's scaled model goes when the run ends.
 
 from __future__ import annotations
 
-import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import ADJOINT_KINDS, ONE_QUBIT_KINDS, QuantumCircuit, gate_unitary
+from .gates import (
+    ADJOINT_KINDS,
+    FIXED_UNITARIES,
+    ONE_QUBIT_KINDS,
+    QuantumCircuit,
+    gate_unitary,
+)
 from .statevector import (
     UNITARY_QUBIT_CAP,
     CountsHistogram,
     StateVector,
+    _apply,
     _marginal,
     _run,
     sample_from_probs,
@@ -44,8 +55,12 @@ DIST_TOL = 1e-12
 SCHEMA = 1
 
 
+def _labels(n_ops: int) -> tuple[str, ...]:
+    return PAULI_1Q if n_ops == 1 else PAULI_2Q
+
+
 def _check_dist(dist: dict[str, float], n_ops: int) -> dict[str, float]:
-    labels = PAULI_1Q if n_ops == 1 else PAULI_2Q
+    labels = _labels(n_ops)
     out = {}
     for k, v in dist.items():
         if k not in labels:
@@ -76,7 +91,7 @@ class NoiseModel:
     readout: dict[int, tuple[tuple[float, float], tuple[float, float]]] = field(
         default_factory=dict
     )
-    _channels: dict = field(init=False, repr=False, compare=False)  # key -> channel superop
+    _channels: dict = field(init=False, repr=False, compare=False)  # key -> channel eigenvalues
     _laws: dict = field(init=False, repr=False, compare=False)  # (circuit, measured, input) -> law
     _blocks: dict = field(init=False, repr=False, compare=False)  # part reference -> fused blocks
 
@@ -86,8 +101,10 @@ class NoiseModel:
             qubits = tuple(int(q) for q in qubits)
             checked[(kind, qubits)] = _check_dist(dist, len(qubits))
         object.__setattr__(self, "gate_errors", checked)
+        # a Pauli channel scales each Pauli P by lambda_P = sum_Q p_Q (+-1 as
+        # P and Q commute or not)
         object.__setattr__(self, "_channels", {
-            key: sum(p * _PAULI_SUPEROPS[lab] for lab, p in dist.items())
+            key: _SIGNS[len(key[1])] @ [dist.get(lab, 0.0) for lab in _labels(len(key[1]))]
             for key, dist in checked.items()})
         object.__setattr__(self, "_laws", {})
         object.__setattr__(self, "_blocks", {})
@@ -113,10 +130,13 @@ class NoiseModel:
         )
 
     def _block(self, g) -> np.ndarray:
-        """Gate g on rho: its Pauli channel times its superoperator."""
-        sup = _superop(gate_unitary(g))
+        """Gate g on rho's Pauli coefficients: its transfer block, each row
+        P scaled by its channel's lambda_P."""
+        block = FIXED_TRANSFERS.get(g.kind)
+        if block is None:
+            block = _transfer(gate_unitary(g))
         channel = self._channels.get((g.kind, g.qubits))
-        return sup if channel is None else channel @ sup
+        return block if channel is None else channel[:, None] * block
 
     @classmethod
     def from_json(cls, text: str) -> "NoiseModel":
@@ -190,24 +210,40 @@ def synth_model(
     return NoiseModel(ge, ro)
 
 
-_PAULI = dict(zip(PAULI_1Q, (np.eye(2), np.array([[0, 1], [1, 0]]),
-                            np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))))
+# I, X, Y, Z, in the order of PAULI_1Q
+_PAULIS = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
+
+# rho's sites hold Pauli coefficients: site q's entry (row bit r, column
+# bit c) goes to c_P = sum P[c, r] rho[r, c], and back on the diagonal as
+# rho[b, b] = (c_I + (-1)^b c_Z) / 2
+_TO_PAULI = _PAULIS.transpose(0, 2, 1).reshape(4, 4)
+_FROM_IZ = np.array([[1.0, 1.0], [1.0, -1.0]]) / 2
+
+# u's Pauli-transfer entry (P, Q) = Tr(P u Q u^dag) / 2 is linear in
+# u (x) conj u: the sum over a, b, c, d of P[a, b] Q[c, d] u[b, c] conj u[a, d] / 2
+_ONE_QUBIT_TRANSFER = np.einsum("pab,qcd->pqbcad", _PAULIS, _PAULIS).reshape(16, 16) / 2
+
+# +1 where two one-qubit Paulis commute, -1 where they anticommute
+_SIGNS_1Q = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
+_SIGNS = {1: _SIGNS_1Q, 2: np.kron(_SIGNS_1Q, _SIGNS_1Q)}
 
 
-def _superop(u: np.ndarray) -> np.ndarray:
-    """rho -> u rho u^dagger for a k-qubit u, as a 4^k x 4^k block in site
-    order: the outer product of u and conj u with each row bit moved next
-    to its column bit."""
-    k = len(u).bit_length() - 1
-    t = u.reshape((2,) * 2 * k)
-    site = [a for q in range(k) for a in (q, q + 2 * k)]
-    sup = np.multiply.outer(t, t.conj()).transpose(site + [a + k for a in site])
-    return sup.reshape(len(u) ** 2, -1)
+def _transfer(u: np.ndarray) -> np.ndarray:
+    """rho -> u rho u^dagger for a k-qubit u on rho's Pauli coefficients:
+    the real 4^k x 4^k block whose entry (P, Q) is Tr(P u Q u^dag) / 2^k."""
+    if len(u) == 2:
+        return (_ONE_QUBIT_TRANSFER @ np.multiply.outer(u, u.conj()).reshape(-1)).real.reshape(4, 4)
+    p = np.array([np.kron(a, b) for a in _PAULIS for b in _PAULIS])  # in PAULI_2Q order
+    return np.einsum("pab,bc,qcd,ad->pq", p, u, p, u.conj(), optimize=True).real / len(u)
 
 
-# built once, so that a gate's channel is a weighted sum of table entries
-_PAULI_SUPEROPS = {lab: _superop(functools.reduce(np.kron, (_PAULI[ch] for ch in lab)))
-                   for lab in PAULI_1Q + PAULI_2Q}
+def _read_only(block: np.ndarray) -> np.ndarray:
+    block.setflags(write=False)  # shared by every gate of its kind
+    return block
+
+
+# the transfer blocks of the kinds without angles, built once
+FIXED_TRANSFERS = {kind: _read_only(_transfer(u)) for kind, u in FIXED_UNITARIES.items()}
 
 
 def coverage(model: NoiseModel, circuits) -> float:
@@ -230,9 +266,11 @@ def outcome_distribution(
 ) -> np.ndarray:
     """Exact distribution of the read bitstrings (measured[0] first).
 
-    rho = |psi><psi| is laid out as n four-level sites and passes once
-    through `statevector._run`, each gate's block being its Pauli channel
-    times its superoperator.  The diagonal (sites at 0 or 3) is the
+    rho = |psi><psi| is laid out as n (row bit, column bit) sites, turned
+    into its real Pauli coefficients by one 4 x 4 block per site, and
+    passes once through `statevector._run`, each gate's block being its
+    transfer block scaled by its channel.  The diagonal, (c_I + c_Z) / 2
+    and (c_I - c_Z) / 2 per site from the sites at 0 or 3, is the
     outcome law, whose measured marginal the readout rows then mix.
     The law is kept on the model, read-only, and returned again for the
     same (circuit, measured, input)."""
@@ -246,9 +284,11 @@ def outcome_distribution(
     psi = input_state.amplitudes.reshape((2,) * n)
     interleave = [a for q in range(n) for a in (q, q + n)]
     rho = np.multiply.outer(psi, psi.conj()).transpose(interleave).reshape(-1)
-    rho = _run(c, rho, model._block, model._blocks)
-    probs = np.clip(rho.reshape((4,) * n)[(slice(None, None, 3),) * n].real, 0.0, None)
-    marg = _marginal(probs, measured).reshape((2,) * len(measured))
+    coeffs = _apply([(_TO_PAULI, (q,)) for q in range(n)], rho, 4).real
+    coeffs = _run(c, coeffs, model._block, model._blocks)
+    iz = coeffs.reshape((4,) * n)[(slice(None, None, 3),) * n].reshape(-1)
+    probs = np.clip(_apply([(_FROM_IZ, (q,)) for q in range(n)], iz, 2), 0.0, None)
+    marg = _marginal(probs.reshape((2,) * n), measured).reshape((2,) * len(measured))
     for pos, q in enumerate(measured):
         rows = model.readout.get(q)
         if rows is not None:

@@ -2,22 +2,26 @@
 
 States are complex vectors of length 2**n, qubit 0 the most significant
 bit of the index.  The kernel, `_run`, sees an array as n sites of
-dimension d (2 for states, 4 for the density matrices of `noise`).  It
-fuses a circuit part by part, in one pass over a part's gates: a gate
-whose sites were all last touched by one block folds back into it, and
-any other gate starts a block that merges the open blocks (those no later
-block touches) on its sites, while the merged sites are two sites or a
-contiguous run of at most BLOCK_DIM_CAP = 16 amplitudes: four sites of a
-state, two of rho.  A part is a (leaf, offset, dagger) reference, such
-as the U_A that a QSVT circuit applies d times.  A leaf is fused once
-and keeps its ideal blocks; a reference takes them moved up by its
-offset and, for dagger, conjugate-transposed in reverse order.  On rho,
-whose noise channels are keyed by absolute qubits, each distinct
-reference is fused once per noise model from its placed gates.  Each
-block on sites lo..lo+k-1 is one `matmul` on a (d**lo, d**k, rest) view
-of a state, the identity, a block-encoding's kept columns or rho; when
-rest is the shorter side, one product with the block's axis moved to the
-front.  A non-adjacent pair (the t5 map) is one `tensordot`.
+dimension d: 2 for complex states, 4 for the density matrices of `noise`,
+whose sites hold real Pauli coefficients (I, X, Y, Z) and whose blocks
+are real, merged blocks included.  It fuses a circuit part by part, in
+one pass over a part's gates: a gate whose sites were all last touched
+by one block folds back into it, and any other gate starts a block that
+merges the open blocks (those no later block touches) on its sites,
+while the merged sites are two sites or a contiguous run of at most
+BLOCK_DIM_CAP = 16 amplitudes: four sites of a state, two of rho.  A
+part is a (leaf, offset, dagger) reference, such as the U_A that a QSVT
+circuit applies d times.  A leaf is fused once and keeps its ideal
+blocks; a reference takes them moved up by its offset and, for dagger,
+conjugate-transposed in reverse order.  On rho, whose noise channels are
+keyed by absolute qubits, each distinct reference is fused once per
+noise model from its placed gates.  Each block on sites lo..lo+k-1 is
+one `matmul` on a (d**lo, d**k, rest) view of a state, the identity, a
+block-encoding's kept columns or rho, except where a measured rule picks
+one product with the block's axis moved to the front: at 32 or more rows
+of d**lo, on a complex array when rest is the shorter side, on a real
+one when rest is 1.  A non-adjacent pair (the t5 map) is one
+`tensordot`.
 
 Sampled counts stay one vector, `CountsHistogram.draws`, in the same
 bitstring order as the outcome laws, from the draw to every reader;
@@ -77,7 +81,7 @@ def _fuse(layers, d: int, mat) -> list:
     merged, since the grown span may make it contiguous (a non-adjacent
     pair of the t5 map).  Open blocks share no site and commute forward to
     the gate, so the merged block is they and the gate in turn on the
-    identity, with sites relabelled by rank."""
+    identity of their dtype (real on rho), with sites relabelled by rank."""
     blocks: list = []  # merged-away blocks become None
     last: dict[int, int] = {}  # site -> index of the block that last touched it
     for g in itertools.chain.from_iterable(layers):
@@ -109,7 +113,8 @@ def _fuse(layers, d: int, mat) -> list:
         if olds:
             span = tuple(sorted(span))
             moved = [(v, tuple(map(span.index, ps))) for v, ps in olds + [(u, qs)]]
-            u, qs = _apply(moved, np.eye(d ** len(span), dtype=complex), d), span
+            eye = np.eye(d ** len(span), dtype=np.result_type(*(v for v, _ in moved)))
+            u, qs = _apply(moved, eye, d), span
         for q in qs:
             last[q] = len(blocks)
         blocks.append((u, qs))
@@ -162,9 +167,10 @@ def _apply(blocks, arr: np.ndarray, d: int) -> np.ndarray:
             continue
         k = len(u)
         v = arr.reshape(d ** qs[0], k, -1)
-        if v.shape[2] < len(v):
-            # a batch of many tiny products costs more than one product
-            # with the block's axis moved to the front
+        if len(v) >= 32 and (v.shape[2] == 1 if arr.dtype.kind == "f" else v.shape[2] < len(v)):
+            # measured on one BLAS thread: a batch of 32 or more small
+            # complex products, or of real matrix-vector products, costs
+            # more than one product with the block's axis moved to the front
             arr = u @ v.transpose(1, 0, 2).reshape(k, -1)
             arr = arr.reshape(k, len(v), -1).transpose(1, 0, 2)
         else:

@@ -53,6 +53,7 @@ from .oracle import (
 from .phasefactors import CONVERGED_L, optimize, to_varphi
 from .qsvt import QsvtCircuit, build
 from .statevector import (
+    UNITARY_QUBIT_CAP,
     StateVector,
     apply,
     marginal_probabilities,
@@ -311,6 +312,13 @@ def linpack_run(
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
     t0 = time.perf_counter()
+    run = _Measure(shots, noise_model, sigma, seed)
+    # the reference holds U_A's n + 1 qubits, a noisy law rho on the
+    # circuit's n + 2: check both before the fit and the phase solve
+    if n + 1 > UNITARY_QUBIT_CAP:
+        raise ValueError(f"{n + 1} qubits exceeds unitary cap {UNITARY_QUBIT_CAP}")
+    if run.noise is not None and n + 2 > UNITARY_QUBIT_CAP:
+        raise ValueError(f"{n + 2} qubits exceeds the density-matrix cap {UNITARY_QUBIT_CAP}")
     ua = generate_instance(n, seed, p_cnot, depth, coupling)
     q = quadratic_for_condition(kappa)
     # margin 0 keeps alpha at kappa (plus fit overshoot only), so the
@@ -319,7 +327,6 @@ def linpack_run(
     qc, point = _point(ua, q, inverse(kappa), d, margin=0.0)
     alpha = point["scale"]
     eps = point["fit_error"] / alpha
-    run = _Measure(shots, noise_model, sigma, seed)
     p_exact = inverse_weight(ua, q) / alpha**2
     bound_floor = (1 / kappa - eps) ** 2
     params = {

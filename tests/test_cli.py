@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from racbem import cli
+from racbem import cli, tasks
 from racbem.chebpoly import ChebPoly, fit_on_interval, lorentzian_sqrt, odd_gibbs
 from racbem.generator import default_depth
 
@@ -155,7 +155,12 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
 
 
 def test_linpack_past_the_qubit_cap_exits_4(tmp_path, monkeypatch, capsys):
-    # the exact reference keeps the unitary cap of 12 qubits, light cone or not
+    # the exact reference keeps the unitary cap of 12 qubits, light cone or
+    # not, and the register is checked before any phase solve
+    def no_solve(f):
+        raise AssertionError("phase solve before the cap check")
+
+    monkeypatch.setattr(tasks, "optimize", no_solve)
     out = tmp_path / "l.json"
     assert run(["linpack", "--n", "12", "--seed", "0", "--kappa", "2", "--d", "2", "--exact",
                 "--out", str(out)], monkeypatch, tmp_path) == 4

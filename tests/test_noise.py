@@ -14,6 +14,7 @@ from racbem.generator import (
     load_coupling_map,
 )
 from racbem.noise import (
+    FIXED_TRANSFERS,
     PAULI_1Q,
     PAULI_2Q,
     NoiseModel,
@@ -238,9 +239,13 @@ def test_noisy_blocks_span_at_most_two_sites():
 
 
 def test_fusion_leaves_the_fixed_unitaries_alone():
-    # the angle-free kinds share one read-only array each: fusing on states
-    # and on rho reads them, kept blocks included, and writes none of them
+    # the angle-free kinds share one read-only unitary and one read-only
+    # transfer block each: fusing on states and on rho reads them, kept
+    # blocks included, and writes none of them
     kept = {k: u.copy() for k, u in G.FIXED_UNITARIES.items()}
+    transfers = {k: b.copy() for k, b in FIXED_TRANSFERS.items()}
+    assert set(transfers) == set(kept)
+    assert not any(b.flags.writeable for b in FIXED_TRANSFERS.values())
     c = G.from_gates(4, [G.h(0), G.cnot(1, 0), G.x(3), G.t(2), G.cnot(2, 3), G.sdg(1),
                          G.cnot(0, 1), G.h(3), G.x(1), G.cnot(3, 2), G.t(0)])
     model = synth_model(linear_coupling_map(4), 0.05, 0.15, 0.05, np.random.default_rng(3))
@@ -250,6 +255,35 @@ def test_fusion_leaves_the_fixed_unitaries_alone():
     ideal = marginal_probabilities(apply(c, StateVector(4, v)), [0, 2])
     assert np.abs(ideal - _dense_law(c, NoiseModel(), [0, 2], v)).max() < 1e-12
     assert all(np.array_equal(G.FIXED_UNITARIES[k], u) for k, u in kept.items())
+    assert all(np.array_equal(FIXED_TRANSFERS[k], b) for k, b in transfers.items())
+
+
+def test_noisy_blocks_are_real():
+    # rho's sites hold real Pauli coefficients, so every fused block on
+    # them is float64: folded back, merged or a lone gate, with angles or not
+    _, varphi = phases_for((0.2, 0.0, 0.5, 0.0, 0.2), "even")
+    c = build(random_ua(2, seed=33), varphi).circuit
+    model = synth_model(linear_coupling_map(4), 0.05, 0.15, 0.05, np.random.default_rng(8))
+    blocks = statevector._fused(c, 4, model._block, {})
+    assert len(blocks) > 1 and all(u.dtype == np.float64 for u, _ in blocks)
+
+
+def test_outcome_law_matches_dense_reference_on_a_basis_input():
+    # a reversed cnot(1, 0), readout rows on every qubit and the input
+    # |101>, whose Pauli coefficients are not those of |000>
+    rng = np.random.default_rng(12)
+    c = G.from_gates(3, [G.h(1), G.cnot(1, 0), G.u3(2, 0.4, 1.3, -0.6), G.cnot(1, 2),
+                         G.sdg(0), G.cnot(1, 0), G.rz(1, 0.8), G.h(0)])
+    ge = {(g.kind, g.qubits): _random_dist(PAULI_1Q if len(g.qubits) == 1 else PAULI_2Q, rng)
+          for g in c.gates()}
+    ro = {0: ((0.95, 0.05), (0.08, 0.92)), 1: ((0.9, 0.1), (0.2, 0.8)),
+          2: ((0.97, 0.03), (0.06, 0.94))}
+    m = NoiseModel(ge, ro)
+    v = StateVector.basis(3, 5)
+    for measured in ([0, 1, 2], [2, 1], [1]):
+        law = outcome_distribution(c, m, measured, v)
+        assert np.abs(law - _dense_law(c, m, measured, v.amplitudes)).max() < 1e-12
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_noiseless_law_is_ideal_marginal_on_qsvt_circuit():

@@ -271,6 +271,43 @@ def test_kernel_retries_an_owner_after_another_merges():
     _check_columns(c, 8)
 
 
+def _einsum_apply(u: np.ndarray, qs: tuple, arr: np.ndarray, d: int, n: int) -> np.ndarray:
+    """u on the sites qs of arr's n d-level sites, by one np.einsum over
+    the full tensor: the block's column indices are summed against the
+    sites, its row indices take their place."""
+    k = len(qs)
+    rows = [n + j for j in range(k)]
+    out = [rows[qs.index(q)] if q in qs else q for q in range(n)]
+    return np.einsum(u.reshape((d,) * 2 * k), rows + list(qs), arr.reshape((d,) * n),
+                     list(range(n)), out).reshape(-1)
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (2, 5), (2, 10), (4, 3), (4, 5)])
+def test_apply_matches_einsum_at_every_position(d, n):
+    # complex states (d = 2) and real rho coefficients (d = 4); blocks of
+    # 4 and 16 entries at every contiguous position and on every
+    # non-adjacent pair (the tensordot).  The batched matmul is taken
+    # everywhere but at the 10-site state's blocks from site 5 on and at
+    # the last site of the 5-site rho, which take the one product
+    rng = np.random.default_rng(10 * d + n)
+    real = d == 4
+    arr = rng.normal(size=d**n) if real else _random_state(n, rng)
+    for size in (4, 16):
+        k = round(np.log(size) / np.log(d))
+        if k > n:
+            continue
+        places = [tuple(range(lo, lo + k)) for lo in range(n - k + 1)]
+        if k == 2:
+            places += [(a, b) for a in range(n) for b in range(a + 2, n)]
+        for qs in places:
+            u = rng.normal(size=(size, size))
+            if not real:
+                u = u + 1j * rng.normal(size=(size, size))
+            got = statevector._apply([(u, qs)], arr.copy(), d)
+            assert got.dtype == arr.dtype
+            assert np.abs(got - _einsum_apply(u, qs, arr, d, n)).max() < 1e-12 * np.abs(got).max()
+
+
 @pytest.mark.parametrize("coupling, count", [("linear", 20), ("t5", 20), ("ladder15", 10)])
 def test_kernel_matches_dense_reference_on_random_maps(coupling, count):
     # seeded circuits of random depth and CNOT share; every fused block is

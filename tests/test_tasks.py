@@ -181,6 +181,20 @@ def test_linpack_exact_bound_holds():
     assert r.gate_counts["total"] <= r.params["gate_budget"]
 
 
+def test_noisy_linpack_checks_the_density_matrix_cap_first(monkeypatch):
+    # rho holds the circuit's n + 2 qubits, one more than the reference's
+    # U_A: at n = 11 a noisy run fails before the fit, an exact one does not
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit before the cap check")
+
+    monkeypatch.setattr(tasks, "fit_on_interval", no_fit)
+    model = NoiseModel(readout={0: ((0.9, 0.1), (0.1, 0.9))})
+    with pytest.raises(ValueError, match="^13 qubits exceeds the density-matrix cap 12$"):
+        linpack_run(2.0, 11, 2, 0, shots=16, noise_model=model, sigma=1.0)
+    with pytest.raises(AssertionError, match="fit before"):
+        linpack_run(2.0, 11, 2, 0)
+
+
 def test_linpack_validation():
     with pytest.raises(ValueError):
         linpack_run(0.5, 2, 4, 0)

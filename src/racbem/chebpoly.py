@@ -180,27 +180,6 @@ def apply_scaling(
     return (lambda x, _s=scale: np.asarray(t(x)) / _s), scale
 
 
-# -- Chebyshev projection -----------------------------------------------
-
-
-def cheb_interp_coeffs(
-    f: Callable, degree: int, interval: tuple[float, float] = (-1.0, 1.0)
-) -> np.ndarray:
-    """Chebyshev coefficients from first-kind-node interpolation.
-
-    Uses 2*(degree + 1) nodes on the mapped interval, so the result is a
-    near-best truncation (aliasing error only) of degree ``degree``."""
-    a, b = interval
-    npts = 2 * (degree + 1)
-    theta = (2 * np.arange(npts) + 1) * np.pi / (2 * npts)
-    xi = np.cos(theta)
-    xs = 0.5 * (b - a) * xi + 0.5 * (b + a)
-    vals = np.asarray(f(xs), dtype=float)
-    # discrete orthogonality of T_k at first-kind nodes
-    full = np.polynomial.chebyshev.chebfit(xi, vals, npts - 1)
-    return full[: degree + 1]
-
-
 # -- Remez minimax fitting ----------------------------------------------
 
 REMEZ_MAX_ITER = 100
@@ -237,6 +216,8 @@ def _remez_core(f: Callable, w: Callable, degree: int,
     between its grid neighbours.  A fit that does not level is retried
     once at degree + 1 (`widen`), and kept if its top coefficient is 0."""
     a, b = interval
+    if a >= b:
+        raise ValueError(f"empty fit interval [{a}, {b}]")
     npts = degree + 2
 
     def to_ab(u):
@@ -417,7 +398,10 @@ def project_on_interval(
     unscaled target divided by scale, measured on a dense grid."""
     if interval is None:
         interval = getattr(t, "domain", (-1.0, 1.0))
-    local = cheb_interp_coeffs(lambda x: np.asarray(t(x)) / scale, degree, interval)
+    a, b = interval
+    # interpolation at 2 (degree + 1) first-kind nodes, truncated: aliasing error only
+    local = C.chebinterpolate(lambda u: np.asarray(t(0.5 * (b - a) * u + 0.5 * (b + a))) / scale,
+                              2 * degree + 1)[: degree + 1]
     fit = IntervalFit(tuple(local), interval, scale, 0.0)
     xs = np.linspace(interval[0], interval[1], 4001)
     err = float(np.abs(scale * fit(xs) - np.asarray(t(xs))).max())

@@ -11,13 +11,13 @@ on n four-level sites, site q holding qubit q's factor of P (I, X, Y or
 Z).  A gate acts on them as its real Pauli-transfer block (Chow et al.,
 PRL 109, 060501 (2012)), and its Pauli channel as one scaling lambda_P
 per Pauli, so the two are one real 4^k x 4^k block on the gate's sites,
-and rho passes once through the statevector kernel.  The diagonal of rho
-is read off the I and Z coefficients; the readout rows then mix the
-measured marginal.  The transfer blocks of the angle-free kinds are
-built once, at import.
-Each law is computed once per (circuit, measured, input) per model, and
-a run scales its model once, so once per run.  The model also keeps the
-fused noisy blocks of each part reference, so the laws of a run share
+and rho passes once through the statevector kernel (`_fuse`, `_apply`).
+The diagonal of rho is read off the I and Z coefficients; the readout
+rows then mix the measured marginal.  The transfer blocks of the
+angle-free kinds are built once, at import.  Each law is computed once
+per (circuit, measured, input) per model, and a run scales its model
+once, so once per run.  The model also fuses and keeps the noisy blocks
+of each part reference (`NoiseModel._fused`), so the laws of a run share
 one fusion of U_A and one of U_A^dag.  Nothing on a circuit refers back
 to a model, so a run's scaled model goes when the run ends.
 """
@@ -36,14 +36,15 @@ from .gates import (
     ONE_QUBIT_KINDS,
     QuantumCircuit,
     gate_unitary,
+    placed_layers,
 )
 from .statevector import (
     UNITARY_QUBIT_CAP,
     CountsHistogram,
     StateVector,
     _apply,
+    _fuse,
     _marginal,
-    _run,
     sample_from_probs,
 )
 
@@ -137,6 +138,15 @@ class NoiseModel:
             block = _transfer(gate_unitary(g))
         channel = self._channels.get((g.kind, g.qubits))
         return block if channel is None else channel[:, None] * block
+
+    def _fused(self, c: QuantumCircuit) -> list:
+        """c's blocks on rho: each part reference's, fused once per model from its placed gates."""
+        out: list = []
+        for ref in c.refs():
+            if ref not in self._blocks:
+                self._blocks[ref] = _fuse(placed_layers(*ref), 4, self._block)
+            out += self._blocks[ref]
+        return out
 
     @classmethod
     def from_json(cls, text: str) -> "NoiseModel":
@@ -268,10 +278,11 @@ def outcome_distribution(
 
     rho = |psi><psi| is laid out as n (row bit, column bit) sites, turned
     into its real Pauli coefficients by one 4 x 4 block per site, and
-    passes once through `statevector._run`, each gate's block being its
-    transfer block scaled by its channel.  The diagonal, (c_I + c_Z) / 2
-    and (c_I - c_Z) / 2 per site from the sites at 0 or 3, is the
-    outcome law, whose measured marginal the readout rows then mix.
+    passes once through the model's fused blocks (`NoiseModel._fused`),
+    each gate's block being its transfer block scaled by its channel.
+    The diagonal, (c_I + c_Z) / 2 and (c_I - c_Z) / 2 per site from the
+    sites at 0 or 3, is the outcome law, whose measured marginal the
+    readout rows then mix.
     The law is kept on the model, read-only, and returned again for the
     same (circuit, measured, input)."""
     key = (c, tuple(measured), input_state.amplitudes.tobytes())
@@ -285,7 +296,7 @@ def outcome_distribution(
     interleave = [a for q in range(n) for a in (q, q + n)]
     rho = np.multiply.outer(psi, psi.conj()).transpose(interleave).reshape(-1)
     coeffs = _apply([(_TO_PAULI, (q,)) for q in range(n)], rho, 4).real
-    coeffs = _run(c, coeffs, model._block, model._blocks)
+    coeffs = _apply(model._fused(c), coeffs, 4)
     iz = coeffs.reshape((4,) * n)[(slice(None, None, 3),) * n].reshape(-1)
     probs = np.clip(_apply([(_FROM_IZ, (q,)) for q in range(n)], iz, 2), 0.0, None)
     marg = _marginal(probs.reshape((2,) * n), measured).reshape((2,) * len(measured))

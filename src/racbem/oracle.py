@@ -10,21 +10,19 @@ from __future__ import annotations
 import numpy as np
 
 from .chebpoly import ChebPoly
-from .statevector import StateVector
+from .statevector import UNITARY_QUBIT_CAP, StateVector
 
 SIGMA_TOL = 1e-8
 
 HERMITIAN_TOL = 1e-10
-
-DIM_CAP = 2**10
 
 
 def _check_matrix(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")
-    if A.shape[0] > DIM_CAP:
-        raise ValueError(f"dimension {A.shape[0]} exceeds cap {DIM_CAP}")
+    if A.shape[0] > 2 ** (UNITARY_QUBIT_CAP - 1):  # the system register of the largest U_A
+        raise ValueError(f"dimension {A.shape[0]} exceeds cap {2 ** (UNITARY_QUBIT_CAP - 1)}")
     if not np.all(np.isfinite(A)):
         raise ValueError("non-finite entries")
     return A
@@ -60,20 +58,23 @@ def _spectrum(H: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, np.abs(V.conj().T @ np.asarray(psi, dtype=complex)) ** 2
 
 
-def exact_time_series(H: np.ndarray, psi: np.ndarray, t: float) -> complex:
-    """<psi| exp(i H t) |psi> via eigendecomposition."""
+def exact_time_series(H: np.ndarray, psi: np.ndarray, t):
+    """<psi| exp(i H t) |psi> via one eigendecomposition: a complex at one
+    time t, an array at each of a grid of times."""
     lam, w = _spectrum(H, psi)
-    return complex(np.sum(w * np.exp(1j * lam * t)))
+    s = np.sum(w * np.exp(1j * lam * np.asarray(t, dtype=float)[..., None]), axis=-1)
+    return complex(s) if s.ndim == 0 else s
 
 
-def exact_spectral_measure(
-    H: np.ndarray, psi: np.ndarray, E: float, eta: float
-) -> float:
-    """Lorentzian-broadened local density of states at energy E."""
+def exact_spectral_measure(H: np.ndarray, psi: np.ndarray, E, eta: float):
+    """Lorentzian-broadened local density of states via one eigendecomposition:
+    a float at one energy E, an array at each of a grid of energies."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     lam, w = _spectrum(H, psi)
-    return float((eta / np.pi) * np.sum(w / ((lam - E) ** 2 + eta**2)))
+    E = np.asarray(E, dtype=float)[..., None]
+    s = (eta / np.pi) * np.sum(w / ((lam - E) ** 2 + eta**2), axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def exact_thermal_energy(H: np.ndarray, beta: float) -> float:

@@ -41,9 +41,6 @@ class QsvtCircuit:
     n_sys: int
     gate_budget: int
 
-    def as_block_encoding(self) -> BlockEncoding:
-        return BlockEncoding(self.circuit, self.n_sys, m=2)
-
 
 def build(
     ua: BlockEncoding, varphi: PhaseFactors, allow_odd: bool = False
@@ -65,4 +62,4 @@ def build(
 
 def block_of(qc: QsvtCircuit) -> np.ndarray:
     """The encoded matrix (both ancillas post-selected on 0)."""
-    return extract_block(qc.as_block_encoding())
+    return extract_block(BlockEncoding(qc.circuit, qc.n_sys, m=2))

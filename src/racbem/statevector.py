@@ -1,27 +1,26 @@
 """Dense statevector simulation, and the one circuit kernel.
 
 States are complex vectors of length 2**n, qubit 0 the most significant
-bit of the index.  The kernel, `_run`, sees an array as n sites of
-dimension d: 2 for complex states, 4 for the density matrices of `noise`,
-whose sites hold real Pauli coefficients (I, X, Y, Z) and whose blocks
-are real, merged blocks included.  It fuses a circuit part by part, in
-one pass over a part's gates: a gate whose sites were all last touched
-by one block folds back into it, and any other gate starts a block that
-merges the open blocks (those no later block touches) on its sites,
-while the merged sites are two sites or a contiguous run of at most
-BLOCK_DIM_CAP = 16 amplitudes: four sites of a state, two of rho.  A
-part is a (leaf, offset, dagger) reference, such as the U_A that a QSVT
-circuit applies d times.  A leaf is fused once and keeps its ideal
-blocks; a reference takes them moved up by its offset and, for dagger,
-conjugate-transposed in reverse order.  On rho, whose noise channels are
-keyed by absolute qubits, each distinct reference is fused once per
-noise model from its placed gates.  Each block on sites lo..lo+k-1 is
-one `matmul` on a (d**lo, d**k, rest) view of a state, the identity, a
-block-encoding's kept columns or rho, except where a measured rule picks
-one product with the block's axis moved to the front: at 32 or more rows
-of d**lo, on a complex array when rest is the shorter side, on a real
-one when rest is 1.  A non-adjacent pair (the t5 map) is one
-`tensordot`.
+bit of the index.  The kernel is two functions on n sites of dimension
+d: 2 for complex states, 4 for the density matrices of `noise`, whose
+sites hold real Pauli coefficients (I, X, Y, Z) and whose blocks are
+real, merged blocks included.  `_fuse` makes a part's blocks in one pass
+over its gates: a gate whose sites were all last touched by one block
+folds back into it, and any other gate starts a block that merges the
+open blocks (those no later block touches) on its sites, while the
+merged sites are two sites or a contiguous run of at most
+BLOCK_DIM_CAP = 16 amplitudes: four sites of a state, two of rho.
+`_apply` applies blocks.  `_run` applies a circuit's ideal blocks, part
+by part.  A part is a (leaf, offset, dagger) reference, such as the U_A
+that a QSVT circuit applies d times.  A leaf is fused once and keeps its
+ideal blocks; a reference takes them moved up by its offset and, for
+dagger, conjugate-transposed in reverse order.  `noise` fuses and keeps
+rho's blocks itself.  Each block on sites lo..lo+k-1 is one `matmul` on
+a (d**lo, d**k, rest) view of a state, the identity, a block-encoding's
+kept columns or rho, except where a measured rule picks one product
+with the block's axis moved to the front: at 32 or more rows of d**lo,
+on a complex array when rest is the shorter side, on a real one when
+rest is 1.  A non-adjacent pair (the t5 map) is one `tensordot`.
 
 Sampled counts stay one vector, `CountsHistogram.draws`, in the same
 bitstring order as the outcome laws, from the draw to every reader;
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import QuantumCircuit, gate_unitary, placed_layers
+from .gates import QuantumCircuit, gate_unitary
 
 UNITARY_QUBIT_CAP = 12
 
@@ -121,18 +120,6 @@ def _fuse(layers, d: int, mat) -> list:
     return [b for b in blocks if b is not None]
 
 
-def _fused(c: QuantumCircuit, d: int, mat, kept) -> list:
-    """c's blocks: its parts' blocks in turn.  kept maps a part reference
-    to its blocks of mat, fused once from the part's placed gates; None
-    stands for the ideal blocks (d = 2, mat = gate_unitary) of `_ideal`."""
-    out: list = []
-    for ref in c.refs():
-        if kept is not None and ref not in kept:
-            kept[ref] = _fuse(placed_layers(*ref), d, mat)
-        out += _ideal(*ref) if kept is None else kept[ref]
-    return out
-
-
 def _ideal(leaf: QuantumCircuit, offset: int, dagger: bool) -> list:
     """The ideal blocks of a part: leaf's, fused once, moved up offset
     sites and, for dagger, conjugate-transposed in reverse order.  They
@@ -148,12 +135,9 @@ def _ideal(leaf: QuantumCircuit, offset: int, dagger: bool) -> list:
     return kept[offset, dagger]
 
 
-def _run(c: QuantumCircuit, arr: np.ndarray, mat=gate_unitary, kept=None) -> np.ndarray:
-    """The circuit, with mat(g) as gate g's block, applied to arr of shape
-    (d**n,) or (d**n, cols): d = 2 for states, 4 for rho in site order.
-    kept holds the fused blocks of mat, as in `_fused`."""
-    d = 2 if len(arr) == 2**c.n_qubits else 4
-    return _apply(_fused(c, d, mat, kept), arr, d)
+def _run(c: QuantumCircuit, arr: np.ndarray) -> np.ndarray:
+    """The circuit's ideal blocks, part by part, on arr: (2**n,) or (2**n, cols)."""
+    return _apply([b for ref in c.refs() for b in _ideal(*ref)], arr, 2)
 
 
 def _apply(blocks, arr: np.ndarray, d: int) -> np.ndarray:

@@ -219,6 +219,14 @@ class _Measure:
                                G.gate_count(circuit), time.perf_counter() - t0)
 
 
+def _check_register(n: int, run: _Measure):
+    """Raise before any fit if U_A's n + 1 qubits, or rho's n + 2 on a noisy run, exceed the cap."""
+    if n + 1 > UNITARY_QUBIT_CAP:
+        raise ValueError(f"{n + 1} qubits exceeds unitary cap {UNITARY_QUBIT_CAP}")
+    if run.noise is not None and n + 2 > UNITARY_QUBIT_CAP:
+        raise ValueError(f"{n + 2} qubits exceeds the density-matrix cap {UNITARY_QUBIT_CAP}")
+
+
 def _qsvt_for(ua: BlockEncoding, f: ChebPoly, allow_odd: bool = False):
     """Phases for f, then the assembled circuit; returns (qsvt, residual)."""
     phases, residual = optimize(f)
@@ -313,12 +321,7 @@ def linpack_run(
         raise ValueError("kappa must be >= 1")
     t0 = time.perf_counter()
     run = _Measure(shots, noise_model, sigma, seed)
-    # the reference holds U_A's n + 1 qubits, a noisy law rho on the
-    # circuit's n + 2: check both before the fit and the phase solve
-    if n + 1 > UNITARY_QUBIT_CAP:
-        raise ValueError(f"{n + 1} qubits exceeds unitary cap {UNITARY_QUBIT_CAP}")
-    if run.noise is not None and n + 2 > UNITARY_QUBIT_CAP:
-        raise ValueError(f"{n + 2} qubits exceeds the density-matrix cap {UNITARY_QUBIT_CAP}")
+    _check_register(n, run)
     ua = generate_instance(n, seed, p_cnot, depth, coupling)
     q = quadratic_for_condition(kappa)
     # margin 0 keeps alpha at kappa (plus fit overshoot only), so the
@@ -389,11 +392,12 @@ def time_series_run(
         raise ValueError("grid and per-point parameter lists must align")
     if any(e < 1.0 for e in etas_real + etas_imag):
         raise ValueError("eta must be >= 1 at every point")
-    ua, q, hmat, psi = _canonical_instance(n, seed, p_cnot, depth, coupling, ua)
     run = _Measure(shots, noise_model, sigma, seed)
+    _check_register(n, run)
+    ua, q, hmat, psi = _canonical_instance(n, seed, p_cnot, depth, coupling, ua)
+    refs = exact_time_series(hmat, psi, ts).tolist()
     values, exact, reports = [], [], []
-    for t, dr, di, er, ei in zip(ts, lengths_real, lengths_imag, etas_real, etas_imag):
-        s_ref = exact_time_series(hmat, psi, t)
+    for t, dr, di, er, ei, s_ref in zip(ts, lengths_real, lengths_imag, etas_real, etas_imag, refs):
         parts = []
         for part, target, length, eta, ref in (
             ("real", cos_sqrt(t, er), dr, er, s_ref.real),
@@ -441,13 +445,14 @@ def spectral_run(
         lengths = (lengths,) * len(energies)
     if len(lengths) != len(energies):
         raise ValueError("need one phase length per energy point")
-    ua, q, hmat, psi = _canonical_instance(n, seed, p_cnot, depth, coupling, ua)
     run = _Measure(shots, noise_model, sigma, seed)
+    _check_register(n, run)
+    ua, q, hmat, psi = _canonical_instance(n, seed, p_cnot, depth, coupling, ua)
+    refs = exact_spectral_measure(hmat, psi, energies, eta).tolist()
     values, exact, reports = [], [], []
-    for E, length in zip(energies, lengths):
+    for E, length, s_ref in zip(energies, lengths, refs):
         t0 = time.perf_counter()
         qc, par = _point(ua, q, lorentzian_sqrt(eta, E), length - 1)
-        s_ref = exact_spectral_measure(hmat, psi, E, eta)
         r = run.point("spectral", seed, {"n": n, "E": E, "eta": eta, "length": length, **par},
                       qc.circuit, 2, s_ref * eta * math.pi / par["scale"]**2, t0)
         values.append(complex(par["scale"]**2 * r.p_measured / (eta * math.pi)))
@@ -546,12 +551,13 @@ def metts_run(
     if d_num % 2 == 0:
         raise ValueError(f"numerator degree must be odd, got {d_num}")
     t0 = time.perf_counter()
+    run = _Measure(shots, noise_model, sigma, seed)
+    _check_register(n, run)
     ua, q, hmat, _ = _canonical_instance(n, seed, p_cnot, depth, coupling, ua)
     f_num, err_num = fit_scaled(odd_gibbs(beta), d_num, "odd", (0.0, 1.0))
     qc_num, res_num = _qsvt_for(ua, f_num, allow_odd=True)
     qc_den, den = _point(ua, q, gibbs(beta), d_den)
 
-    run = _Measure(shots, noise_model, sigma, seed)
     rng = run.rng
     dim = 2**n
     n_tot = qc_den.circuit.n_qubits

@@ -76,6 +76,38 @@ def test_remez_at_most_projection_error():
         assert err_r <= proj.err / 2.0 + 1e-14
 
 
+def _chebfit_projection(f, degree, interval):
+    """The truncated expansion by least squares: chebfit of f at 2 (degree + 1)
+    first-kind nodes of the mapped interval, truncated to degree + 1 terms."""
+    a, b = interval
+    npts = 2 * (degree + 1)
+    xi = np.cos((2 * np.arange(npts) + 1) * np.pi / (2 * npts))
+    vals = np.asarray(f(0.5 * (b - a) * xi + 0.5 * (b + a)), dtype=float)
+    return C.chebfit(xi, vals, npts - 1)[: degree + 1]
+
+
+def test_projection_is_the_chebfit_expansion():
+    # project_on_interval interpolates at degree 2d + 1 and truncates: the
+    # least-squares chebfit on the same nodes, from d = 1 to 200
+    for t, interval, scale in [(gibbs(3.0), (0.0, 1.0), 2.0), (inverse(10.0), (0.1, 1.0), 10.0),
+                               (lorentzian_sqrt(0.2, 0.5), (0.0, 1.0), 1.0),
+                               (cos_sqrt(3.0, 1.0), (0.0, 1.0), 1.5)]:
+        for d in (*range(1, 9), 16, 31, 64, 100, 137, 200):
+            got = np.array(project_on_interval(t, d, interval, scale=scale).coeffs)
+            want = _chebfit_projection(lambda x: np.asarray(t(x)) / scale, d, interval)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_empty_fit_interval_raises():
+    # a zero-width interval (inverse at kappa 1) or a reversed one names the
+    # interval, for the plain, scaled and interval fits alike
+    for fit in (lambda: remez(inverse(1.0), 4), lambda: remez(inverse(1.0), 4, "even"),
+                lambda: fit_scaled(inverse(1.0), 4), lambda: fit_on_interval(inverse(1.0), 2),
+                lambda: fit_on_interval(gibbs(1.0), 2, (0.8, 0.2))):
+        with pytest.raises(ValueError, match=r"^empty fit interval \["):
+            fit()
+
+
 def test_remez_equioscillation():
     # minimax error curve must attain +-max with alternating signs at
     # degree + 2 points

@@ -169,6 +169,16 @@ def test_linpack_past_the_qubit_cap_exits_4(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_kappa_one_exits_4_naming_the_empty_interval(tmp_path, monkeypatch, capsys):
+    # at kappa 1 the inverse is fitted on [1, 1]: exit 4 with the JSON error
+    # line, not a traceback
+    for argv in (["remez", "--target", "inverse", "--kappa", "1", "--degree", "4"],
+                 ["linpack", "--n", "2", "--seed", "0", "--kappa", "1", "--d", "4", "--exact"]):
+        assert run(argv, monkeypatch, tmp_path) == 4
+        rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert rec == {"error": "module", "message": "empty fit interval [1.0, 1.0]"}
+
+
 def test_error_line_is_machine_parsable(tmp_path, monkeypatch, capsys):
     run(["generate", "--n", "2"], monkeypatch, tmp_path)
     err = capsys.readouterr().err.strip().splitlines()

@@ -233,8 +233,8 @@ def test_noisy_blocks_span_at_most_two_sites():
     model = synth_model(linear_coupling_map(4), 0.05, 0.15, 0.05, np.random.default_rng(8))
     v = _random_state(4, np.random.default_rng(9))
     law = outcome_distribution(c, model, [0, 1, 3], StateVector(4, v))
-    assert max(len(qs) for _, qs in statevector._fused(c, 4, model._block, model._blocks)) == 2
-    assert max(len(qs) for _, qs in statevector._fused(c, 2, gate_unitary, None)) > 2
+    assert max(len(qs) for _, qs in model._fused(c)) == 2
+    assert max(len(qs) for ref in c.refs() for _, qs in statevector._ideal(*ref)) > 2
     assert np.abs(law - _dense_law(c, model, [0, 1, 3], v)).max() < 1e-12
 
 
@@ -264,7 +264,7 @@ def test_noisy_blocks_are_real():
     _, varphi = phases_for((0.2, 0.0, 0.5, 0.0, 0.2), "even")
     c = build(random_ua(2, seed=33), varphi).circuit
     model = synth_model(linear_coupling_map(4), 0.05, 0.15, 0.05, np.random.default_rng(8))
-    blocks = statevector._fused(c, 4, model._block, {})
+    blocks = model._fused(c)
     assert len(blocks) > 1 and all(u.dtype == np.float64 for u, _ in blocks)
 
 

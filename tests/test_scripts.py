@@ -13,10 +13,8 @@ SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 CASES = {
     # 100:120 is a deep cell: a degree-120 fit, bound and phase solve
     "kappa_sweep": ["--n", "2", "--instances", "1", "--pairs", "2:4,100:120", "--csv", "kappa.csv"],
-    "metts_trace": ["--steps", "10", "--shots", "16"],
     "noise_sweep": ["--n", "2", "--instances", "1", "--shots", "64", "--sigmas", "0,1"],
     "spectral_depth": ["--n", "2", "--shots", "64"],
-    "spread_stats": ["--sizes", "2", "--samples", "5"],
 }
 
 
@@ -29,7 +27,7 @@ def test_script_runs(name, tmp_path, monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    monkeypatch.chdir(tmp_path)  # metts_trace writes its CSV to the working directory
+    monkeypatch.chdir(tmp_path)  # kappa_sweep writes its CSV to the working directory
     assert module.main(CASES[name]) in (None, 0)
     assert capsys.readouterr().out
     if name == "kappa_sweep":

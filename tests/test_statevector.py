@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -164,7 +167,7 @@ def test_shifted_blocks_are_those_of_ua(coupling):
         else:
             ua = random_ua(5, seed)
         n = ua.circuit.n_qubits + 1
-        own = statevector._fused(ua.circuit, 2, G.gate_unitary, None)
+        own = statevector._ideal(ua.circuit, 0, False)
         assert any(len(qs) > 1 for _, qs in own)
         for dagger, fresh, want in [
             (False, shifted(ua.circuit, 1, n), own),
@@ -405,3 +408,13 @@ def test_counts_are_the_bitstrings_of_the_draws(n):
     assert CountsHistogram(draws).counts == want
     assert all(len(bits) == n for bits in want)
     assert len(want) < 2**n
+
+
+def test_kernel_knows_no_noise_model():
+    # _run applies ideal blocks only; rho's blocks are fused and kept by
+    # noise, which statevector does not import
+    assert list(inspect.signature(_run).parameters) == ["c", "arr"]
+    tree = ast.parse(inspect.getsource(statevector))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    assert not any(m and m.split(".")[-1] == "noise" for m in imported)

@@ -195,6 +195,36 @@ def test_noisy_linpack_checks_the_density_matrix_cap_first(monkeypatch):
         linpack_run(2.0, 11, 2, 0)
 
 
+def test_canonical_tasks_check_the_register_first(monkeypatch):
+    # spectral, timeseries and metts share linpack's register check: past
+    # U_A's cap, or past rho's on a noisy run, before any instance or fit
+    def no_work(*args, **kwargs):
+        raise AssertionError("work before the cap check")
+
+    monkeypatch.setattr(tasks, "generate_instance", no_work)
+    monkeypatch.setattr(tasks, "optimize", no_work)
+    model = NoiseModel(readout={0: ((0.9, 0.1), (0.1, 0.9))})
+    for task in (lambda n, **kw: spectral_run(n, 0, **kw),
+                 lambda n, **kw: time_series_run(n, 0, **kw),
+                 lambda n, **kw: metts_run(1.0, 5, n, 0, **kw)):
+        with pytest.raises(ValueError, match="^13 qubits exceeds unitary cap 12$"):
+            task(12)
+        with pytest.raises(ValueError, match="^13 qubits exceeds the density-matrix cap 12$"):
+            task(11, shots=16, noise_model=model, sigma=1.0)
+
+
+def test_canonical_references_decompose_h_once_per_run(monkeypatch):
+    # the dense references of a whole grid come from one eigendecomposition
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(1) or eigh(*a))
+    res = spectral_run(2, 3, energies=(0.3, 0.5, 0.7), lengths=5)
+    assert len(res.exact) == 3 and len(calls) == 1
+    calls.clear()
+    res = time_series_run(2, 3, (1.0, 2.0), (3, 5), (3, 3), (1.0, 1.5), (1.0, 1.0))
+    assert len(res.exact) == 2 and len(calls) == 1
+
+
 def test_linpack_validation():
     with pytest.raises(ValueError):
         linpack_run(0.5, 2, 4, 0)
@@ -430,9 +460,9 @@ def test_every_point_report_comes_from_one_point_call(task, mode, monkeypatch):
 
 
 def test_metts_noisy_law_computed_once_per_key(monkeypatch):
-    real = noise._run
+    real = noise.NoiseModel._fused
     passes = []
-    monkeypatch.setattr(noise, "_run", lambda *a: passes.append(1) or real(*a))
+    monkeypatch.setattr(noise.NoiseModel, "_fused", lambda *a: passes.append(1) or real(*a))
     metts_run(1.0, 20, 2, seed=6, shots=64, noise_model=_metts_noise_model(), sigma=1.0)
     # 2 circuits x 4 basis inputs on the ancillas, plus the collapse
     # circuit on all qubits from each of the 4 inputs
@@ -453,6 +483,7 @@ def test_not_leaf_fused_once_per_circuit_exact_and_once_per_model_noisy(monkeypa
         return real(layers, *a)
 
     monkeypatch.setattr(statevector, "_fuse", counting)
+    monkeypatch.setattr(noise, "_fuse", counting)
     kw = dict(energies=(0.3, 0.5, 0.7), lengths=5)
     assert len(spectral_run(2, 3, **kw).reports) == 3
     assert fused.count(nots) == 3

@@ -7,9 +7,11 @@ the ``scale`` field records the divisor that was applied to the original
 target so callers can undo it.  Fitting happens on a subinterval [a, b]
 where the target is smooth, by a multi-point Remez exchange whose
 reported error is the sup of the returned polynomial's error there; the
-polynomial is then re-expanded in the global basis (`_expand`, which
-`compose_fit` also uses to fold h into one even polynomial).  This
-module depends on numpy alone; h's phases live with its circuit.
+polynomial is then re-expanded in the global basis (`_expand`).
+`compose_fit` folds h into one even polynomial by index: a fit on h's
+range, in the variable T_2(x), has its coefficients placed on the even
+indices, and `_expand` applies the same realizability rule as ChebPoly.
+This module depends on numpy alone; h's phases live with its circuit.
 """
 
 from __future__ import annotations
@@ -91,15 +93,14 @@ class ChebPoly:
         return cls(tuple(d["cheb_coeffs"]), d["parity"], d["scale"])
 
 
-def _expand(fn: Callable, degree: int, parity: str, scale: float) -> ChebPoly:
-    """fn interpolated in the global basis at the given degree, with the
-    off-parity coefficients zeroed and any excess of |p| over 1 folded
+def _expand(coeffs: np.ndarray, parity: str, scale: float) -> ChebPoly:
+    """Global-basis coefficients as a ChebPoly: the off-parity ones zeroed,
+    and a max |p| that ChebPoly would reject (above 1 + BOUND_TOL) folded
     into the scale, so the stored polynomial stays realizable."""
-    coeffs = C.chebinterpolate(fn, degree)
     if parity in ("even", "odd"):
         coeffs[(0 if parity == "odd" else 1)::2] = 0.0
     m = _max_abs(tuple(coeffs))
-    bump = m * (1.0 + 10 * BOUND_TOL) if m > 1.0 else 1.0
+    bump = m * (1.0 + 10 * BOUND_TOL) if m > 1.0 + BOUND_TOL else 1.0
     return ChebPoly(tuple(coeffs / bump), parity, scale * bump)
 
 
@@ -325,7 +326,7 @@ def remez(
     else:
         raise ValueError(f"parity must be one of {PARITIES}")
     # the fit can poke above 1 outside the fit interval
-    return _expand(fit, degree, parity, 1.0), float(err)
+    return _expand(C.chebinterpolate(fit, degree), parity, 1.0), float(err)
 
 
 def fit_scaled(
@@ -449,12 +450,12 @@ def condition_bound(q: QuadraticH) -> float:
 def compose_fit(g: IntervalFit, q: QuadraticH) -> ChebPoly:
     """Even composite f(x) = g_scaled-fit(a2 x^2 + a0) as a global ChebPoly.
 
-    The quadratic's range must sit inside g's fit interval, so the
-    composite never sees the polynomial's off-interval behavior and the
-    global bound holds up to the fit's own margin."""
-    lo = min(q.a0, q.a0 + q.a2)
-    hi = max(q.a0, q.a0 + q.a2)
+    g must be fitted on exactly h's range [a0, a0 + a2].  Its unit
+    variable is then 2 x^2 - 1 = T_2(x), and T_k(T_2) = T_2k, so f's
+    Chebyshev coefficients are g's on the even indices."""
     a, b = g.interval
-    if lo < a - 1e-12 or hi > b + 1e-12:
-        raise ValueError("quadratic range leaves the fit interval")
-    return _expand(lambda x: g(q(x)), 2 * g.degree, "even", g.scale)
+    if abs(a - q.a0) > 1e-12 or abs(b - q.a0 - q.a2) > 1e-12:
+        raise ValueError("quadratic range is not the fit interval")
+    coeffs = np.zeros(2 * g.degree + 1)
+    coeffs[::2] = g.coeffs
+    return _expand(coeffs, "even", g.scale)

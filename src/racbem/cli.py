@@ -12,8 +12,8 @@ apply.  Every JSON artifact echoes the command's row of the flag table:
 each input flag with the value the run used, which a handler writes back
 where it resolved one (depth, shots, sigma, the metts degrees, the
 spectral lengths).  Exit codes: 0 success, 2 usage or schema error (also
-used by argparse itself), 3 file I/O error, 4 module error.  Errors print
-one machine-parsable JSON line on stderr.
+argparse's, and a malformed input file's, see `_read`), 3 file I/O error,
+4 module error.  Errors print one machine-parsable JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -91,22 +91,32 @@ def _resolve_out(args, default_name: str) -> str:
     return os.path.join(_out_dir(), default_name)
 
 
+def _read(path: str, from_json):
+    """from_json of the file's text; a missing key or a wrong shape is a schema error."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return from_json(text)
+    except (KeyError, TypeError, AttributeError) as e:
+        raise SchemaError(f"{path}: missing key or wrong shape ({type(e).__name__}: {e})")
+
+
 def _coupling_for(args, n_total: int):
     name = args.coupling
     if name is None:
         return linear_coupling_map(n_total)
     if os.path.exists(name):
-        with open(name) as fh:
-            return G.CouplingMap.from_json(fh.read())
+        return _read(name, G.CouplingMap.from_json)
     return load_coupling_map(name)
 
 
 def _noise_for(args) -> NoiseModel | None:
-    path = args.noise_model
-    if path is None:
-        return None
-    with open(path) as fh:
-        return NoiseModel.from_json(fh.read())
+    return None if args.noise_model is None else _read(args.noise_model, NoiseModel.from_json)
+
+
+def _poly_from_json(text: str) -> ChebPoly:  # a remez artifact, or the polynomial alone
+    body = json.loads(text)
+    return ChebPoly.from_json(json.dumps(body.get("poly", body)))
 
 
 def _dest(flag: str) -> str:
@@ -235,9 +245,7 @@ def cmd_remez(args) -> int:
 
 def cmd_phase_factors(args) -> int:
     _require(args, "poly")
-    with open(args.poly) as fh:
-        body = json.load(fh)
-    poly = ChebPoly.from_json(json.dumps(body.get("poly", body)))
+    poly = _read(args.poly, _poly_from_json)
     phases, residual = optimize(poly)
     varphi = to_varphi(phases)
     out = _resolve_out(args, "phase-factors.json")

@@ -324,26 +324,17 @@ class CouplingMap:
         )
 
 
-def validate(c: QuantumCircuit, m: CouplingMap, layout=None) -> list[str]:
-    """List coupling-map violations (empty when every CNOT lies on an edge).
-
-    ``layout`` maps logical to physical qubits; identity by default."""
+def validate(c: QuantumCircuit, m: CouplingMap) -> list[str]:
+    """List coupling-map violations (empty when every CNOT lies on an edge)."""
     if c.n_qubits > m.n_qubits:
         raise ValueError(
             f"circuit has {c.n_qubits} qubits but map has {m.n_qubits}"
         )
-    if layout is None:
-        layout = {q: q for q in range(c.n_qubits)}
     violations = []
     for i, layer in enumerate(c.flat_layers()):
         for g in layer:
-            if g.kind != "cnot":
-                continue
-            edge = (layout[g.qubits[0]], layout[g.qubits[1]])
-            if edge not in m.edges:
-                violations.append(
-                    f"layer {i}: cnot {edge[0]}->{edge[1]} not on coupling map"
-                )
+            if g.kind == "cnot" and g.qubits not in m.edges:
+                violations.append(f"layer {i}: cnot {g.qubits[0]}->{g.qubits[1]} not on coupling map")
     return violations
 
 

@@ -25,14 +25,11 @@ from .chebpoly import ChebPoly
 
 CONVENTIONS = ("phi", "varphi")
 
-SYM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class PhaseFactors:
     values: tuple[float, ...]
     convention: str = "phi"
-    symmetric: bool = False
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -41,10 +38,6 @@ class PhaseFactors:
             raise ValueError("need at least one phase")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"convention must be one of {CONVENTIONS}")
-        if self.symmetric:
-            for a, b in zip(vals, vals[::-1]):
-                if abs(a - b) > SYM_TOL:
-                    raise ValueError("symmetric flag set but sequence is not")
 
     @property
     def degree(self) -> int:
@@ -220,8 +213,7 @@ def optimize(f: ChebPoly) -> tuple[PhaseFactors, float]:
         v, res, J, L = trial
         if L < CONVERGED_L and L * FLOOR_FALL > prev:
             break
-    phases = PhaseFactors(tuple(full(v)), "phi", symmetric=True)
-    return phases, L
+    return PhaseFactors(tuple(full(v)), "phi"), L
 
 
 def _shift(d: int) -> np.ndarray:
@@ -244,7 +236,7 @@ def to_varphi(phases: PhaseFactors) -> PhaseFactors:
     if phases.convention != "phi":
         raise ValueError("expected phi convention")
     out = np.array(phases.values) + _shift(phases.degree)
-    return PhaseFactors(tuple(out), "varphi", symmetric=False)
+    return PhaseFactors(tuple(out), "varphi")
 
 
 def to_phi(phases: PhaseFactors) -> PhaseFactors:
@@ -252,5 +244,4 @@ def to_phi(phases: PhaseFactors) -> PhaseFactors:
     if phases.convention != "varphi":
         raise ValueError("expected varphi convention")
     out = np.array(phases.values) - _shift(phases.degree)
-    sym = all(abs(a - b) <= SYM_TOL for a, b in zip(out, out[::-1]))
-    return PhaseFactors(tuple(out), "phi", sym)
+    return PhaseFactors(tuple(out), "phi")

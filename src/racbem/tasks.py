@@ -161,7 +161,7 @@ class _Measure:
     def __init__(self, shots: int, noise_model: NoiseModel | None, sigma: float | None,
                  seed: int):
         self.shots, self.sigma = sampling(shots, noise_model, sigma)
-        self.model, self.rng = noise_model, np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed)
         self.noise = scale_noise(noise_model, self.sigma) if self.sigma else None
         self.laws: dict = {}  # (circuit, measured, input bytes) -> ideal law
 
@@ -203,7 +203,7 @@ class _Measure:
         ideal run off as noisy, so it raises."""
         params = {"shots": self.shots, "sigma": self.sigma}
         if self.noise is not None:
-            share = coverage(self.model, circuits)
+            share = coverage(self.noise, circuits)
             if share == 0.0:
                 raise ValueError("the noise model has no error entry for any gate of the circuit")
             params["noise_coverage"] = share

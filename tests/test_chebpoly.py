@@ -11,6 +11,7 @@ from numpy.polynomial import chebyshev as C
 from racbem import chebpoly
 from racbem.chebpoly import (
     ChebPoly,
+    QuadraticH,
     apply_scaling,
     compose_fit,
     cos_sqrt,
@@ -253,11 +254,68 @@ def test_compose_fit_matches_direct_evaluation():
     assert np.allclose(f.scale * f(xs), g.scale * g(q(xs)), atol=1e-10)
 
 
+def _composite_by_interpolation(g, q):
+    """scale x coefficients of g(q(x)) interpolated at degree 2 deg(g): the
+    composite as it was built before the coefficients were placed by index."""
+    return g.scale * C.chebinterpolate(lambda x: g(q(x)), 2 * g.degree)
+
+
+SQUARE = QuadraticH(1.0, 0.0)  # h(x) = x^2, the quadratic of the canonical tasks
+
+COMPOSITES = [
+    *((inverse(k), quadratic_for_condition(k), dg, 0.0)
+      for k, dg in ((2.0, 3), (10.0, 8), (50.0, 30), (100.0, 60), (200.0, 120), (400.0, 120))),
+    (lorentzian_sqrt(0.2, 0.7), SQUARE, 19, chebpoly.DEFAULT_MARGIN),
+    (lorentzian_sqrt(0.05, 0.3), SQUARE, 120, chebpoly.DEFAULT_MARGIN),
+    (gibbs(4.0), SQUARE, 7, chebpoly.DEFAULT_MARGIN),
+    (cos_sqrt(9.0, 1.5), SQUARE, 10, chebpoly.DEFAULT_MARGIN),
+    (sin_sqrt(9.0, 1.5), SQUARE, 10, chebpoly.DEFAULT_MARGIN),
+    # unscaled, this fit peaks 3.3e-4 above 1: the excess goes into the scale
+    (cos_sqrt(9.0, 1.5), SQUARE, 19, 0.0),
+]
+
+
+@pytest.mark.parametrize("target, q, dg, margin", COMPOSITES)
+def test_compose_fit_places_the_fit_on_even_indices(target, q, dg, margin):
+    # g's unit variable on h's range is T_2(x), so f's coefficients are g's
+    # on the even indices: the interpolated composite to round-off, and
+    # g's own bits wherever no rescale was needed
+    g = fit_on_interval(target, dg, (q.a0, q.a0 + q.a2), margin)
+    f = compose_fit(g, q)
+    want = _composite_by_interpolation(g, q)
+    assert f.degree == 2 * dg and f.parity == "even"
+    assert np.abs(f.scale * np.array(f.coeffs) - want).max() <= 1e-12 * np.abs(want).max()
+    if f.scale == g.scale:
+        assert f.coeffs[::2] == g.coeffs and not any(f.coeffs[1::2])
+    else:
+        assert chebpoly._max_abs(g.coeffs) > 1 + chebpoly.BOUND_TOL
+
+
 def test_compose_fit_rejects_range_mismatch():
     q = quadratic_for_condition(2.0)
-    g = fit_on_interval(gibbs(1.0), 2, (0.6, 1.0))  # quadratic dips to 0.5
-    with pytest.raises(ValueError):
-        compose_fit(g, q)
+    # the quadratic's range [0.5, 1] leaves the fit interval, lies strictly
+    # inside it, or runs down it (a decreasing h)
+    for g, h in ((fit_on_interval(gibbs(1.0), 2, (0.6, 1.0)), q),
+                 (fit_on_interval(gibbs(1.0), 2, (0.4, 1.0)), q),
+                 (fit_on_interval(gibbs(1.0), 2, (0.5, 1.0)), QuadraticH(-0.5, 1.0))):
+        with pytest.raises(ValueError, match="quadratic range is not the fit interval"):
+            compose_fit(g, h)
+
+
+def test_expand_rescales_exactly_when_chebpoly_would_reject():
+    # a max in (1, 1 + BOUND_TOL] is realizable as it is; above that the
+    # excess goes into the scale
+    for top, scaled in ((1.0, False), (1 + 0.5 * chebpoly.BOUND_TOL, False),
+                        (1 + chebpoly.BOUND_TOL, False), (1 + 2 * chebpoly.BOUND_TOL, True),
+                        (1.5, True)):
+        coeffs = np.array([0.0, 0.0, top])
+        p = chebpoly._expand(coeffs.copy(), "even", 3.0)
+        assert ChebPoly(p.coeffs, p.parity, p.scale) == p
+        if scaled:
+            assert p.scale > 3.0 and chebpoly._max_abs(p.coeffs) < 1.0
+            assert p.scale * p.coeffs[2] == pytest.approx(3.0 * top, rel=1e-15)
+        else:
+            assert p.scale == 3.0 and p.coeffs == tuple(coeffs)
 
 
 @pytest.mark.parametrize("module", ["racbem.chebpoly", "racbem.phasefactors"])

@@ -547,3 +547,28 @@ def test_remez_odd_fit_of_a_target_nonzero_at_0(tmp_path, monkeypatch, capsys):
     for target in (["odd-gibbs", "--beta", "2"], ["inverse", "--kappa", "2"]):
         assert run(["remez", "--target", *target, "--degree", "9", "--parity", "odd",
                     "--out", str(out)], monkeypatch, tmp_path) == 0
+
+
+
+# each input file: the flags before its path, and JSON without a key its reader needs
+INPUT_FILES = {
+    "noise-model": (["linpack", "--n", "2", "--seed", "0", "--kappa", "2", "--d", "4",
+                     "--noise-model"], '{"schema": 1, "gate_errors": []}'),
+    "poly": (["phase-factors", "--poly"], '{"parity": "even"}'),
+    "coupling": (["generate", "--n", "2", "--seed", "0", "--coupling"], '{"n_qubits": 3}'),
+}
+
+
+@pytest.mark.parametrize("kind", INPUT_FILES)
+def test_malformed_input_file_is_a_schema_error(tmp_path, monkeypatch, capsys, kind):
+    # JSON without a key, or of the wrong shape, exits 2 with one error line
+    # naming the file, not a traceback; a file that is not JSON still exits 4
+    flags, missing_key = INPUT_FILES[kind]
+    path = tmp_path / "in.json"
+    for body, code, error in ((missing_key, 2, "schema"), ("[1, 2]", 2, "schema"),
+                              ("not json", 4, "module")):
+        path.write_text(body)
+        assert run([*flags, str(path)], monkeypatch, tmp_path) == code
+        rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert rec["error"] == error
+        assert rec["message"].startswith(f"{path}: ") == (code == 2)

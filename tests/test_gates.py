@@ -171,8 +171,6 @@ def test_coupling_validate():
     bad = G.from_gates(3, [G.cnot(2, 1)])
     assert G.validate(good, m) == []
     assert len(G.validate(bad, m)) == 1
-    # layout remaps logical to physical
-    assert G.validate(bad, m, layout={0: 0, 1: 2, 2: 1}) == []
 
 
 def test_coupling_json_round_trip():

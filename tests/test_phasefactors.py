@@ -40,10 +40,7 @@ def test_phasefactors_validation():
         PhaseFactors(())
     with pytest.raises(ValueError):
         PhaseFactors((0.1,), convention="bad")
-    with pytest.raises(ValueError):
-        PhaseFactors((0.1, 0.2), symmetric=True)
-    p = PhaseFactors((0.1, 0.2, 0.1), symmetric=True)
-    assert p.degree == 2
+    assert PhaseFactors((0.1, 0.2, 0.1)).degree == 2
 
 
 def test_u_phi_unitary():
@@ -75,7 +72,7 @@ def test_optimize_scaled_target():
     f = ChebPoly((0.3, 0.0, 0.4, 0.0, 0.1), "even")
     phases, L = optimize(f)
     assert L < 1e-20
-    assert phases.symmetric
+    assert phases.values == phases.values[::-1]
 
 
 def test_optimize_spectral_target_that_stalled_lbfgs():
@@ -130,7 +127,7 @@ def test_optimize_reports_infeasible_target():
         object.__setattr__(bad, name, value)
     phases, L = optimize(bad)
     assert L > CONVERGED_L
-    assert phases.symmetric
+    assert phases.values == phases.values[::-1]
 
 
 def test_singular_jacobian_is_a_stall(monkeypatch):
@@ -144,7 +141,7 @@ def test_singular_jacobian_is_a_stall(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", singular)
     phases, L = optimize(f)
     flat = PhaseFactors((np.pi / 4,) + (0.0,) * 5 + (np.pi / 4,))
-    assert phases == PhaseFactors(flat.values, symmetric=True)
+    assert phases == flat
     assert L == objective(flat, f) > CONVERGED_L
 
 
@@ -195,7 +192,7 @@ def test_objective_parity_check():
 
 
 def test_varphi_round_trip():
-    p = PhaseFactors((0.4, -0.2, 0.7, -0.2, 0.4), symmetric=True)
+    p = PhaseFactors((0.4, -0.2, 0.7, -0.2, 0.4))
     back = to_phi(to_varphi(p))
     assert np.abs(np.array(back.values) - np.array(p.values)).max() < 1e-15
     assert to_varphi(p).convention == "varphi"

@@ -6,8 +6,9 @@ bounded by 1 there (the bound a signal-processing circuit can realize);
 the ``scale`` field records the divisor that was applied to the original
 target so callers can undo it.  Fitting happens on a subinterval [a, b]
 where the target is smooth, by a multi-point Remez exchange whose
-reported error is the sup of the returned polynomial's error there; the
-polynomial is then re-expanded in the global basis (`_expand`).
+reported error is the sup of the returned polynomial's error there.
+`fit_scaled`, the one global fitter, scales the target, fits it with the
+parity asked for and re-expands the fit in the global basis (`_expand`).
 `compose_fit` folds h into one even polynomial by index: a fit on h's
 range, in the variable T_2(x), has its coefficients placed on the even
 indices, and `_expand` applies the same realizability rule as ChebPoly.
@@ -219,6 +220,8 @@ def _remez_core(f: Callable, w: Callable, degree: int,
     a, b = interval
     if a >= b:
         raise ValueError(f"empty fit interval [{a}, {b}]")
+    if degree < 0:
+        raise ValueError("fit degree must be >= 0")
     npts = degree + 2
 
     def to_ab(u):
@@ -278,29 +281,31 @@ def _remez_core(f: Callable, w: Callable, degree: int,
     return coeffs, emax
 
 
-def remez(
-    t: Callable,
+def fit_scaled(
+    t: TargetFunction,
     degree: int,
     parity: str = "none",
     interval: tuple[float, float] | None = None,
 ) -> tuple[ChebPoly, float]:
-    """Best degree-``degree`` polynomial approximation of t on the interval.
+    """Best degree-``degree`` fit of t scaled below 1, on the interval (t's domain by default).
 
     For parity 'even' the fit runs on the squared variable: an even p of
     degree 2k with p(x) = q(x^2) where q is the plain minimax fit of
     t(sqrt(u)).  For 'odd', p(x) = x q(x^2) and the fit is weighted by
-    sqrt(u).  Returns (polynomial on [-1, 1], sup-norm error on the fit
-    interval).  The polynomial keeps the target's values only on the fit
+    sqrt(u).  The polynomial keeps the target's values only on the fit
     interval (and its mirror image for definite parity), so a parity fit
     on an interval symmetric about 0 fits its right half: its sup error
-    there is the same."""
+    there is the same.  Returns (poly, err): poly.scale is the total
+    divisor (target scaling times any overshoot correction), err the sup
+    error of poly.scale * poly versus t on the fit interval."""
     if interval is None:
-        interval = getattr(t, "domain", (-1.0, 1.0))
+        interval = t.domain
+    scaled, alpha = apply_scaling(t, interval)
     a, b = interval
     if parity in ("even", "odd") and a == -b:
         a = 0.0
     if parity == "none":
-        local, err = _remez_core(t, _unit_weight, degree, (a, b))
+        local, err = _remez_core(scaled, _unit_weight, degree, (a, b))
 
         def fit(x):
             return C.chebval(_to_unit(x, (a, b)), local)
@@ -310,12 +315,12 @@ def remez(
             raise ValueError(f"{parity} fit needs {parity} degree and interval in [0, 1]")
         # an odd p has p(0) = 0, so from 0 its error is at least |t(0)|, and
         # the sqrt(u) weight cannot level it; 1e-12 is the round-off floor
-        if odd and a == 0.0 and abs(float(t(0.0))) > 1e-12:
+        if odd and a == 0.0 and abs(float(scaled(0.0))) > 1e-12:
             raise ValueError("an odd fit on an interval from 0 needs a target that "
                              "vanishes at 0, where every odd polynomial is 0")
         ua, ub = a * a, b * b
         local, err = _remez_core(
-            lambda u: t(np.sqrt(np.asarray(u, float))),
+            lambda u: scaled(np.sqrt(np.asarray(u, float))),
             (lambda u: np.sqrt(np.asarray(u, float))) if odd else _unit_weight,
             degree // 2,
             (ua, ub),
@@ -326,26 +331,7 @@ def remez(
     else:
         raise ValueError(f"parity must be one of {PARITIES}")
     # the fit can poke above 1 outside the fit interval
-    return _expand(C.chebinterpolate(fit, degree), parity, 1.0), float(err)
-
-
-def fit_scaled(
-    t: TargetFunction,
-    degree: int,
-    parity: str = "none",
-    interval: tuple[float, float] | None = None,
-) -> tuple[ChebPoly, float]:
-    """Scale the target below 1, minimax-fit the scaled target.
-
-    Returns (poly, err) where poly.scale is the total divisor (target
-    scaling times any overshoot correction from the fit) and err is the
-    sup-norm error of poly.scale * poly versus t on the fit interval."""
-    if interval is None:
-        interval = t.domain
-    scaled, alpha = apply_scaling(t, interval)
-    poly, err = remez(scaled, degree, parity, interval)
-    total = alpha * poly.scale
-    return ChebPoly(poly.coeffs, poly.parity, scale=total), float(err * alpha)
+    return _expand(C.chebinterpolate(fit, degree), parity, alpha), float(err * alpha)
 
 
 @dataclass(frozen=True)
@@ -373,15 +359,13 @@ class IntervalFit:
 def fit_on_interval(
     t: TargetFunction | Callable,
     degree: int,
-    interval: tuple[float, float] | None = None,
+    interval: tuple[float, float],
     margin: float = DEFAULT_MARGIN,
 ) -> IntervalFit:
-    """Scale then minimax-fit the target on its interval, kept local.
+    """Scale then minimax-fit the target on the interval, kept local.
 
     The scaled fit is clipped to magnitude 1 on the interval by
     construction (target below 1/(1+margin) plus a smaller fit error)."""
-    if interval is None:
-        interval = getattr(t, "domain", (-1.0, 1.0))
     scaled, alpha = apply_scaling(t, interval, margin)
     local, err = _remez_core(scaled, _unit_weight, degree, interval)
     return IntervalFit(tuple(local), interval, alpha, float(err * alpha))
@@ -390,22 +374,19 @@ def fit_on_interval(
 def project_on_interval(
     t: TargetFunction | Callable,
     degree: int,
-    interval: tuple[float, float] | None = None,
+    interval: tuple[float, float],
     scale: float = 1.0,
 ) -> IntervalFit:
     """Truncated Chebyshev expansion on the interval with an explicit scale.
 
     The error field is the sup-norm deviation of scale * p from the
-    unscaled target divided by scale, measured on a dense grid."""
-    if interval is None:
-        interval = getattr(t, "domain", (-1.0, 1.0))
+    unscaled target, in the target's units, measured on a dense grid."""
     a, b = interval
     # interpolation at 2 (degree + 1) first-kind nodes, truncated: aliasing error only
     local = C.chebinterpolate(lambda u: np.asarray(t(0.5 * (b - a) * u + 0.5 * (b + a))) / scale,
                               2 * degree + 1)[: degree + 1]
-    fit = IntervalFit(tuple(local), interval, scale, 0.0)
-    xs = np.linspace(interval[0], interval[1], 4001)
-    err = float(np.abs(scale * fit(xs) - np.asarray(t(xs))).max())
+    xs = np.linspace(a, b, 4001)
+    err = float(np.abs(scale * C.chebval(_to_unit(xs, interval), local) - np.asarray(t(xs))).max())
     return IntervalFit(tuple(local), interval, scale, err)
 
 

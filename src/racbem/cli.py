@@ -259,6 +259,8 @@ def cmd_phase_factors(args) -> int:
 
 def cmd_racbem_bench(args) -> int:
     kw = _task_kwargs(args)
+    if args.instances < 1:
+        raise ValueError("instances must be >= 1")
     reports = [tasks.racbem_benchmark(args.n, args.seed + k, **kw) for k in range(args.instances)]
     _write_task(args, f"racbem-bench-n{args.n}-s{args.seed}",
                 {"reports": [r.to_record() for r in reports]}, reports)

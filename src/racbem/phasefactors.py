@@ -3,13 +3,14 @@
 A length d+1 real sequence Phi parameterizes the SU(2) product
 U_Phi(x) = e^{i phi_0 Z} prod_{j=1..d} [e^{i arccos(x) X} e^{i phi_j Z}],
 whose upper-left real part is a degree-d polynomial in x with the parity
-of d.  Given a target polynomial, symmetric phases are found by damped
-Newton iteration on the square system of residuals at Chebyshev nodes,
-starting from the flat sequence, one square solve per step, until L
-reaches its round-off floor.  Each SU(2) product is carried as its first
-row (a, b); one evaluation makes a single chunked log-depth pass over
-the prefix products and reads every suffix off them by unitarity, and
-the symmetric Jacobian folds by slicing.  The
+of d.  Given a target polynomial with its degree's parity (another
+raises: the nodes would fit one of d's parity), symmetric phases are
+found by damped Newton iteration on the square system of residuals at
+positive Chebyshev nodes, from the flat sequence, one square solve per
+step, until L reaches its round-off floor.  Each SU(2) product is
+carried as its first row (a, b); one evaluation makes a single chunked
+log-depth pass over the prefix products and reads every suffix off them
+by unitarity, and the symmetric Jacobian folds by slicing.  The
 optimization ("phi") and circuit ("varphi") phase conventions differ by
 fixed shifts (pi/4 at the ends, pi/2 inside).
 """
@@ -138,9 +139,14 @@ def _check_pair(phases: PhaseFactors, f: ChebPoly):
     d = phases.degree
     if f.degree != d:
         raise ValueError(f"need len(phases) = deg(f)+1, got {d + 1} vs {f.degree}")
-    want = "even" if d % 2 == 0 else "odd"
+    _check_parity(f)
+
+
+def _check_parity(f: ChebPoly):
+    """Phases exist only for a polynomial with its degree's parity."""
+    want = "even" if f.degree % 2 == 0 else "odd"
     if f.parity != want:
-        raise ValueError(f"degree-{d} phases need {want} target parity")
+        raise ValueError(f"degree-{f.degree} phases need {want} target parity")
 
 
 CONVERGED_L = 1e-24
@@ -170,13 +176,14 @@ def optimize(f: ChebPoly) -> tuple[PhaseFactors, float]:
     res (one square `np.linalg.solve`) and halves the step until the mean
     squared residual L drops.  It stops at the round-off floor, once an
     accepted step leaves L below CONVERGED_L but lowers it by less than a
-    factor FLOOR_FALL.  Returns (phases, L); raises only on malformed
-    input.  A target with no phases (|f| > 1 somewhere on [-1, 1]) or a
-    stall, a singular J among them, is reported via L, which then
-    exceeds CONVERGED_L."""
+    factor FLOOR_FALL.  Returns (phases, L); raises on malformed input
+    and on an f without its degree's parity.  A target with no phases
+    (|f| > 1 somewhere on [-1, 1]) or a stall, a singular J among them,
+    is reported via L, which then exceeds CONVERGED_L."""
     d = f.degree
     if d < 1:
         raise ValueError("need degree >= 1")
+    _check_parity(f)
     xs = _nodes(d)
     targets = f(xs)
     half = len(xs)

@@ -227,10 +227,10 @@ def _check_register(n: int, run: _Measure):
         raise ValueError(f"{n + 2} qubits exceeds the density-matrix cap {UNITARY_QUBIT_CAP}")
 
 
-def _qsvt_for(ua: BlockEncoding, f: ChebPoly, allow_odd: bool = False):
-    """Phases for f, then the assembled circuit; returns (qsvt, residual)."""
+def _qsvt_for(ua: BlockEncoding, f: ChebPoly):
+    """Phases for f, then the assembled circuit of f's parity; returns (qsvt, residual)."""
     phases, residual = optimize(f)
-    qc = build(ua, to_varphi(phases), allow_odd=allow_odd)
+    qc = build(ua, to_varphi(phases), allow_odd=f.parity == "odd")
     return qc, residual
 
 
@@ -548,14 +548,14 @@ def metts_run(
     auto_num, auto_den = _default_metts_lengths(beta)
     d_num = auto_num if d_num is None else d_num
     d_den = auto_den if d_den is None else d_den
-    if d_num % 2 == 0:
-        raise ValueError(f"numerator degree must be odd, got {d_num}")
+    if d_num % 2 == 0 or d_num < 1:
+        raise ValueError(f"numerator degree must be odd and >= 1, got {d_num}")
     t0 = time.perf_counter()
     run = _Measure(shots, noise_model, sigma, seed)
     _check_register(n, run)
     ua, q, hmat, _ = _canonical_instance(n, seed, p_cnot, depth, coupling, ua)
     f_num, err_num = fit_scaled(odd_gibbs(beta), d_num, "odd", (0.0, 1.0))
-    qc_num, res_num = _qsvt_for(ua, f_num, allow_odd=True)
+    qc_num, res_num = _qsvt_for(ua, f_num)
     qc_den, den = _point(ua, q, gibbs(beta), d_den)
 
     rng = run.rng

@@ -23,7 +23,6 @@ from racbem.chebpoly import (
     odd_gibbs,
     project_on_interval,
     quadratic_for_condition,
-    remez,
     sin_sqrt,
 )
 
@@ -71,10 +70,11 @@ def test_apply_scaling():
 
 def test_remez_at_most_projection_error():
     t = gibbs(3.0)
+    _, alpha = apply_scaling(t, (0.0, 1.0))
     for deg in (2, 4, 6):
-        _, err_r = remez(lambda x: t(x) / 2.0, deg, interval=(0.0, 1.0))
-        proj = project_on_interval(t, deg, (0.0, 1.0), scale=2.0)
-        assert err_r <= proj.err / 2.0 + 1e-14
+        _, err_r = fit_scaled(t, deg, "none", (0.0, 1.0))
+        proj = project_on_interval(t, deg, (0.0, 1.0), scale=alpha)
+        assert err_r / alpha <= proj.err / alpha + 1e-14
 
 
 def _chebfit_projection(f, degree, interval):
@@ -101,9 +101,11 @@ def test_projection_is_the_chebfit_expansion():
 
 def test_empty_fit_interval_raises():
     # a zero-width interval (inverse at kappa 1) or a reversed one names the
-    # interval, for the plain, scaled and interval fits alike
-    for fit in (lambda: remez(inverse(1.0), 4), lambda: remez(inverse(1.0), 4, "even"),
-                lambda: fit_scaled(inverse(1.0), 4), lambda: fit_on_interval(inverse(1.0), 2),
+    # interval, for the global fit at each parity and the interval fit alike
+    for fit in (lambda: fit_scaled(gibbs(1.0), 5, "odd", (0.8, 0.2)),
+                lambda: fit_scaled(inverse(1.0), 4, "even"),
+                lambda: fit_scaled(inverse(1.0), 4),
+                lambda: fit_on_interval(inverse(1.0), 2, (1.0, 1.0)),
                 lambda: fit_on_interval(gibbs(1.0), 2, (0.8, 0.2))):
         with pytest.raises(ValueError, match=r"^empty fit interval \["):
             fit()
@@ -113,16 +115,17 @@ def test_remez_equioscillation():
     # minimax error curve must attain +-max with alternating signs at
     # degree + 2 points
     deg = 4
-    scaled, alpha = apply_scaling(gibbs(4.0), (0.0, 1.0))
-    poly, err = remez(scaled, deg, interval=(0.0, 1.0))
+    t = gibbs(4.0)
+    _, alpha = apply_scaling(t, (0.0, 1.0))
+    poly, err = fit_scaled(t, deg, "none", (0.0, 1.0))
     xs = np.linspace(0.0, 1.0, 5001)
-    e = poly.scale * poly(xs) - scaled(xs)
-    hits = xs[np.abs(e) > 0.999 * err]
+    e = (poly.scale * poly(xs) - t(xs)) / alpha
+    hits = xs[np.abs(e) > 0.999 * err / alpha]
     # group contiguous hits, record sign per group
     signs = []
     last = None
     for x in hits:
-        s = np.sign(poly.scale * poly(x) - scaled(x))
+        s = np.sign((poly.scale * poly(x) - t(x)) / alpha)
         if last is None or s != last:
             signs.append(s)
             last = s
@@ -154,6 +157,33 @@ def test_fit_scaled_parity():
     assert poly.parity == "odd"
     xs = np.linspace(-1, 1, 101)
     assert np.allclose(poly(xs), -poly(-xs), atol=1e-12)
+
+
+def test_fit_scaled_builds_one_chebpoly(monkeypatch):
+    # the fit is expanded once, straight to the target's scale: one ChebPoly
+    # per fit, whose scale is the target scaling times any overshoot bump
+    built = []
+    check = ChebPoly.__post_init__
+    monkeypatch.setattr(ChebPoly, "__post_init__", lambda self: built.append(self) or check(self))
+    for t, degree, parity, interval, bumped in (
+            (gibbs(1.0), 4, "even", (0.0, 1.0), False),
+            (odd_gibbs(2.0), 7, "odd", (0.0, 1.0), False),
+            (cos_sqrt(3.0, 1.5), 8, "even", (0.0, 1.0), False),
+            (gibbs(1.0), 4, "none", (0.0, 1.0), True),
+            (inverse(2.0), 6, "even", (0.5, 1.0), True)):
+        built.clear()
+        poly, _ = fit_scaled(t, degree, parity, interval)
+        assert built == [poly]
+        _, alpha = apply_scaling(t, interval)
+        assert (poly.scale != alpha) == bumped
+
+
+def test_negative_fit_degree_raises_before_numpy():
+    with np.errstate(all="raise"):
+        for fit in (lambda: fit_scaled(gibbs(1.0), -2, "even"), lambda: fit_scaled(gibbs(1.0), -1),
+                    lambda: fit_on_interval(gibbs(1.0), -1, (0.0, 1.0))):
+            with pytest.raises(ValueError, match="^fit degree must be >= 0$"):
+                fit()
 
 
 def test_fit_on_interval_contract():

@@ -534,6 +534,47 @@ def test_echo_is_the_flag_table(tmp_path, monkeypatch):
             assert config["depth"] == default_depth(config["n"])
 
 
+def test_phase_factors_needs_the_degrees_parity(tmp_path, monkeypatch, capsys):
+    # a parity-none fit has phases for another polynomial only: exit 4, no artifact
+    poly, pf = tmp_path / "p.json", tmp_path / "pf.json"
+    for fit in (["gibbs", "--beta", "1", "--degree", "4"],
+                ["cos-sqrt", "--t", "3", "--eta", "1.5", "--degree", "9"]):
+        assert run(["remez", "--target", *fit, "--out", str(poly)], monkeypatch, tmp_path) == 0
+        argv = ["phase-factors", "--poly", str(poly), "--out", str(pf)]
+        assert run(argv, monkeypatch, tmp_path) == 4
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["error"] == "module" and "target parity" in rec["message"]
+        assert not pf.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["remez", "--target", "gibbs", "--beta", "1", "--degree", "-2", "--parity", "even"],
+    ["metts", "--n", "2", "--seed", "15", "--beta", "1", "--steps", "5", "--exact",
+     "--d-num", "-1"],
+])
+def test_negative_degree_prints_one_error_line(tmp_path, argv):
+    # numpy never sees the degree, so no warning precedes the JSON line
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-m", "racbem.cli", *argv], capture_output=True,
+                         text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 4
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "module"
+
+
+def test_racbem_bench_needs_an_instance(tmp_path, monkeypatch, capsys):
+    def no_instance(*args, **kwargs):
+        raise AssertionError("instance before the count check")
+
+    monkeypatch.setattr(tasks, "generate_instance", no_instance)
+    for count in ("0", "-2"):
+        argv = ["racbem-bench", "--n", "1", "--seed", "0", "--exact", "--instances", count]
+        assert run(argv, monkeypatch, tmp_path) == 4
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec == {"error": "module", "message": "instances must be >= 1"}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_remez_odd_fit_of_a_target_nonzero_at_0(tmp_path, monkeypatch, capsys):
     # an odd polynomial is 0 at 0, so an odd fit from 0 of a target that is
     # not is a wrong request, said as such, not a solver stall

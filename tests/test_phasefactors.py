@@ -191,6 +191,15 @@ def test_objective_parity_check():
         objective(PhaseFactors((0.0, 0.0, 0.0)), f)  # degree mismatch
 
 
+def test_optimize_rejects_a_polynomial_without_its_degrees_parity():
+    # the solve folds on the positive nodes: given a polynomial of another
+    # parity it would converge to phases of a different polynomial
+    for f in (ChebPoly((0.1, 0.2, 0.3), "none"), ChebPoly((0.3, 0.0, 0.4, 0.0), "even"),
+              ChebPoly((0.0, 0.5), "none")):
+        with pytest.raises(ValueError, match="target parity"):
+            optimize(f)
+
+
 def test_varphi_round_trip():
     p = PhaseFactors((0.4, -0.2, 0.7, -0.2, 0.4))
     back = to_phi(to_varphi(p))

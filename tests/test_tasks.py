@@ -518,7 +518,7 @@ def test_metts_exact_matches_block_columns(monkeypatch):
         trace, report = metts_run(beta, 60, 2, seed=15, shots=0)
         d_num, d_den = tasks._default_metts_lengths(beta)
         f_num, _ = fit_scaled(odd_gibbs(beta), d_num, "odd", (0.0, 1.0))
-        num = np.abs(block_of(tasks._qsvt_for(ua, f_num, allow_odd=True)[0])) ** 2
+        num = np.abs(block_of(tasks._qsvt_for(ua, f_num)[0])) ** 2
         den = np.abs(block_of(tasks._point(ua, q, gibbs(beta), d_den)[0])) ** 2
         ratio = report.params["scale_num"] ** 2 / report.params["scale_den"] ** 2
         want = ratio * num.sum(axis=0) / den.sum(axis=0)
@@ -628,6 +628,16 @@ def test_metts_validation():
         metts_run(1.0, 10, 2, 0, d_num=4)  # even numerator degree
     with pytest.raises(ValueError, match="even degree >= 2"):
         metts_run(1.0, 10, 2, 0, d_den=3)  # odd denominator degree
+
+
+def test_metts_numerator_degree_is_checked_before_the_instance(monkeypatch):
+    def no_instance(*args, **kwargs):
+        raise AssertionError("instance before the degree check")
+
+    monkeypatch.setattr(tasks, "generate_instance", no_instance)
+    for d_num in (-1, -3, 0):
+        with pytest.raises(ValueError, match=f"^numerator degree must be odd and >= 1, got {d_num}"):
+            metts_run(1.0, 5, 2, 15, d_num=d_num)
 
 
 def test_write_cma_csv(tmp_path):
